@@ -215,7 +215,9 @@ class _Engine:
 
     def _release(self, chain: _Chain, rec: RequestRecord, t: float) -> None:
         assert rec.submitted_at <= rec.mined_at <= rec.confirmed_at <= t
-        if chain.busy < chain.servers:
+        # One mined block can release several requests in one event; once the
+        # run has met its target the rest stay in flight.
+        if chain.busy < chain.servers and not self.stop:
             self._begin_service(chain, rec, t)
         else:
             chain.ready_queue.append(rec)

@@ -27,7 +27,7 @@ vector reads ``[p00 | p10 p01 | p20 p11 p02 | ...]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
 
@@ -38,9 +38,6 @@ from scipy.sparse.linalg import splu
 from .config import ChainConfig, validate
 
 DEFAULT_MAX_STATES = 4_000_000
-
-# Dense LU is faster than a sparse factorisation only on small boxes.
-DENSE_CUTOFF = 2048
 
 
 class StateSpaceLimitError(ValueError):
@@ -232,19 +229,6 @@ def _finalize(p: np.ndarray, Q: RateMatrix) -> SteadyStateDistribution:
     )
 
 
-def _solve_dense(Q: RateMatrix) -> np.ndarray:
-    # Replace one balance equation with the normalisation row; the rows of a
-    # proper generator are linearly dependent, so rank is preserved.
-    A = Q.matrix.toarray()
-    A[0, :] = 1.0
-    b = np.zeros(Q.dimension)
-    b[0] = 1.0
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ReducibleChainError(f"singular truncated generator: {exc}") from exc
-
-
 def _solve_sparse(Q: RateMatrix) -> np.ndarray:
     # Pin the probability of state (0, 0) at one and solve the remaining
     # balance equations: A @ x = -q0 with A the trailing principal submatrix,
@@ -265,23 +249,14 @@ def _solve_sparse(Q: RateMatrix) -> np.ndarray:
     return p
 
 
-def solve_steady_state(Q: RateMatrix, method: str = "auto") -> SteadyStateDistribution:
+def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     """Stationary vector of ``Q``: ``Q @ p = 0``, ``sum(p) = 1``.
 
-    ``method`` selects the linear-algebra path: ``dense`` (LAPACK LU),
-    ``sparse`` (SuperLU with one refinement step), or ``auto`` which takes
-    the dense path below :data:`DENSE_CUTOFF` states.  Both paths verify a
-    residual of at most 1e-9 and clamp sub-1e-12 negative noise to zero.
+    Every box goes through one path: a sparse LU factorisation (SuperLU)
+    with one refinement step.  The result is verified to a residual of at
+    most 1e-9, and sub-1e-12 negative noise is clamped to zero.
     """
-    if method == "auto":
-        method = "dense" if Q.dimension <= DENSE_CUTOFF else "sparse"
-    if method == "dense":
-        p = _solve_dense(Q)
-    elif method == "sparse":
-        p = _solve_sparse(Q)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _finalize(p, Q)
+    return _finalize(_solve_sparse(Q), Q)
 
 
 def mean_queue_length(
@@ -345,22 +320,12 @@ def auto_truncate(
             if previous is not None and stable(
                 current.mean_queue_length, previous.mean_queue_length
             ):
-                return TruncationResult(
-                    space=current.space,
-                    distribution=current.distribution,
-                    mean_queue_length=current.mean_queue_length,
-                    extents_tried=tuple(tried),
-                )
+                return replace(current, extents_tried=tuple(tried))
             if previous is None:
                 probe = _solve_box(config, extent * 2, max_states)
                 tried.append(extent * 2)
                 if stable(probe.mean_queue_length, current.mean_queue_length):
-                    return TruncationResult(
-                        space=current.space,
-                        distribution=current.distribution,
-                        mean_queue_length=current.mean_queue_length,
-                        extents_tried=tuple(tried),
-                    )
+                    return replace(current, extents_tried=tuple(tried))
                 previous, current, extent = current, probe, extent * 2
                 continue
         extent *= 2
@@ -378,48 +343,20 @@ def auto_truncate(
 
 
 @lru_cache(maxsize=32)
-def _stationary_for_rates(
-    arrival_rate: float,
-    mining_rate: float,
-    rejection_rate: float,
-    service_rate: float,
-    servers: int,
-    block_capacity: int,
-    rejection_batch: int,
-    tol: float,
-    max_states: int,
-) -> TruncationResult:
-    # The chain dynamics do not involve the confirmation depth, so solves
-    # are shared across sweeps over it.
-    config = ChainConfig(
-        arrival_rate=arrival_rate,
-        mining_rate=mining_rate,
-        rejection_rate=rejection_rate,
-        service_rate=service_rate,
-        servers=servers,
-        block_capacity=block_capacity,
-        rejection_batch=rejection_batch,
-        confirmations=1,
-    )
+def _stationary_cached(config: ChainConfig, tol: float, max_states: int) -> TruncationResult:
     return auto_truncate(config, tol=tol, max_states=max_states)
 
 
 def stationary_solution(
     config: ChainConfig, tol: float = 1e-9, max_states: int = DEFAULT_MAX_STATES
 ) -> TruncationResult:
-    """Auto-truncated stationary solve, cached on the rate tuple."""
+    """Auto-truncated stationary solve, cached on the confirmation-free config.
+
+    The chain dynamics do not involve the confirmation depth, so one solve
+    serves a whole sweep over it.
+    """
     validate(config)
-    return _stationary_for_rates(
-        config.arrival_rate,
-        config.mining_rate,
-        config.rejection_rate,
-        config.service_rate,
-        config.servers,
-        config.block_capacity,
-        config.rejection_batch,
-        tol,
-        max_states,
-    )
+    return _stationary_cached(replace(config, confirmations=1), tol, max_states)
 
 
 def latency(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ChainConfig, ConfigValidationError
+from .config import ChainConfig, ConfigValidationError, validate
 
 
 class ClosedFormDomainError(ValueError):
@@ -68,24 +68,23 @@ def closed_form_latency(config: ChainConfig, approximate: bool = False) -> Laten
 
     Exact for single-request blocks without rejection; with
     ``approximate=True`` the same formulas are evaluated for other
-    configurations and the result is labelled approximate.
+    configurations and the result is labelled approximate.  Raises
+    :class:`ConfigValidationError` for a configuration :func:`validate`
+    rejects, or whose arrival rate reaches the mining rate.
     """
     if (config.block_capacity != 1 or config.rejection_rate != 0.0) and not approximate:
         raise ClosedFormDomainError(
             "closed form is exact only for block_capacity == 1 and rejection_rate == 0; "
             "pass approximate=True to evaluate it anyway"
         )
+    validate(config)
+    # The tandem drains its pending stage one request per block, a stricter
+    # bound than the batched drain capacity that validate() checks.
     if config.arrival_rate >= config.mining_rate:
         raise ConfigValidationError(
             "unstable-mining-queue",
             f"block-inclusion stage needs arrival_rate < mining_rate "
             f"({config.arrival_rate} >= {config.mining_rate})",
-        )
-    if config.arrival_rate >= config.servers * config.service_rate:
-        raise ConfigValidationError(
-            "unstable-service-queue",
-            f"service stage needs arrival_rate < servers * service_rate "
-            f"({config.arrival_rate} >= {config.servers * config.service_rate})",
         )
 
     block_wait = 1.0 / (config.mining_rate - config.arrival_rate)

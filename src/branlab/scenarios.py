@@ -22,9 +22,14 @@ paths name real configuration fields; the pseudo-field ``intensity`` (or
 ``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
 utilisation and is applied after any other swept field of the same point.
 
-Sweeps evaluate in row-major grid order.  Points whose materialised
-configuration fails validation are emitted with ``status=skipped-unstable``
-instead of aborting the run.  Per-point seeds derive from
+Rows come out in row-major grid order.  Every point goes through one
+pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
+in one table of result columns and evaluation functions.  Points whose
+materialised configuration fails validation, and closed-form points
+outside the tandem's domain, are emitted with ``status=skipped-unstable``;
+markov points whose solve raises a typed solver error are emitted with
+``status=solver-failed``.  Neither aborts the run, and both leave the
+result columns blank.  Per-point seeds derive from
 ``sha256("<master_seed>:<point_index>")``, so extending a value list never
 perturbs existing points.  Output rows echo the full materialised
 configuration, making every row self-describing and re-runnable.
@@ -38,7 +43,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,7 +59,6 @@ from .config import (
 )
 
 SCHEMA_VERSION = 1
-ENGINES = ("markov", "closed-form", "simulation", "attack", "hierarchical-simulation")
 _HIER_ENGINES = ("hierarchical-simulation",)
 _ATTACK_METHODS = ("auto", "closed-form", "direct-sum", "monte-carlo")
 
@@ -334,10 +338,6 @@ def _grid_values(spec: ScenarioSpec, index: int) -> tuple:
     return (spec.sweep[0].values[index // inner], spec.sweep[1].values[index % inner])
 
 
-def _set_chain_field(cfg: ChainConfig, field: str, value) -> ChainConfig:
-    return replace(cfg, **{field: value})
-
-
 def _materialize(spec: ScenarioSpec, values: tuple):
     base = spec.base
     attack_section = spec.attack
@@ -350,9 +350,9 @@ def _materialize(spec: ScenarioSpec, values: tuple):
             deferred.append((path, value))
         elif "." in path:
             side, field = path.split(".", 1)
-            base = replace(base, **{side: _set_chain_field(getattr(base, side), field, value)})
+            base = replace(base, **{side: replace(getattr(base, side), **{field: value})})
         else:
-            base = _set_chain_field(base, path, value)
+            base = replace(base, **{path: value})
     for path, rho in deferred:
         if "." in path:
             side = path.split(".", 1)[0]
@@ -379,29 +379,6 @@ def _echo_columns(spec: ScenarioSpec) -> list[str]:
     return cols
 
 
-_OUTPUT_COLUMNS = {
-    "markov": ["latency", "mean_queue_length", "frontier_mass", "box_i_max", "box_j_max", "std_error"],
-    "closed-form": ["latency", "block_wait", "service_stage", "confirmation_wait", "sojourn", "approximate", "std_error"],
-    "attack": ["attack_probability", "attack_method", "std_error", "trials"],
-    "simulation": ["latency", "variance", "ci_low", "ci_high", "served", "rejected", "generated", "in_flight", "point_seed"],
-    "hierarchical-simulation": [
-        "e2e_latency", "e2e_ci_low", "e2e_ci_high",
-        "secondary_latency", "secondary_ci_low", "secondary_ci_high",
-        "primary_latency", "primary_ci_low", "primary_ci_high",
-        "served", "rejected", "generated", "in_flight", "point_seed",
-    ],
-}
-
-_BASE_COLUMNS = ["scenario", "engine", "point_index", "status", "param_1", "value_1", "param_2", "value_2"]
-
-
-def scenario_header(spec: ScenarioSpec) -> list[str]:
-    cols = list(_BASE_COLUMNS) + _echo_columns(spec) + list(_OUTPUT_COLUMNS[spec.engine])
-    if spec.engine == "markov" and spec.attack is not None:
-        cols += ["attack_probability", "attack_method"]
-    return cols
-
-
 def _analytic_attack(params: attack_mod.AttackParams, method: str) -> attack_mod.AttackResult:
     if method == "closed-form":
         return attack_mod.attack_success_closed(params)
@@ -410,7 +387,145 @@ def _analytic_attack(params: attack_mod.AttackParams, method: str) -> attack_mod
     return attack_mod.attack_success(params)
 
 
-def _evaluate_point(spec: ScenarioSpec, index: int) -> dict:
+def _attack_params(config: ChainConfig, attack_section: AttackSection) -> attack_mod.AttackParams:
+    return attack_mod.AttackParams(
+        confirmations=config.confirmations,
+        relative_power=attack_section.relative_power,
+        giveup_threshold=attack_section.giveup_threshold,
+    )
+
+
+# Typed solver failures: the point gets a solver-failed row, the sweep goes on.
+_SOLVER_ERRORS = (
+    markov.ReducibleChainError,
+    markov.SolverConvergenceError,
+    markov.TruncationDidNotConverge,
+    markov.StateSpaceLimitError,
+)
+
+
+def _markov(config, attack_section, replication, seed) -> dict:
+    try:
+        solution = markov.stationary_solution(config)
+        latency = markov.latency(config)
+    except _SOLVER_ERRORS:
+        return {"status": "solver-failed"}
+    out = {
+        "latency": latency,
+        "mean_queue_length": solution.mean_queue_length,
+        "frontier_mass": solution.distribution.truncation_mass_bound,
+        "box_i_max": solution.space.i_max,
+        "box_j_max": solution.space.j_max,
+        "std_error": 0.0,
+    }
+    if attack_section is not None:
+        result = _analytic_attack(_attack_params(config, attack_section), attack_section.method)
+        out["attack_probability"] = result.probability
+        out["attack_method"] = result.method
+    return out
+
+
+def _closed_form(config, attack_section, replication, seed) -> dict:
+    try:
+        breakdown = queueing.closed_form_latency(config, approximate=True)
+    except ConfigValidationError:
+        # Valid chains whose arrival rate reaches the mining rate lie
+        # outside the tandem's domain.
+        return {"status": "skipped-unstable"}
+    return {
+        "latency": breakdown.total,
+        "block_wait": breakdown.block_wait,
+        "service_stage": breakdown.service_stage,
+        "confirmation_wait": breakdown.confirmation_wait,
+        "sojourn": breakdown.sojourn,
+        "approximate": breakdown.approximate,
+        "std_error": 0.0,
+    }
+
+
+def _attack(config, attack_section, replication, seed) -> dict:
+    params = _attack_params(config, attack_section)
+    if attack_section.method == "monte-carlo":
+        result = attack_mod.attack_success_montecarlo(params, replication.trials, seed)
+    else:
+        result = _analytic_attack(params, attack_section.method)
+    return {
+        "attack_probability": result.probability,
+        "attack_method": result.method,
+        "std_error": result.std_error,
+        "trials": "" if result.trials is None else result.trials,
+    }
+
+
+_SIM_COUNT_COLUMNS = ("served", "rejected", "generated", "in_flight", "point_seed")
+
+
+def _sim_counts(sim: des.SimResult, seed: int) -> dict:
+    counts = (sim.served_count, sim.rejected_count, sim.generated_count, sim.in_flight_count, seed)
+    return dict(zip(_SIM_COUNT_COLUMNS, counts))
+
+
+def _simulation(config, attack_section, replication, seed) -> dict:
+    sim = des.simulate_chain(config, replication.target_served, seed)
+    out = {"latency": sim.mean, "variance": sim.variance}
+    out["ci_low"], out["ci_high"] = sim.confidence_interval_95
+    return {**out, **_sim_counts(sim, seed)}
+
+
+def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
+    sim = des.simulate_hierarchical(config, replication.target_served, seed)
+    out = {}
+    for key in ("e2e", "secondary", "primary"):
+        stats = sim.breakdown[key]
+        out[f"{key}_latency"] = stats.mean
+        out[f"{key}_ci_low"], out[f"{key}_ci_high"] = stats.confidence_interval_95
+    out.update(_sim_counts(sim, seed))
+    return out
+
+
+# Written only by scenarios that carry an attack section.
+_ATTACK_COLUMNS = ("attack_probability", "attack_method")
+
+# engine -> (result columns, evaluate_fn).  ``evaluate_fn(config,
+# attack_section, replication, seed)`` returns the result columns of one
+# valid point, or ``{"status": ...}`` to report the point with its result
+# columns blank.
+_ENGINES = {
+    "markov": (
+        ("latency", "mean_queue_length", "frontier_mass", "box_i_max", "box_j_max",
+         "std_error", *_ATTACK_COLUMNS),
+        _markov,
+    ),
+    "closed-form": (
+        ("latency", "block_wait", "service_stage", "confirmation_wait", "sojourn",
+         "approximate", "std_error"),
+        _closed_form,
+    ),
+    "simulation": (
+        ("latency", "variance", "ci_low", "ci_high", *_SIM_COUNT_COLUMNS),
+        _simulation,
+    ),
+    "attack": ((*_ATTACK_COLUMNS, "std_error", "trials"), _attack),
+    "hierarchical-simulation": (
+        tuple(f"{key}_{stat}" for key in ("e2e", "secondary", "primary")
+              for stat in ("latency", "ci_low", "ci_high")) + _SIM_COUNT_COLUMNS,
+        _hierarchical_simulation,
+    ),
+}
+ENGINES = tuple(_ENGINES)
+
+_BASE_COLUMNS = ["scenario", "engine", "point_index", "status", "param_1", "value_1", "param_2", "value_2"]
+
+
+def scenario_header(spec: ScenarioSpec) -> list[str]:
+    results = _ENGINES[spec.engine][0]
+    if spec.attack is None:
+        results = [col for col in results if col not in _ATTACK_COLUMNS]
+    return [*_BASE_COLUMNS, *_echo_columns(spec), *results]
+
+
+def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
+    """Row prefix of one grid point, and its engine task unless the point is skipped."""
     values = _grid_values(spec, index)
     row: dict = {
         "scenario": spec.name,
@@ -427,7 +542,7 @@ def _evaluate_point(spec: ScenarioSpec, index: int) -> dict:
     except (ValueError, ConfigValidationError):
         # Intensity or range violations during materialisation: report, skip.
         row["status"] = "skipped-unstable"
-        return row
+        return row, None
 
     if isinstance(config, HierarchicalConfig):
         row.update(_chain_echo(config.primary, "primary_"))
@@ -442,73 +557,46 @@ def _evaluate_point(spec: ScenarioSpec, index: int) -> dict:
         validate(config)
     except ConfigValidationError:
         row["status"] = "skipped-unstable"
-        return row
-
+        return row, None
     seed = point_seed(spec.replication.seed, index)
-    if spec.engine == "markov":
-        solution = markov.stationary_solution(config)
-        row["latency"] = markov.latency(config)
-        row["mean_queue_length"] = solution.mean_queue_length
-        row["frontier_mass"] = solution.distribution.truncation_mass_bound
-        row["box_i_max"] = solution.space.i_max
-        row["box_j_max"] = solution.space.j_max
-        row["std_error"] = 0.0
-        if attack_section is not None:
-            params = attack_mod.AttackParams(
-                confirmations=config.confirmations,
-                relative_power=attack_section.relative_power,
-                giveup_threshold=attack_section.giveup_threshold,
-            )
-            result = _analytic_attack(params, attack_section.method)
-            row["attack_probability"] = result.probability
-            row["attack_method"] = result.method
-    elif spec.engine == "closed-form":
-        breakdown = queueing.closed_form_latency(config, approximate=True)
-        row["latency"] = breakdown.total
-        row["block_wait"] = breakdown.block_wait
-        row["service_stage"] = breakdown.service_stage
-        row["confirmation_wait"] = breakdown.confirmation_wait
-        row["sojourn"] = breakdown.sojourn
-        row["approximate"] = breakdown.approximate
-        row["std_error"] = 0.0
-    elif spec.engine == "attack":
-        params = attack_mod.AttackParams(
-            confirmations=config.confirmations,
-            relative_power=attack_section.relative_power,
-            giveup_threshold=attack_section.giveup_threshold,
-        )
-        if attack_section.method == "monte-carlo":
-            result = attack_mod.attack_success_montecarlo(
-                params, spec.replication.trials, seed
-            )
-        else:
-            result = _analytic_attack(params, attack_section.method)
-        row["attack_probability"] = result.probability
-        row["attack_method"] = result.method
-        row["std_error"] = result.std_error
-        row["trials"] = result.trials if result.trials is not None else ""
-    elif spec.engine == "simulation":
-        sim = des.simulate_chain(config, spec.replication.target_served, seed)
-        row["latency"] = sim.mean
-        row["variance"] = sim.variance
-        row["ci_low"], row["ci_high"] = sim.confidence_interval_95
-        row["served"] = sim.served_count
-        row["rejected"] = sim.rejected_count
-        row["generated"] = sim.generated_count
-        row["in_flight"] = sim.in_flight_count
-        row["point_seed"] = seed
-    else:  # hierarchical-simulation
-        sim = des.simulate_hierarchical(config, spec.replication.target_served, seed)
-        for key in ("e2e", "secondary", "primary"):
-            stats = sim.breakdown[key]
-            row[f"{key}_latency"] = stats.mean
-            row[f"{key}_ci_low"], row[f"{key}_ci_high"] = stats.confidence_interval_95
-        row["served"] = sim.served_count
-        row["rejected"] = sim.rejected_count
-        row["generated"] = sim.generated_count
-        row["in_flight"] = sim.in_flight_count
-        row["point_seed"] = seed
-    return row
+    return row, (spec.engine, config, attack_section, spec.replication, seed)
+
+
+def _run_tasks(tasks: list[tuple]) -> list[dict]:
+    return [_ENGINES[engine][1](config, attack_section, replication, seed)
+            for engine, config, attack_section, replication, seed in tasks]
+
+
+def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
+    """One row per grid point of every spec in ``specs``, in grid order.
+
+    Each point is materialised and validated, then evaluated by its
+    engine's table entry.  At ``jobs > 1`` the engines run in one process
+    pool for the whole call.  Markov points that differ only in their
+    confirmation depth form one task, so their chain is solved once.
+    """
+    rows: list[dict] = []
+    groups: dict = {}
+    for spec in specs:
+        for index in range(spec.point_count):
+            row, task = _prepare(spec, index)
+            rows.append(row)
+            if task is None:
+                continue
+            engine, config = task[:2]
+            key = replace(config, confirmations=1) if engine == "markov" else len(rows)
+            groups.setdefault(key, []).append((row, task))
+    batches = list(groups.values())
+    work = [[task for _, task in batch] for batch in batches]
+    if jobs <= 1:
+        results = map(_run_tasks, work)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_tasks, work))
+    for batch, outputs in zip(batches, results):
+        for (row, _), output in zip(batch, outputs):
+            row.update(output)
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -525,13 +613,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_output(
-    path, fmt: str, header: list[str], rows: list[dict], include_timestamp: bool
-) -> None:
+def _write_rows(
+    specs: list[ScenarioSpec], path, fmt: str, jobs: int, include_timestamp: bool
+) -> RunSummary:
+    rows = evaluate(specs, jobs)
+    header = scenario_header(specs[0])
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     buffer = io.StringIO()
     if fmt == "csv":
         if include_timestamp:
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             buffer.write(f"# generated {stamp}\n")
         writer = csv.writer(buffer)
         writer.writerow(header)
@@ -539,22 +629,25 @@ def _write_output(
             writer.writerow([_format_cell(row.get(col, "")) for col in header])
     else:
         if include_timestamp:
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             buffer.write(json.dumps({"meta": {"generated": stamp}}) + "\n")
         for row in rows:
             ordered = {col: row.get(col, "") for col in header}
             buffer.write(json.dumps(ordered) + "\n")
     with open(path, "w", newline="") as handle:
         handle.write(buffer.getvalue())
+    ok = sum(1 for row in rows if row["status"] == "ok")
+    return RunSummary(
+        points_total=len(rows),
+        points_ok=ok,
+        points_skipped=len(rows) - ok,
+        out_path=str(path),
+    )
 
 
-def _compute_rows(spec: ScenarioSpec, jobs: int) -> list[dict]:
-    indices = range(spec.point_count)
-    if jobs <= 1:
-        return [_evaluate_point(spec, i) for i in indices]
-    # Results are buffered and emitted in grid order whatever the completion order.
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_point, [spec] * spec.point_count, indices))
+def _with_seed(specs: list[ScenarioSpec], seed: int | None) -> list[ScenarioSpec]:
+    if seed is None:
+        return specs
+    return [replace(s, replication=replace(s.replication, seed=seed)) for s in specs]
 
 
 def run_scenario(
@@ -566,20 +659,11 @@ def run_scenario(
     include_timestamp: bool = True,
 ) -> RunSummary:
     """Evaluate every sweep point of ``spec`` and persist one row per point."""
-    if seed is not None:
-        spec = replace(spec, replication=replace(spec.replication, seed=seed))
     resolved_out = out_path or spec.output_path
     if resolved_out is None:
         raise MalformedSpecError("no output path: pass out_path or set output.path")
-    resolved_fmt = fmt or spec.output_format
-    rows = _compute_rows(spec, jobs)
-    _write_output(resolved_out, resolved_fmt, scenario_header(spec), rows, include_timestamp)
-    ok = sum(1 for row in rows if row["status"] == "ok")
-    return RunSummary(
-        points_total=len(rows),
-        points_ok=ok,
-        points_skipped=len(rows) - ok,
-        out_path=str(resolved_out),
+    return _write_rows(
+        _with_seed([spec], seed), resolved_out, fmt or spec.output_format, jobs, include_timestamp
     )
 
 
@@ -590,20 +674,8 @@ def run_scenario(
 _PRESET_SEED = 20240801
 
 
-def _chain_doc(
-    arrival_rate, mining_rate, rejection_rate, service_rate,
-    servers=1, block_capacity=1, rejection_batch=1, confirmations=1,
-) -> dict:
-    return {
-        "arrival_rate": arrival_rate,
-        "mining_rate": mining_rate,
-        "rejection_rate": rejection_rate,
-        "service_rate": service_rate,
-        "servers": servers,
-        "block_capacity": block_capacity,
-        "rejection_batch": rejection_batch,
-        "confirmations": confirmations,
-    }
+def _chain_doc(*args, **kwargs) -> dict:
+    return asdict(ChainConfig(*args, **kwargs))
 
 
 # Reference single chain used by the latency presets: one access link of unit
@@ -787,32 +859,14 @@ def run_preset(
     include_timestamp: bool = True,
 ) -> RunSummary:
     """Run every sub-scenario of a preset into a single output file."""
-    specs = preset_specs(name)
-    if seed is not None:
-        specs = [replace(s, replication=replace(s.replication, seed=seed)) for s in specs]
-    header = scenario_header(specs[0])
-    rows: list[dict] = []
-    for spec in specs:
-        rows.extend(_compute_rows(spec, jobs))
-    _write_output(out_path, fmt, header, rows, include_timestamp)
-    ok = sum(1 for row in rows if row["status"] == "ok")
-    return RunSummary(
-        points_total=len(rows),
-        points_ok=ok,
-        points_skipped=len(rows) - ok,
-        out_path=str(out_path),
+    return _write_rows(
+        _with_seed(preset_specs(name), seed), out_path, fmt, jobs, include_timestamp
     )
 
 
 def preset_rows(name: str, seed: int | None = None, jobs: int = 1) -> list[dict]:
     """Evaluate a preset and return its rows without touching the filesystem."""
-    specs = preset_specs(name)
-    if seed is not None:
-        specs = [replace(s, replication=replace(s.replication, seed=seed)) for s in specs]
-    rows: list[dict] = []
-    for spec in specs:
-        rows.extend(_compute_rows(spec, jobs))
-    return rows
+    return evaluate(_with_seed(preset_specs(name), seed), jobs)
 
 
 def default_jobs() -> int:

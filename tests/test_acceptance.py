@@ -148,7 +148,7 @@ def test_criterion_05_sparse_solver_vs_dense_oracle():
         if not is_valid(cfg):
             continue
         q = build_generator(cfg, enumerate_states(i_max, j_max))
-        got = solve_steady_state(q, method="sparse").probabilities
+        got = solve_steady_state(q).probabilities
         stacked = np.vstack([q.matrix.toarray(), np.ones(q.dimension)])
         rhs = np.zeros(q.dimension + 1)
         rhs[-1] = 1.0

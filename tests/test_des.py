@@ -39,6 +39,16 @@ def test_every_request_is_accounted_for():
     assert res.rejected_count > 0
 
 
+def test_served_count_meets_the_target_exactly():
+    # One mined block releases up to k requests in one event; those beyond
+    # the target must stay in flight.
+    cfg = ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3)
+    for seed in range(40):
+        res = simulate_chain(cfg, 2000, seed=seed)
+        assert res.served_count == 2000, seed
+        assert res.generated_count == res.served_count + res.rejected_count + res.in_flight_count
+
+
 def test_reported_mean_sits_inside_its_own_interval():
     res = simulate_chain(BASE, 6000, seed=19)
     lo, hi = res.confidence_interval_95

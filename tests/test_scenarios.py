@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from branlab import markov, scenarios
 from branlab.cli import main as cli_main
 from branlab.scenarios import (
     MalformedSpecError,
     list_presets,
     parse_scenario,
     point_seed,
+    preset_rows,
     preset_specs,
     run_preset,
     run_scenario,
@@ -247,12 +249,69 @@ def test_extending_a_sweep_preserves_existing_points(tmp_path):
     assert read_rows(b)[:2] == read_rows(a)
 
 
-def test_parallel_execution_matches_serial(tmp_path):
-    spec = parse_scenario(sim_doc())
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_scenario(spec, a, jobs=1, include_timestamp=False)
-    run_scenario(spec, b, jobs=2, include_timestamp=False)
-    assert a.read_bytes() == b.read_bytes()
+def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(scenarios.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", CountedPool)
+    # Several points of the markov sweep share one solve.
+    markov_sweep = markov_doc(
+        sweep=[
+            {"path": "intensity", "values": [0.2, 0.5]},
+            {"path": "confirmations", "values": [1, 2, 3]},
+        ]
+    )
+    for doc in (sim_doc(), markov_sweep):
+        spec = parse_scenario(doc)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        markov._stationary_cached.cache_clear()
+        run_scenario(spec, a, jobs=1, include_timestamp=False)
+        markov._stationary_cached.cache_clear()
+        run_scenario(spec, b, jobs=2, include_timestamp=False)
+        assert a.read_bytes() == b.read_bytes()
+
+    # Two sub-scenarios, one with rejection, through a single pool.
+    markov._stationary_cached.cache_clear()
+    serial = preset_rows("fig7", jobs=1)
+    markov._stationary_cached.cache_clear()
+    pools.clear()
+    assert repr(preset_rows("fig7", jobs=2)) == repr(serial)
+    assert len(pools) == 1
+
+
+def test_closed_form_outside_tandem_domain_is_skipped(tmp_path):
+    # Valid (batched drain 1.2 > 0.5) but the tandem needs arrival < mining.
+    doc = markov_doc(
+        engine="closed-form",
+        base=chain_doc(arrival_rate=0.5, mining_rate=0.4, block_capacity=3),
+        sweep=[{"path": "confirmations", "values": [1, 2]}],
+    )
+    out = tmp_path / "cf.csv"
+    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    assert (summary.points_ok, summary.points_skipped) == (0, 2)
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
+    assert all(r["latency"] == "" for r in rows)
+
+
+def test_solver_failure_is_reported_not_fatal(tmp_path):
+    doc = markov_doc(
+        base=chain_doc(arrival_rate=40.0, mining_rate=62.5, servers=50, block_capacity=3),
+        sweep=[{"path": "confirmations", "values": [1, 2]}],
+    )
+    spec = parse_scenario(doc)
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(spec, out, include_timestamp=False)
+    assert (summary.points_total, summary.points_ok) == (2, 0)
+    rows = read_rows(out)
+    assert list(rows[0]) == scenario_header(spec)
+    assert [r["status"] for r in rows] == ["solver-failed"] * 2
+    assert all(r["latency"] == "" and r["box_i_max"] == "" for r in rows)
+    assert [int(r["confirmations"]) for r in rows] == [1, 2]
 
 
 def test_jsonl_output(tmp_path):
