@@ -13,10 +13,11 @@ Mining is disabled on an empty pending queue (no empty blocks), and a
 partial block carries all pending requests when ``i <= k``.
 
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
-``0 <= j <= j_max``.  Transitions that would leave the box are dropped and
-excluded from the diagonal, which keeps the generator a proper generator;
-the stationary mass on the box frontier is reported so the truncation bias
-is measured rather than hidden.
+``0 <= j <= j_max``, each extent grown on its own (see ``auto_truncate``).
+Transitions that would leave the box are dropped and excluded from the
+diagonal, which keeps the generator a proper generator; the stationary mass
+on the box frontier is reported so the truncation bias is measured rather
+than hidden.
 
 The generator is column-oriented: column ``n`` holds the outflows of state
 ``n``, every column sums to zero, and the stationary vector solves
@@ -132,6 +133,7 @@ class RateMatrix:
 
     matrix: sparse.csc_matrix
     space: StateSpace
+    anchor: int = 0  # index of the state the solve pins; it should carry much mass
 
     @property
     def dimension(self) -> int:
@@ -194,7 +196,10 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     all_vals = np.concatenate([all_vals, -outflow])
 
     matrix = sparse.coo_matrix((all_vals, (all_rows, all_cols)), shape=(n, n)).tocsc()
-    return RateMatrix(matrix=matrix, space=space)
+    # About R_a / R_s links are busy on average, so (0, floor(R_a / R_s)) sits
+    # near the mode; (0, 0) can carry 1e-17 of the mass with many links.
+    busy = min(space.j_max, int(config.arrival_rate // config.service_rate))
+    return RateMatrix(matrix=matrix, space=space, anchor=space.index_of(0, busy))
 
 
 @dataclass(frozen=True)
@@ -230,12 +235,14 @@ def _finalize(p: np.ndarray, Q: RateMatrix) -> SteadyStateDistribution:
 
 
 def _solve_sparse(Q: RateMatrix) -> np.ndarray:
-    # Pin the probability of state (0, 0) at one and solve the remaining
-    # balance equations: A @ x = -q0 with A the trailing principal submatrix,
-    # which is nonsingular exactly when the chain is irreducible.  Unlike
+    # Pin the anchor's probability at one and solve the remaining balance
+    # equations: A @ x = -q_a with A the generator less the anchor's row and
+    # column, nonsingular exactly when the chain is irreducible.  Unlike
     # appending a normalisation row, this keeps the factorisation sparse.
-    A = Q.matrix[1:, 1:].tocsc()
-    b = -Q.matrix[1:, [0]].toarray().ravel()
+    keep = np.flatnonzero(np.arange(Q.dimension) != Q.anchor)
+    without_anchor_row = Q.matrix[keep]
+    A = without_anchor_row[:, keep].tocsc()
+    b = -without_anchor_row[:, [Q.anchor]].toarray().ravel()
     try:
         lu = splu(A)
     except RuntimeError as exc:
@@ -244,8 +251,8 @@ def _solve_sparse(Q: RateMatrix) -> np.ndarray:
     # One refinement step keeps the residual at rounding level on large boxes.
     x += lu.solve(b - A @ x)
     p = np.empty(Q.dimension)
-    p[0] = 1.0
-    p[1:] = x
+    p[Q.anchor] = 1.0
+    p[keep] = x
     return p
 
 
@@ -274,17 +281,17 @@ class TruncationResult:
     space: StateSpace
     distribution: SteadyStateDistribution
     mean_queue_length: float
-    extents_tried: tuple[int, ...]
+    extents_tried: tuple[tuple[int, int], ...]  # (i_max, j_max) of each box solved
 
 
-def _solve_box(config: ChainConfig, extent: int, max_states: int) -> TruncationResult:
-    space = enumerate_states(extent, extent, max_states=max_states)
+def _solve_box(config: ChainConfig, i_max: int, j_max: int, max_states: int) -> TruncationResult:
+    space = enumerate_states(i_max, j_max, max_states=max_states)
     dist = solve_steady_state(build_generator(config, space))
     return TruncationResult(
         space=space,
         distribution=dist,
         mean_queue_length=mean_queue_length(dist),
-        extents_tried=(extent,),
+        extents_tried=((i_max, j_max),),
     )
 
 
@@ -297,12 +304,17 @@ def auto_truncate(
 ) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
-    Starting from a square ``initial_extent`` box, both bounds double until
-    the frontier mass drops below ``tol`` and the mean queue length moves by
-    less than ``stability_rtol`` (0.1 percent) between successive sizes.
-    The initial box is accepted only after a doubled solve confirms its
-    queue length; larger boxes are accepted against the previous size, so
-    the search never solves beyond the first adequate box.
+    ``i_max`` starts at ``initial_extent``, ``j_max`` at the smallest
+    ``initial_extent * 2**m`` covering twice the offered load ``R_a / R_s``.
+    Each step doubles ``j_max`` while ``P(j = j_max) >= tol / 2``, else
+    ``i_max`` while ``P(i = i_max) >= tol / 2``, else both.  ``j`` goes first
+    because mining is blocked at ``j = j_max``, which piles mass onto the
+    ``i`` edge that a longer ``j`` axis removes.
+
+    A box is accepted once its frontier mass is below ``tol`` and the mean
+    queue length moved by less than ``stability_rtol`` (0.1 percent) from
+    the previous box; the initial box needs a probe with both axes doubled
+    to confirm it, so the search never solves beyond the first adequate box.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -311,9 +323,11 @@ def auto_truncate(
     def stable(a: float, b: float) -> bool:
         return abs(a - b) <= stability_rtol * max(abs(b), 1e-6)
 
-    extent = initial_extent
-    tried = [extent]
-    current = _solve_box(config, extent, max_states)
+    i_max = j_max = initial_extent
+    while j_max < 2 * config.arrival_rate / config.service_rate:
+        j_max *= 2
+    tried = [(i_max, j_max)]
+    current = _solve_box(config, i_max, j_max, max_states)
     previous: TruncationResult | None = None
     while True:
         if current.distribution.truncation_mass_bound < tol:
@@ -322,24 +336,31 @@ def auto_truncate(
             ):
                 return replace(current, extents_tried=tuple(tried))
             if previous is None:
-                probe = _solve_box(config, extent * 2, max_states)
-                tried.append(extent * 2)
+                i_max, j_max = 2 * i_max, 2 * j_max
+                probe = _solve_box(config, i_max, j_max, max_states)
+                tried.append((i_max, j_max))
                 if stable(probe.mean_queue_length, current.mean_queue_length):
                     return replace(current, extents_tried=tuple(tried))
-                previous, current, extent = current, probe, extent * 2
+                previous, current = current, probe
                 continue
-        extent *= 2
-        if (extent + 1) ** 2 > max_states:
+        p, space = current.distribution.probabilities, current.space
+        if p[space.queued == j_max].sum() >= tol / 2:
+            j_max *= 2
+        elif p[space.pending == i_max].sum() >= tol / 2:
+            i_max *= 2
+        else:
+            i_max, j_max = 2 * i_max, 2 * j_max
+        if (i_max + 1) * (j_max + 1) > max_states:
             raise TruncationDidNotConverge(
                 f"no convergence below {max_states} states; last box "
-                f"({current.space.i_max}, {current.space.j_max}) left frontier mass "
+                f"({space.i_max}, {space.j_max}) left frontier mass "
                 f"{current.distribution.truncation_mass_bound:.3e}",
-                i_max=current.space.i_max,
-                j_max=current.space.j_max,
+                i_max=space.i_max,
+                j_max=space.j_max,
                 frontier_mass=current.distribution.truncation_mass_bound,
             )
-        tried.append(extent)
-        previous, current = current, _solve_box(config, extent, max_states)
+        tried.append((i_max, j_max))
+        previous, current = current, _solve_box(config, i_max, j_max, max_states)
 
 
 @lru_cache(maxsize=32)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,8 +257,6 @@ def test_worked_latency_example():
 
 
 def test_confirmation_additivity():
-    from dataclasses import replace
-
     base = ChainConfig(0.5, 2.0, 0.1, 1.0, servers=2, block_capacity=2)
     one = latency(base)
     four = latency(replace(base, confirmations=4))
@@ -271,6 +270,16 @@ def test_latency_matches_closed_form_when_tandem_decouples(rho, servers):
         ChainConfig(0.1, 1.25 * servers, 0.0, 1.0, servers=servers), rho
     )
     assert latency(cfg) == pytest.approx(closed_form_latency(cfg).total, rel=0.02)
+
+
+@pytest.mark.parametrize("servers, rho", [(50, 0.8), (100, 0.5)])
+def test_many_links_solve_without_losing_precision(servers, rho):
+    # p(0, 0) is about 1e-17 here, so the solve must not normalise on it
+    base = with_intensity(ChainConfig(0.1, 1.25 * servers, 0.0, 1.0, servers=servers), rho)
+    assert latency(base) == pytest.approx(closed_form_latency(base).total, rel=1e-6)
+    batched = replace(base, block_capacity=3)
+    assert math.isfinite(latency(batched))
+    assert stationary_solution(batched).distribution.truncation_mass_bound < 1e-9
 
 
 def test_unstable_config_is_refused():
@@ -291,9 +300,19 @@ def test_light_traffic_converges_at_the_initial_box():
 
 
 def test_heavier_traffic_needs_larger_boxes():
+    # load lengthens the access queue, so it drives the j axis
     light = auto_truncate(with_intensity(ChainConfig(0.1, 2.5, 0.0, 1.0), 0.3))
     heavy = auto_truncate(with_intensity(ChainConfig(0.1, 2.5, 0.0, 1.0), 0.8))
-    assert heavy.space.i_max > light.space.i_max
+    assert heavy.space.j_max > light.space.j_max
+
+
+def test_box_grows_along_the_access_axis():
+    cfg = with_intensity(ChainConfig(0.1, 2.5, 0.0, 1.0), 0.95)
+    res = auto_truncate(cfg)
+    assert latency(cfg) == pytest.approx(closed_form_latency(cfg).total, rel=1e-7)
+    assert res.space.count < 20_000
+    assert res.space.j_max >= 8 * res.space.i_max
+    assert res.extents_tried[-1] == (res.space.i_max, res.space.j_max)
 
 
 def test_unreachable_tolerance_hits_the_cap():
@@ -301,4 +320,5 @@ def test_unreachable_tolerance_hits_the_cap():
     with pytest.raises(TruncationDidNotConverge) as err:
         auto_truncate(cfg, tol=0.0, max_states=100_000)
     assert err.value.i_max >= 16
+    assert (err.value.i_max + 1) * (err.value.j_max + 1) <= 100_000
     assert err.value.frontier_mass >= 0.0

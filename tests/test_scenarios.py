@@ -298,7 +298,12 @@ def test_closed_form_outside_tandem_domain_is_skipped(tmp_path):
     assert all(r["latency"] == "" for r in rows)
 
 
-def test_solver_failure_is_reported_not_fatal(tmp_path):
+def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
+    def fail(config, tol=1e-9, max_states=markov.DEFAULT_MAX_STATES):
+        raise markov.ReducibleChainError("stationary solve produced no probability mass")
+
+    # No cheap valid configuration fails to solve, so the failure is injected.
+    monkeypatch.setattr(markov, "stationary_solution", fail)
     doc = markov_doc(
         base=chain_doc(arrival_rate=40.0, mining_rate=62.5, servers=50, block_capacity=3),
         sweep=[{"path": "confirmations", "values": [1, 2]}],
