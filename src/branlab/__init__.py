@@ -10,7 +10,6 @@ from .config import (
     ConfigValidationError,
     HierarchicalConfig,
     arrival_rate_for_intensity,
-    baseline_config,
     intensity_of,
     validate,
     with_intensity,

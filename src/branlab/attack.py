@@ -112,8 +112,7 @@ def attack_success_direct(params: AttackParams) -> AttackResult:
 
     Pre-mining counts above the confirmation depth win with certainty, so
     the infinite tail enters as its exact probability mass and no term is
-    ever dropped; the nominal tail-truncation threshold of 1e-12 therefore
-    never takes effect.
+    ever dropped.
     """
     n_conf = params.confirmations
     pmf = [negbin_pmf(n, n_conf, params.relative_power) for n in range(n_conf + 1)]
@@ -170,12 +169,10 @@ def attack_success_closed(params: AttackParams) -> AttackResult:
 _DEFAULT_CHUNK = 1 << 18
 
 
-def attack_success_montecarlo(
-    params: AttackParams, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
-) -> AttackResult:
+def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> AttackResult:
     """Monte Carlo oracle: simulate the pre-mining draw and the deficit walk.
 
-    Trials run in fixed-size partitions, each on an independent stream
+    Trials run in partitions of ``2**18``, each on an independent stream
     derived from ``(seed, partition_index)``, so the merged estimate is
     identical however the partitions are assigned to workers.
     """
@@ -185,8 +182,8 @@ def attack_success_montecarlo(
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)
     wins = 0
-    for part, start in enumerate(range(0, trials, chunk_size)):
-        size = min(chunk_size, trials - start)
+    for part, start in enumerate(range(0, trials, _DEFAULT_CHUNK)):
+        size = min(_DEFAULT_CHUNK, trials - start)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(part,)))
         )

@@ -68,26 +68,14 @@ def main(argv=None) -> int:
         return 0
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
+    options = dict(out_path=args.out, seed=args.seed, jobs=jobs,
+                   include_timestamp=not args.no_timestamp)
     try:
         if args.command == "run":
             spec = parse_scenario(args.scenario)
-            summary = run_scenario(
-                spec,
-                out_path=args.out,
-                fmt=args.format,
-                seed=args.seed,
-                jobs=jobs,
-                include_timestamp=not args.no_timestamp,
-            )
+            summary = run_scenario(spec, fmt=args.format, **options)
         else:
-            summary = run_preset(
-                args.name,
-                out_path=args.out,
-                fmt=args.format or "csv",
-                seed=args.seed,
-                jobs=jobs,
-                include_timestamp=not args.no_timestamp,
-            )
+            summary = run_preset(args.name, fmt=args.format or "csv", **options)
     except MalformedSpecError as exc:
         print(f"malformed scenario: {exc}", file=sys.stderr)
         return 2

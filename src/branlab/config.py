@@ -49,11 +49,6 @@ class ChainConfig:
     confirmations: int = 1
 
     @property
-    def intensity(self) -> float:
-        """Service-stage utilisation ``arrival_rate / (servers * service_rate)``."""
-        return self.arrival_rate / (self.servers * self.service_rate)
-
-    @property
     def service_capacity(self) -> float:
         return self.servers * self.service_rate
 
@@ -161,24 +156,3 @@ def with_intensity(config: ChainConfig, rho: float) -> ChainConfig:
     """Copy of ``config`` with the arrival rate set to hit intensity ``rho``."""
     return replace(config, arrival_rate=arrival_rate_for_intensity(rho, config))
 
-
-def baseline_config(arrival_rate: float = 1.0, **overrides) -> ChainConfig:
-    """Documented exemplar configuration used as a test and demo default.
-
-    Mining and service rates of one, rejection at a tenth of the mining
-    rate, ten access links, capacity-three blocks, single confirmation.
-    These defaults are conventions of this package, not measured values;
-    the mining stage drains at 3.1 per unit time, so keep the arrival rate
-    below that (intensity below 0.31) or override ``mining_rate``.
-    """
-    base = ChainConfig(
-        arrival_rate=arrival_rate,
-        mining_rate=1.0,
-        rejection_rate=0.1,
-        service_rate=1.0,
-        servers=10,
-        block_capacity=3,
-        rejection_batch=1,
-        confirmations=1,
-    )
-    return replace(base, **overrides) if overrides else base

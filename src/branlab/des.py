@@ -23,8 +23,8 @@ In the hierarchical composition an end-user request first traverses the
 secondary chain; the moment its secondary service starts, a corresponding
 request is injected into the primary chain, and the end-to-end latency is
 the primary service start minus the original submission.  The primary
-chain optionally carries its own background Poisson traffic on top of the
-injected stream.
+chain carries its own background Poisson traffic on top of the injected
+stream.
 
 A run is strictly single-threaded and bitwise reproducible for a fixed
 seed; replications with distinct seeds can run concurrently and be merged
@@ -49,6 +49,7 @@ _ARRIVAL, _MINE, _REJECT, _ENTER, _DEPART = range(5)
 
 CONFIRMATION_MODES = ("additive", "event-driven")
 DEFAULT_MAX_PENDING = 10**6
+_WARMUP_FRACTION = 0.1  # share of the target discarded before statistics
 _CI_BATCHES = 32
 
 
@@ -312,6 +313,17 @@ class _Engine:
                     self._begin_service(chain, chain.ready_queue.popleft(), t)
 
 
+def _run(engine: _Engine, *chains: _Chain) -> None:
+    # The callbacks close over the chains and the engine: dropping them when
+    # the run ends frees its samples and events now, not at the next full GC.
+    try:
+        engine.run()
+    finally:
+        for chain in chains:
+            chain.on_service_start = None
+            chain.on_reject = None
+
+
 def _check_args(target_served: int, confirmation_mode: str) -> None:
     if target_served < 1:
         raise ValueError(f"target_served must be >= 1, got {target_served!r}")
@@ -327,20 +339,17 @@ def simulate_chain(
     seed: int,
     confirmation_mode: str = "additive",
     *,
-    validate_config: bool = True,
     max_pending: int = DEFAULT_MAX_PENDING,
-    warmup_fraction: float = 0.1,
     collect_records: bool = False,
 ) -> SimResult:
     """Simulate one chain until ``target_served`` requests start service.
 
-    The first ``warmup_fraction`` of the served samples is discarded before
-    statistics are computed.  Identical arguments produce a bitwise
-    identical result.
+    ``config`` is validated first.  The first tenth of the served samples
+    is discarded as warm-up before statistics are computed.  Identical
+    arguments produce a bitwise identical result.
     """
     _check_args(target_served, confirmation_mode)
-    if validate_config:
-        validate(config)
+    validate(config)
     engine = _Engine(seed, max_pending, collect_records)
     chain = _Chain("chain", config, confirmation_mode)
 
@@ -350,9 +359,9 @@ def simulate_chain(
 
     chain.on_service_start = stop_when_done
     engine.push(engine.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
-    engine.run()
+    _run(engine, chain)
 
-    warmup = int(target_served * warmup_fraction)
+    warmup = int(target_served * _WARMUP_FRACTION)
     kept = np.asarray(chain.samples[warmup:], dtype=np.float64)
     stats = _stats(kept)
     in_flight = chain.generated - chain.served - chain.rejected
@@ -378,24 +387,21 @@ def simulate_hierarchical(
     seed: int,
     confirmation_mode: str = "additive",
     *,
-    include_primary_background: bool = True,
-    validate_config: bool = True,
     max_pending: int = DEFAULT_MAX_PENDING,
-    warmup_fraction: float = 0.1,
     collect_records: bool = False,
 ) -> SimResult:
     """Simulate the secondary-into-primary composition.
 
-    Runs until ``target_served`` end-user requests have started primary
-    service.  Each retained request contributes an end-to-end sample and
-    its secondary and primary components; the three series are reported in
-    ``breakdown`` over the same retained set.  With
-    ``include_primary_background=False`` the primary chain carries only the
-    injected traffic, ignoring its configured arrival rate.
+    ``hconfig`` is validated first.  Runs until ``target_served`` end-user
+    requests have started primary service; the primary chain carries its
+    own background traffic at its configured arrival rate on top of the
+    injected requests.  The first tenth of the end-user requests is
+    discarded as warm-up.  Each retained request contributes an end-to-end
+    sample and its secondary and primary components; the three series are
+    reported in ``breakdown`` over the same retained set.
     """
     _check_args(target_served, confirmation_mode)
-    if validate_config:
-        validate(hconfig)
+    validate(hconfig)
     engine = _Engine(seed, max_pending, collect_records)
     primary = _Chain("primary", hconfig.primary, confirmation_mode)
     secondary = _Chain("secondary", hconfig.secondary, confirmation_mode)
@@ -427,11 +433,10 @@ def simulate_hierarchical(
     primary.on_reject = primary_reject
 
     engine.push(engine.rng.expovariate(secondary.arrival_rate), _ARRIVAL, secondary, None)
-    if include_primary_background:
-        engine.push(engine.rng.expovariate(primary.arrival_rate), _ARRIVAL, primary, None)
-    engine.run()
+    engine.push(engine.rng.expovariate(primary.arrival_rate), _ARRIVAL, primary, None)
+    _run(engine, secondary, primary)
 
-    warmup = int(target_served * warmup_fraction)
+    warmup = int(target_served * _WARMUP_FRACTION)
     kept = np.asarray(e2e[warmup:], dtype=np.float64)
     stats = _stats(kept)
     breakdown = {

@@ -39,6 +39,8 @@ from scipy.sparse.linalg import splu
 from .config import ChainConfig, validate
 
 DEFAULT_MAX_STATES = 4_000_000
+_INITIAL_EXTENT = 16  # auto_truncate's first i_max, and the least j_max
+_STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
 
 
 class StateSpaceLimitError(ValueError):
@@ -266,12 +268,9 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     return _finalize(_solve_sparse(Q), Q)
 
 
-def mean_queue_length(
-    dist: SteadyStateDistribution, space: StateSpace | None = None
-) -> float:
+def mean_queue_length(dist: SteadyStateDistribution) -> float:
     """Expected number of requests in the system, ``sum((i+j) * p_ij)``."""
-    space = space or dist.space
-    return float(np.dot(space.pending + space.queued, dist.probabilities))
+    return float(np.dot(dist.space.pending + dist.space.queued, dist.probabilities))
 
 
 @dataclass(frozen=True)
@@ -296,23 +295,19 @@ def _solve_box(config: ChainConfig, i_max: int, j_max: int, max_states: int) -> 
 
 
 def auto_truncate(
-    config: ChainConfig,
-    tol: float = 1e-9,
-    initial_extent: int = 16,
-    max_states: int = DEFAULT_MAX_STATES,
-    stability_rtol: float = 1e-3,
+    config: ChainConfig, tol: float = 1e-9, max_states: int = DEFAULT_MAX_STATES
 ) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
-    ``i_max`` starts at ``initial_extent``, ``j_max`` at the smallest
-    ``initial_extent * 2**m`` covering twice the offered load ``R_a / R_s``.
+    ``i_max`` starts at 16, ``j_max`` at the smallest
+    ``16 * 2**m`` covering twice the offered load ``R_a / R_s``.
     Each step doubles ``j_max`` while ``P(j = j_max) >= tol / 2``, else
     ``i_max`` while ``P(i = i_max) >= tol / 2``, else both.  ``j`` goes first
     because mining is blocked at ``j = j_max``, which piles mass onto the
     ``i`` edge that a longer ``j`` axis removes.
 
     A box is accepted once its frontier mass is below ``tol`` and the mean
-    queue length moved by less than ``stability_rtol`` (0.1 percent) from
+    queue length moved by less than 0.1 percent from
     the previous box; the initial box needs a probe with both axes doubled
     to confirm it, so the search never solves beyond the first adequate box.
     """
@@ -321,9 +316,9 @@ def auto_truncate(
     validate(config)
 
     def stable(a: float, b: float) -> bool:
-        return abs(a - b) <= stability_rtol * max(abs(b), 1e-6)
+        return abs(a - b) <= _STABILITY_RTOL * max(abs(b), 1e-6)
 
-    i_max = j_max = initial_extent
+    i_max = j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
     tried = [(i_max, j_max)]
@@ -364,31 +359,27 @@ def auto_truncate(
 
 
 @lru_cache(maxsize=32)
-def _stationary_cached(config: ChainConfig, tol: float, max_states: int) -> TruncationResult:
-    return auto_truncate(config, tol=tol, max_states=max_states)
+def _stationary_cached(config: ChainConfig) -> TruncationResult:
+    return auto_truncate(config)
 
 
-def stationary_solution(
-    config: ChainConfig, tol: float = 1e-9, max_states: int = DEFAULT_MAX_STATES
-) -> TruncationResult:
+def stationary_solution(config: ChainConfig) -> TruncationResult:
     """Auto-truncated stationary solve, cached on the confirmation-free config.
 
     The chain dynamics do not involve the confirmation depth, so one solve
     serves a whole sweep over it.
     """
     validate(config)
-    return _stationary_cached(replace(config, confirmations=1), tol, max_states)
+    return _stationary_cached(replace(config, confirmations=1))
 
 
-def latency(
-    config: ChainConfig, tol: float = 1e-9, max_states: int = DEFAULT_MAX_STATES
-) -> float:
+def latency(config: ChainConfig) -> float:
     """Mean request latency: submission to service start, in time units.
 
     Computed from the stationary mean queue length via Little's law,
     ``E[i+j] / R_a``, minus one mean service interval, plus ``N - 1`` mean
     block intervals for the confirmations beyond block inclusion.
     """
-    result = stationary_solution(config, tol=tol, max_states=max_states)
+    result = stationary_solution(config)
     base = result.mean_queue_length / config.arrival_rate - 1.0 / config.service_rate
     return base + (config.confirmations - 1) / config.mining_rate

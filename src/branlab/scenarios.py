@@ -17,7 +17,10 @@ schema::
       "output": {"path": "out.csv", "format": "csv"}
     }
 
-Unknown fields are rejected so sweep-path typos surface immediately.  Sweep
+Unknown fields are rejected so sweep-path typos surface immediately, and so
+are attack values outside the attack model's range, in the section or in a
+sweep, and a closed-form attack method on a grid that leaves its
+``giveup_threshold > confirmations`` domain.  Sweep
 paths name real configuration fields; the pseudo-field ``intensity`` (or
 ``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
 utilisation and is applied after any other swept field of the same point.
@@ -43,7 +46,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,11 +65,9 @@ SCHEMA_VERSION = 1
 _HIER_ENGINES = ("hierarchical-simulation",)
 _ATTACK_METHODS = ("auto", "closed-form", "direct-sum", "monte-carlo")
 
-_CHAIN_FIELDS = (
-    "arrival_rate", "mining_rate", "rejection_rate", "service_rate",
-    "servers", "block_capacity", "rejection_batch", "confirmations",
-)
-_INT_FIELDS = {"servers", "block_capacity", "rejection_batch", "confirmations"}
+_CHAIN_FIELDS = tuple(field.name for field in fields(ChainConfig))
+# config.py postpones annotations, so each field's type is its source text.
+_INT_FIELDS = {field.name for field in fields(ChainConfig) if field.type == "int"}
 
 
 class MalformedSpecError(ValueError):
@@ -149,35 +150,45 @@ def _as_int(value, where: str) -> int:
     raise MalformedSpecError(f"{where}: expected an integer, got {value!r}")
 
 
+def _parse_value(path: str, value, where: str):
+    """``value`` as the type of the field that ``path`` names."""
+    if path.rpartition(".")[2] in (*_INT_FIELDS, "giveup_threshold"):
+        return _as_int(value, where)
+    return _as_number(value, where)
+
+
 def _parse_chain(section, where: str) -> ChainConfig:
     if not isinstance(section, dict):
         raise MalformedSpecError(f"{where}: expected an object with chain fields")
     _require_keys(section, set(_CHAIN_FIELDS), set(_CHAIN_FIELDS), where)
-    kwargs = {}
-    for name in _CHAIN_FIELDS:
-        if name in _INT_FIELDS:
-            kwargs[name] = _as_int(section[name], f"{where}.{name}")
-        else:
-            kwargs[name] = _as_number(section[name], f"{where}.{name}")
-    return ChainConfig(**kwargs)
+    return ChainConfig(
+        **{name: _parse_value(name, section[name], f"{where}.{name}") for name in _CHAIN_FIELDS}
+    )
 
 
-def _sweep_paths_for(engine: str, has_attack: bool) -> set[str]:
+def _paths(engine: str, has_attack: bool) -> list[str]:
+    """The values a scenario may sweep, in the order its rows echo them.
+
+    Each path's echo column is the path with ``.`` replaced by ``_``.
+    """
+    chain = [*_CHAIN_FIELDS, "intensity"]
     if engine in _HIER_ENGINES:
-        paths = set()
-        for prefix in ("primary", "secondary"):
-            paths.update(f"{prefix}.{f}" for f in _CHAIN_FIELDS)
-            paths.add(f"{prefix}.intensity")
-        return paths
-    paths = set(_CHAIN_FIELDS) | {"intensity"}
+        return [f"{side}.{name}" for side in ("primary", "secondary") for name in chain]
     if has_attack:
-        paths |= {"attack.relative_power", "attack.giveup_threshold"}
-    return paths
+        return chain + ["attack.relative_power", "attack.giveup_threshold"]
+    return chain
 
 
-def _path_is_int(path: str) -> bool:
-    leaf = path.rsplit(".", 1)[-1]
-    return leaf in _INT_FIELDS or path == "attack.giveup_threshold"
+def _check_attack(section: AttackSection, where: str) -> None:
+    """Reject attack values that :class:`attack.AttackParams` would refuse.
+
+    The confirmation depth comes from each point's chain, so a valid
+    placeholder stands in for it here.
+    """
+    try:
+        attack_mod.AttackParams(1, section.relative_power, section.giveup_threshold)
+    except ValueError as exc:
+        raise MalformedSpecError(f"{where}: {exc}") from exc
 
 
 def parse_scenario(source) -> ScenarioSpec:
@@ -254,13 +265,14 @@ def parse_scenario(source) -> ScenarioSpec:
             giveup_threshold=_as_int(sec["giveup_threshold"], "attack.giveup_threshold"),
             method=method,
         )
+        _check_attack(attack_section, "attack")
     elif engine == "attack":
         raise MalformedSpecError("attack: required for the attack engine")
 
     sweep_doc = doc["sweep"]
     if not isinstance(sweep_doc, list) or not (1 <= len(sweep_doc) <= 2):
         raise MalformedSpecError("sweep: expected a list of one or two swept parameters")
-    allowed_paths = _sweep_paths_for(engine, attack_section is not None)
+    allowed_paths = _paths(engine, attack_section is not None)
     sweep: list[SweepParam] = []
     for pos, entry in enumerate(sweep_doc):
         where = f"sweep[{pos}]"
@@ -275,39 +287,48 @@ def parse_scenario(source) -> ScenarioSpec:
         values = entry["values"]
         if not isinstance(values, list) or not values:
             raise MalformedSpecError(f"{where}.values: expected a nonempty list")
-        if _path_is_int(path):
-            values = [_as_int(v, f"{where}.values[{i}]") for i, v in enumerate(values)]
-        else:
-            values = [_as_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)]
+        values = [_parse_value(path, v, f"{where}.values[{i}]") for i, v in enumerate(values)]
+        if path.startswith("attack."):
+            leaf = path.rpartition(".")[2]
+            for i, v in enumerate(values):
+                _check_attack(replace(attack_section, **{leaf: v}), f"{where}.values[{i}]")
         sweep.append(SweepParam(path=path, values=tuple(values)))
     if len({p.path for p in sweep}) != len(sweep):
         raise MalformedSpecError("sweep: the two parameters must target distinct paths")
 
+    if attack_section is not None and attack_section.method == "closed-form":
+        grid = {param.path: param.values for param in sweep}
+        deepest = max(grid.get("confirmations", (base.confirmations,)))
+        lowest = min(grid.get("attack.giveup_threshold", (attack_section.giveup_threshold,)))
+        if lowest <= deepest:
+            raise MalformedSpecError(
+                "attack.method: closed-form needs giveup_threshold > confirmations at "
+                f"every point; the grid reaches confirmations {deepest} and "
+                f"giveup_threshold {lowest}"
+            )
+
     repl_doc = doc.get("replication", {})
     if not isinstance(repl_doc, dict):
         raise MalformedSpecError("replication: expected an object")
-    _require_keys(repl_doc, {"seed", "target_served", "trials"}, set(), "replication")
+    _require_keys(repl_doc, {field.name for field in fields(Replication)}, set(), "replication")
     replication = Replication(
-        seed=_as_int(repl_doc.get("seed", 0), "replication.seed"),
-        target_served=_as_int(repl_doc.get("target_served", 100_000), "replication.target_served"),
-        trials=_as_int(repl_doc.get("trials", 1_000_000), "replication.trials"),
+        **{name: _as_int(value, f"replication.{name}") for name, value in repl_doc.items()}
     )
     if replication.target_served < 1:
         raise MalformedSpecError("replication.target_served: must be >= 1")
     if replication.trials < 1:
         raise MalformedSpecError("replication.trials: must be >= 1")
 
-    out_path = None
-    out_format = "csv"
-    if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise MalformedSpecError("output: expected an object")
-        _require_keys(out, {"path", "format"}, set(), "output")
-        out_path = out.get("path")
-        out_format = out.get("format", "csv")
-        if out_format not in ("csv", "jsonl"):
-            raise MalformedSpecError(f"output.format: expected csv or jsonl, got {out_format!r}")
+    out = doc.get("output", {})
+    if not isinstance(out, dict):
+        raise MalformedSpecError("output: expected an object")
+    _require_keys(out, {"path", "format"}, set(), "output")
+    out_path = out.get("path")
+    if "path" in out and not (isinstance(out_path, str) and out_path):
+        raise MalformedSpecError(f"output.path: expected a nonempty string, got {out_path!r}")
+    out_format = out.get("format", "csv")
+    if out_format not in ("csv", "jsonl"):
+        raise MalformedSpecError(f"output.format: expected csv or jsonl, got {out_format!r}")
 
     return ScenarioSpec(
         name=name,
@@ -341,42 +362,34 @@ def _grid_values(spec: ScenarioSpec, index: int) -> tuple:
 def _materialize(spec: ScenarioSpec, values: tuple):
     base = spec.base
     attack_section = spec.attack
-    deferred: list[tuple[str, float]] = []
-    for param, value in zip(spec.sweep, values):
-        path = param.path
-        if path.startswith("attack."):
-            attack_section = replace(attack_section, **{path.split(".", 1)[1]: value})
-        elif path.endswith("intensity"):
-            deferred.append((path, value))
-        elif "." in path:
-            side, field = path.split(".", 1)
-            base = replace(base, **{side: replace(getattr(base, side), **{field: value})})
+    # Intensity sets the arrival rate from the other fields, so it goes last.
+    points = sorted(zip(spec.sweep, values), key=lambda pair: pair[0].path.endswith("intensity"))
+    for param, value in points:
+        owner, _, name = param.path.rpartition(".")
+        if owner == "attack":
+            attack_section = replace(attack_section, **{name: value})
+            continue
+        chain = getattr(base, owner) if owner else base
+        if name == "intensity":
+            chain = with_intensity(chain, value)
         else:
-            base = replace(base, **{path: value})
-    for path, rho in deferred:
-        if "." in path:
-            side = path.split(".", 1)[0]
-            base = replace(base, **{side: with_intensity(getattr(base, side), rho)})
-        else:
-            base = with_intensity(base, rho)
+            chain = replace(chain, **{name: value})
+        base = replace(base, **{owner: chain}) if owner else chain
     return base, attack_section
 
 
-def _chain_echo(cfg: ChainConfig, prefix: str = "") -> dict:
-    row = {f"{prefix}{name}": getattr(cfg, name) for name in _CHAIN_FIELDS}
-    row[f"{prefix}intensity"] = intensity_of(cfg)
-    return row
-
-
-def _echo_columns(spec: ScenarioSpec) -> list[str]:
-    if isinstance(spec.base, HierarchicalConfig):
-        cols = [f"primary_{n}" for n in (*_CHAIN_FIELDS, "intensity")]
-        cols += [f"secondary_{n}" for n in (*_CHAIN_FIELDS, "intensity")]
+def _path_value(path: str, config, attack_section: AttackSection | None):
+    """The materialised value at ``path``, one of :func:`_paths`."""
+    owner, _, name = path.rpartition(".")
+    if owner == "attack":
+        target = attack_section
+    elif owner:
+        target = getattr(config, owner)
     else:
-        cols = list(_CHAIN_FIELDS) + ["intensity"]
-    if spec.attack is not None:
-        cols += ["attack_relative_power", "attack_giveup_threshold"]
-    return cols
+        target = config
+    if name == "intensity":
+        return intensity_of(target)
+    return getattr(target, name)
 
 
 def _analytic_attack(params: attack_mod.AttackParams, method: str) -> attack_mod.AttackResult:
@@ -521,7 +534,8 @@ def scenario_header(spec: ScenarioSpec) -> list[str]:
     results = _ENGINES[spec.engine][0]
     if spec.attack is None:
         results = [col for col in results if col not in _ATTACK_COLUMNS]
-    return [*_BASE_COLUMNS, *_echo_columns(spec), *results]
+    echo = [path.replace(".", "_") for path in _paths(spec.engine, spec.attack is not None)]
+    return [*_BASE_COLUMNS, *echo, *results]
 
 
 def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
@@ -544,14 +558,8 @@ def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
         row["status"] = "skipped-unstable"
         return row, None
 
-    if isinstance(config, HierarchicalConfig):
-        row.update(_chain_echo(config.primary, "primary_"))
-        row.update(_chain_echo(config.secondary, "secondary_"))
-    else:
-        row.update(_chain_echo(config))
-    if attack_section is not None:
-        row["attack_relative_power"] = attack_section.relative_power
-        row["attack_giveup_threshold"] = attack_section.giveup_threshold
+    for path in _paths(spec.engine, spec.attack is not None):
+        row[path.replace(".", "_")] = _path_value(path, config, attack_section)
 
     try:
         validate(config)
@@ -697,7 +705,6 @@ def _fig9_primary() -> dict:
 def _preset_fig6() -> list[dict]:
     return [
         {
-            "schema_version": 1,
             "name": f"fig6/rho-{rho}",
             "engine": "markov",
             "base": _reference_chain(arrival_rate=rho),
@@ -717,7 +724,6 @@ def _preset_fig7() -> list[dict]:
     ]
     return [
         {
-            "schema_version": 1,
             "name": f"fig7/{label}",
             "engine": "markov",
             "base": base,
@@ -733,7 +739,6 @@ def _preset_fig7() -> list[dict]:
 def _preset_fig8() -> list[dict]:
     return [
         {
-            "schema_version": 1,
             "name": "fig8",
             "engine": "markov",
             "base": _reference_chain(),
@@ -748,7 +753,6 @@ def _preset_fig8() -> list[dict]:
 def _preset_fig9() -> list[dict]:
     return [
         {
-            "schema_version": 1,
             "name": "fig9",
             "engine": "hierarchical-simulation",
             "base": {
@@ -768,7 +772,6 @@ def _preset_fig10() -> list[dict]:
         for giveup in (4, 8):
             specs.append(
                 {
-                    "schema_version": 1,
                     "name": f"fig10/N-{confirmations}-Ng-{giveup}",
                     "engine": "attack",
                     "base": _chain_doc(0.5, 1.0, 0.0, 1.0, confirmations=confirmations),
@@ -782,7 +785,6 @@ def _preset_fig10() -> list[dict]:
 def _preset_fig11() -> list[dict]:
     return [
         {
-            "schema_version": 1,
             "name": "fig11",
             "engine": "hierarchical-simulation",
             "base": {
@@ -809,7 +811,6 @@ def _preset_fig12() -> list[dict]:
         for capacity in (1, 2, 3):
             specs.append(
                 {
-                    "schema_version": 1,
                     "name": f"fig12/s-{servers}-k-{capacity}",
                     "engine": "markov",
                     "base": _chain_doc(
@@ -847,7 +848,9 @@ def preset_specs(name: str) -> list[ScenarioSpec]:
     if name not in _PRESETS:
         known = ", ".join(_PRESETS)
         raise KeyError(f"unknown preset {name!r}; available: {known}")
-    return [parse_scenario(doc) for doc in _PRESETS[name][1]()]
+    return [
+        parse_scenario({"schema_version": SCHEMA_VERSION, **doc}) for doc in _PRESETS[name][1]()
+    ]
 
 
 def run_preset(
@@ -864,9 +867,9 @@ def run_preset(
     )
 
 
-def preset_rows(name: str, seed: int | None = None, jobs: int = 1) -> list[dict]:
+def preset_rows(name: str, jobs: int = 1) -> list[dict]:
     """Evaluate a preset and return its rows without touching the filesystem."""
-    return evaluate(_with_seed(preset_specs(name), seed), jobs)
+    return evaluate(preset_specs(name), jobs)
 
 
 def default_jobs() -> int:

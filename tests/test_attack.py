@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branlab.attack import (
+    _DEFAULT_CHUNK,
     AttackParams,
     ClosedFormRangeError,
     attack_success,
@@ -206,9 +207,9 @@ def test_fixed_seed_reproducibility():
 def test_partition_prefix_stability():
     # the first partition's trials are untouched when more are appended
     params = AttackParams(1, 0.5, 6)
-    chunk = 1 << 15
-    small = attack_success_montecarlo(params, chunk, seed=9, chunk_size=chunk)
-    big = attack_success_montecarlo(params, 2 * chunk, seed=9, chunk_size=chunk)
+    chunk = _DEFAULT_CHUNK
+    small = attack_success_montecarlo(params, chunk, seed=9)
+    big = attack_success_montecarlo(params, 2 * chunk, seed=9)
     wins_small = round(small.probability * chunk)
     wins_big = round(big.probability * 2 * chunk)
     assert 0 <= wins_big - wins_small <= chunk

@@ -8,7 +8,6 @@ from branlab.config import (
     ConfigValidationError,
     HierarchicalConfig,
     arrival_rate_for_intensity,
-    baseline_config,
     intensity_of,
     is_valid,
     validate,
@@ -40,13 +39,14 @@ def test_overloaded_mining_stage_rejected():
 
 
 def test_mining_overload_diverges_in_simulator():
-    # same configuration pushed through the simulator without validation:
-    # the pending pool grows without bound and trips the runaway guard
-    from branlab.des import SimulationUnstableError, simulate_chain
+    # the simulator validates its configuration, so an overloaded mining
+    # stage is refused before the pending pool can grow without bound
+    from branlab.des import simulate_chain
 
     cfg = ChainConfig(1.5, 1.0, 0.0, 1.0, servers=4, block_capacity=1)
-    with pytest.raises(SimulationUnstableError):
-        simulate_chain(cfg, 10**9, seed=1, validate_config=False, max_pending=2000)
+    with pytest.raises(ConfigValidationError) as err:
+        simulate_chain(cfg, 10**9, seed=1)
+    assert err.value.code == "unstable-mining-queue"
 
 
 @pytest.mark.parametrize(
@@ -88,7 +88,7 @@ def test_intensity_conversion_examples():
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5])
 def test_intensity_out_of_range(rho):
     with pytest.raises(ValueError):
-        arrival_rate_for_intensity(rho, baseline_config())
+        arrival_rate_for_intensity(rho, ChainConfig(1.0, 1.0, 0.1, 1.0, servers=10))
 
 
 @given(
@@ -103,16 +103,9 @@ def test_intensity_round_trip(rho, servers, service_rate):
 
 
 def test_validate_is_deterministic_and_pure():
-    cfg = baseline_config()
+    cfg = ChainConfig(1.0, 1.0, 0.1, 1.0, servers=10, block_capacity=3)
     before = cfg
     for _ in range(3):
         validate(cfg)
     assert cfg == before
 
-
-def test_baseline_config_documented_defaults():
-    cfg = baseline_config()
-    assert (cfg.mining_rate, cfg.service_rate, cfg.rejection_rate) == (1.0, 1.0, 0.1)
-    assert (cfg.servers, cfg.block_capacity, cfg.confirmations) == (10, 3, 1)
-    validate(cfg)
-    assert baseline_config(servers=2, arrival_rate=0.4).servers == 2

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -146,9 +147,35 @@ def test_two_server_delay_probability():
 
 
 def test_runaway_pending_pool_raises():
-    cfg = ChainConfig(1.5, 1.0, 0.0, 1.0, servers=4)
+    # a valid chain whose mining stage runs at utilisation 0.99 soon holds
+    # more than 20 pending requests
+    cfg = ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4)
     with pytest.raises(SimulationUnstableError):
-        simulate_chain(cfg, 10**9, seed=1, validate_config=False, max_pending=3000)
+        simulate_chain(cfg, 10**9, seed=1, max_pending=20)
+
+
+def test_runs_leave_no_reference_cycles():
+    # A run's state must be freed when it returns or raises, not at the next
+    # full collection: cyclic garbage made peak memory depend on GC timing.
+    def des_objects_in_cyclic_garbage():
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return [o for o in gc.garbage if type(o).__module__ == "branlab.des"]
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(0)
+
+    gc.collect()
+    gc.disable()
+    try:
+        simulate_chain(BASE, 2000, seed=1)
+        simulate_hierarchical(HIER, 1000, seed=1)
+        with pytest.raises(SimulationUnstableError):
+            simulate_chain(ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4), 10**9, seed=1, max_pending=20)
+        assert des_objects_in_cyclic_garbage() == []
+    finally:
+        gc.enable()
 
 
 def test_argument_validation():
@@ -184,9 +211,7 @@ def test_secondary_slower_than_well_provisioned_primary():
 
 def test_background_traffic_flag():
     with_bg = simulate_hierarchical(HIER, 3000, seed=2)
-    without_bg = simulate_hierarchical(HIER, 3000, seed=2, include_primary_background=False)
     assert with_bg.aux_counts["primary_background_generated"] > 0
-    assert without_bg.aux_counts["primary_background_generated"] == 0
 
 
 def test_hierarchical_determinism():

@@ -112,6 +112,77 @@ def test_attack_section_rules():
         parse_scenario(bad)
 
 
+def attack_doc(engine="attack", relative_power=0.3, giveup=8, method="auto", sweep=None):
+    doc = markov_doc(engine=engine)
+    doc["attack"] = {"relative_power": relative_power, "giveup_threshold": giveup,
+                     "method": method}
+    if sweep is not None:
+        doc["sweep"] = sweep
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        (attack_doc(relative_power=0.0), "attack: relative_power"),
+        (attack_doc(relative_power=-0.5), "attack: relative_power"),
+        (attack_doc(relative_power=float("nan")), "attack: relative_power"),
+        (attack_doc(relative_power=float("inf")), "attack: relative_power"),
+        (attack_doc(engine="markov", giveup=0), "attack: giveup_threshold"),
+        (
+            attack_doc(sweep=[{"path": "attack.relative_power", "values": [0.0, 0.5]}]),
+            "sweep[0].values[0]: relative_power",
+        ),
+        (
+            attack_doc(engine="markov",
+                       sweep=[{"path": "attack.giveup_threshold", "values": [0, 8]}]),
+            "sweep[0].values[0]: giveup_threshold",
+        ),
+    ],
+)
+def test_out_of_range_attack_values_are_malformed(tmp_path, doc, fragment):
+    with pytest.raises(MalformedSpecError) as err:
+        parse_scenario(doc)
+    assert fragment in str(err.value)
+    scenario = tmp_path / "bad-attack.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        attack_doc(method="closed-form", sweep=[
+            {"path": "confirmations", "values": [3]},
+            {"path": "attack.giveup_threshold", "values": [2, 8]},
+        ]),
+        attack_doc(engine="markov", method="closed-form", giveup=8,
+                   sweep=[{"path": "confirmations", "values": [1, 8, 12]}]),
+        attack_doc(method="closed-form", giveup=1),
+    ],
+)
+def test_closed_form_attack_outside_its_domain_is_malformed(doc):
+    with pytest.raises(MalformedSpecError, match="giveup_threshold > confirmations"):
+        parse_scenario(doc)
+
+
+def test_closed_form_attack_inside_its_domain_runs(tmp_path):
+    doc = attack_doc(engine="markov", method="closed-form", giveup=8,
+                     sweep=[{"path": "confirmations", "values": [1, 7]}])
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    assert summary.points_ok == 2
+    assert {r["attack_method"] for r in read_rows(out)} == {"closed-form"}
+
+
+@pytest.mark.parametrize("path", [7, 1, "", None, True, ["rows.csv"]])
+def test_output_path_must_be_a_nonempty_string(path):
+    with pytest.raises(MalformedSpecError, match="output.path"):
+        parse_scenario(markov_doc(output={"path": path}))
+
+
 def test_integer_values_may_arrive_as_round_floats():
     doc = markov_doc(sweep=[{"path": "block_capacity", "values": [1.0, 3.0]}])
     spec = parse_scenario(doc)
@@ -299,7 +370,7 @@ def test_closed_form_outside_tandem_domain_is_skipped(tmp_path):
 
 
 def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
-    def fail(config, tol=1e-9, max_states=markov.DEFAULT_MAX_STATES):
+    def fail(config):
         raise markov.ReducibleChainError("stationary solve produced no probability mass")
 
     # No cheap valid configuration fails to solve, so the failure is injected.
