@@ -19,12 +19,13 @@ that approximation gap.
 The recorded latency of a request is ``service_start - submitted``: the
 request's own service time is excluded.
 
-In the hierarchical composition an end-user request first traverses the
-secondary chain; the moment its secondary service starts, a corresponding
-request is injected into the primary chain, and the end-to-end latency is
-the primary service start minus the original submission.  The primary
-chain carries its own background Poisson traffic on top of the injected
-stream.
+In the hierarchical composition the secondary chain hands each end-user
+request to its ``downstream`` chain, the primary, the moment its secondary
+service starts; a single chain is the same run with nothing downstream.
+Latency is sampled when a request's last service starts, end to end from
+the submission that a handed-over request carries as
+``origin_submitted_at``.  The primary's own background Poisson traffic is
+served but not sampled.
 
 A run is strictly single-threaded and bitwise reproducible for a fixed
 seed; replications with distinct seeds can run concurrently and be merged
@@ -130,14 +131,18 @@ def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
 
 
 class _Chain:
-    """Mutable per-chain simulation state."""
+    """Mutable per-chain simulation state.
+
+    ``downstream`` is the chain that each request starting service here is
+    handed to, or ``None`` on the chain where requests are sampled.
+    """
 
     __slots__ = (
         "label", "arrival_rate", "mining_rate", "rejection_rate", "service_rate",
         "servers", "capacity", "reject_batch", "extra_confs", "event_driven",
         "pending", "mine_gen", "reject_gen", "blocks_mined", "conf_groups",
-        "ready_queue", "busy", "samples", "generated", "served", "rejected",
-        "max_mined_batch", "max_rejected_batch", "on_service_start", "on_reject",
+        "ready_queue", "busy", "generated", "served", "rejected",
+        "max_mined_batch", "max_rejected_batch", "downstream",
     )
 
     def __init__(self, label: str, config: ChainConfig, mode: str):
@@ -158,22 +163,30 @@ class _Chain:
         self.conf_groups: deque[tuple[int, list[RequestRecord]]] = deque()
         self.ready_queue: deque[RequestRecord] = deque()
         self.busy = 0
-        self.samples: list[float] = []
         self.generated = 0
         self.served = 0
         self.rejected = 0
         self.max_mined_batch = 0
         self.max_rejected_batch = 0
-        self.on_service_start = None
-        self.on_reject = None
+        self.downstream: _Chain | None = None
 
 
 class _Engine:
-    """Shared clock, event heap and RNG for one simulation run."""
+    """Shared clock, event heap, RNG and end-user latency samples for one run.
 
-    __slots__ = ("rng", "heap", "seq", "now", "max_pending", "stop", "next_id", "records")
+    End-user requests arrive at ``entry``; the run stops once ``target`` of
+    them have started their last service.  ``first_leg`` and ``last_leg``
+    split the latency of handed-over requests at the hand-over.
+    """
 
-    def __init__(self, seed: int, max_pending: int, collect_records: bool):
+    __slots__ = (
+        "rng", "heap", "seq", "now", "max_pending", "stop", "next_id", "records",
+        "entry", "target", "e2e", "first_leg", "last_leg", "rejected_downstream",
+    )
+
+    def __init__(
+        self, seed: int, max_pending: int, collect_records: bool, entry: _Chain, target: int
+    ):
         self.rng = random.Random(seed)
         self.heap: list = []
         self.seq = 0
@@ -182,6 +195,12 @@ class _Engine:
         self.stop = False
         self.next_id = 0
         self.records: list[RequestRecord] | None = [] if collect_records else None
+        self.entry = entry
+        self.target = target
+        self.e2e: list[float] = []
+        self.first_leg: list[float] = []
+        self.last_leg: list[float] = []
+        self.rejected_downstream = 0
 
     def push(self, t: float, kind: int, chain: _Chain, payload) -> None:
         self.seq += 1
@@ -227,11 +246,22 @@ class _Engine:
         rec.service_start_at = t
         rec.disposition = "served"
         chain.served += 1
-        chain.samples.append(t - rec.submitted_at)
         chain.busy += 1
         self.push(t + self.rng.expovariate(chain.service_rate), _DEPART, chain, None)
-        if chain.on_service_start is not None:
-            chain.on_service_start(rec, t)
+        if chain.downstream is not None:
+            twin = self.new_record(chain.downstream, t, origin=rec.submitted_at)
+            self.submit(chain.downstream, twin, t)
+            return
+        if rec.origin_submitted_at is not None:
+            self.e2e.append(t - rec.origin_submitted_at)
+            self.first_leg.append(rec.submitted_at - rec.origin_submitted_at)
+            self.last_leg.append(t - rec.submitted_at)
+        elif chain is self.entry:
+            self.e2e.append(t - rec.submitted_at)
+        else:
+            return  # background traffic of a chain that receives hand-overs
+        if len(self.e2e) >= self.target:
+            self.stop = True
 
     def _handle_mine(self, chain: _Chain, t: float, gen: int) -> None:
         if gen != chain.mine_gen:
@@ -280,8 +310,8 @@ class _Engine:
         for rec in batch:
             rec.disposition = "rejected"
             chain.rejected += 1
-            if chain.on_reject is not None:
-                chain.on_reject(rec, t)
+            if rec.origin_submitted_at is not None:
+                self.rejected_downstream += 1
         if chain.pending:
             chain.reject_gen += 1
             self.push(
@@ -313,24 +343,67 @@ class _Engine:
                     self._begin_service(chain, chain.ready_queue.popleft(), t)
 
 
-def _run(engine: _Engine, *chains: _Chain) -> None:
-    # The callbacks close over the chains and the engine: dropping them when
-    # the run ends frees its samples and events now, not at the next full GC.
-    try:
-        engine.run()
-    finally:
-        for chain in chains:
-            chain.on_service_start = None
-            chain.on_reject = None
-
-
-def _check_args(target_served: int, confirmation_mode: str) -> None:
+def _simulate(
+    config: ChainConfig | HierarchicalConfig,
+    target_served: int,
+    seed: int,
+    confirmation_mode: str,
+    max_pending: int,
+    collect_records: bool,
+) -> SimResult:
     if target_served < 1:
         raise ValueError(f"target_served must be >= 1, got {target_served!r}")
     if confirmation_mode not in CONFIRMATION_MODES:
         raise ValueError(
             f"confirmation_mode must be one of {CONFIRMATION_MODES}, got {confirmation_mode!r}"
         )
+    validate(config)
+    hierarchical = isinstance(config, HierarchicalConfig)
+    if hierarchical:
+        primary = _Chain("primary", config.primary, confirmation_mode)
+        secondary = _Chain("secondary", config.secondary, confirmation_mode)
+        secondary.downstream = primary
+        chains = (secondary, primary)
+    else:
+        chains = (_Chain("chain", config, confirmation_mode),)
+    entry = chains[0]
+    engine = _Engine(seed, max_pending, collect_records, entry, target_served)
+    for chain in chains:
+        engine.push(engine.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
+    engine.run()
+
+    warmup = int(target_served * _WARMUP_FRACTION)
+    kept = np.asarray(engine.e2e[warmup:], dtype=np.float64)
+    stats = _stats(kept)
+    served = len(engine.e2e)
+    rejected = entry.rejected + engine.rejected_downstream
+    result = SimResult(
+        latency_samples=kept,
+        mean=stats.mean,
+        variance=stats.variance,
+        confidence_interval_95=stats.confidence_interval_95,
+        served_count=served,
+        rejected_count=rejected,
+        generated_count=entry.generated,
+        in_flight_count=entry.generated - served - rejected,
+        max_mined_batch=max(chain.max_mined_batch for chain in chains),
+        max_rejected_batch=max(chain.max_rejected_batch for chain in chains),
+        warmup_discarded=warmup,
+        records=engine.records,
+    )
+    if hierarchical:
+        result.breakdown = {
+            "e2e": stats,
+            "secondary": _stats(engine.first_leg[warmup:]),
+            "primary": _stats(engine.last_leg[warmup:]),
+        }
+        result.aux_counts = {
+            "secondary_rejected": secondary.rejected,
+            "e2e_rejected_at_primary": engine.rejected_downstream,
+            "primary_background_generated": primary.generated - secondary.served,
+            "primary_served_total": primary.served,
+        }
+    return result
 
 
 def simulate_chain(
@@ -348,37 +421,7 @@ def simulate_chain(
     is discarded as warm-up before statistics are computed.  Identical
     arguments produce a bitwise identical result.
     """
-    _check_args(target_served, confirmation_mode)
-    validate(config)
-    engine = _Engine(seed, max_pending, collect_records)
-    chain = _Chain("chain", config, confirmation_mode)
-
-    def stop_when_done(rec: RequestRecord, t: float) -> None:
-        if chain.served >= target_served:
-            engine.stop = True
-
-    chain.on_service_start = stop_when_done
-    engine.push(engine.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
-    _run(engine, chain)
-
-    warmup = int(target_served * _WARMUP_FRACTION)
-    kept = np.asarray(chain.samples[warmup:], dtype=np.float64)
-    stats = _stats(kept)
-    in_flight = chain.generated - chain.served - chain.rejected
-    return SimResult(
-        latency_samples=kept,
-        mean=stats.mean,
-        variance=stats.variance,
-        confidence_interval_95=stats.confidence_interval_95,
-        served_count=chain.served,
-        rejected_count=chain.rejected,
-        generated_count=chain.generated,
-        in_flight_count=in_flight,
-        max_mined_batch=chain.max_mined_batch,
-        max_rejected_batch=chain.max_rejected_batch,
-        warmup_discarded=warmup,
-        records=engine.records,
-    )
+    return _simulate(config, target_served, seed, confirmation_mode, max_pending, collect_records)
 
 
 def simulate_hierarchical(
@@ -392,82 +435,19 @@ def simulate_hierarchical(
 ) -> SimResult:
     """Simulate the secondary-into-primary composition.
 
-    ``hconfig`` is validated first.  Runs until ``target_served`` end-user
-    requests have started primary service; the primary chain carries its
-    own background traffic at its configured arrival rate on top of the
-    injected requests.  The first tenth of the end-user requests is
+    ``hconfig`` is validated first.  Each end-user request arrives at the
+    secondary chain and is handed to the primary when its secondary service
+    starts; such primary requests carry the end-user submission time in
+    ``RequestRecord.origin_submitted_at``, which is ``None`` on every other
+    record.  Runs until ``target_served`` end-user requests have started
+    primary service, and samples latency at that moment.  The primary
+    carries its own background traffic at its configured arrival rate; it
+    is served but not sampled.  The first tenth of the end-user requests is
     discarded as warm-up.  Each retained request contributes an end-to-end
     sample and its secondary and primary components; the three series are
     reported in ``breakdown`` over the same retained set.
     """
-    _check_args(target_served, confirmation_mode)
-    validate(hconfig)
-    engine = _Engine(seed, max_pending, collect_records)
-    primary = _Chain("primary", hconfig.primary, confirmation_mode)
-    secondary = _Chain("secondary", hconfig.secondary, confirmation_mode)
-
-    e2e: list[float] = []
-    sec_component: list[float] = []
-    prim_component: list[float] = []
-    counters = {"e2e_rejected_at_primary": 0}
-
-    def inject(rec: RequestRecord, t: float) -> None:
-        twin = engine.new_record(primary, t, origin=rec.submitted_at)
-        engine.submit(primary, twin, t)
-
-    def complete(rec: RequestRecord, t: float) -> None:
-        if rec.origin_submitted_at is None:
-            return
-        e2e.append(t - rec.origin_submitted_at)
-        prim_component.append(t - rec.submitted_at)
-        sec_component.append(rec.submitted_at - rec.origin_submitted_at)
-        if len(e2e) >= target_served:
-            engine.stop = True
-
-    def primary_reject(rec: RequestRecord, t: float) -> None:
-        if rec.origin_submitted_at is not None:
-            counters["e2e_rejected_at_primary"] += 1
-
-    secondary.on_service_start = inject
-    primary.on_service_start = complete
-    primary.on_reject = primary_reject
-
-    engine.push(engine.rng.expovariate(secondary.arrival_rate), _ARRIVAL, secondary, None)
-    engine.push(engine.rng.expovariate(primary.arrival_rate), _ARRIVAL, primary, None)
-    _run(engine, secondary, primary)
-
-    warmup = int(target_served * _WARMUP_FRACTION)
-    kept = np.asarray(e2e[warmup:], dtype=np.float64)
-    stats = _stats(kept)
-    breakdown = {
-        "e2e": stats,
-        "secondary": _stats(sec_component[warmup:]),
-        "primary": _stats(prim_component[warmup:]),
-    }
-    served = len(e2e)
-    rejected = secondary.rejected + counters["e2e_rejected_at_primary"]
-    in_flight = secondary.generated - served - rejected
-    return SimResult(
-        latency_samples=kept,
-        mean=stats.mean,
-        variance=stats.variance,
-        confidence_interval_95=stats.confidence_interval_95,
-        served_count=served,
-        rejected_count=rejected,
-        generated_count=secondary.generated,
-        in_flight_count=in_flight,
-        max_mined_batch=max(primary.max_mined_batch, secondary.max_mined_batch),
-        max_rejected_batch=max(primary.max_rejected_batch, secondary.max_rejected_batch),
-        warmup_discarded=warmup,
-        breakdown=breakdown,
-        aux_counts={
-            "secondary_rejected": secondary.rejected,
-            "e2e_rejected_at_primary": counters["e2e_rejected_at_primary"],
-            "primary_background_generated": primary.generated - secondary.served,
-            "primary_served_total": primary.served,
-        },
-        records=engine.records,
-    )
+    return _simulate(hconfig, target_served, seed, confirmation_mode, max_pending, collect_records)
 
 
 _TRACE_COLUMNS = (

@@ -215,7 +215,7 @@ def parse_scenario(source) -> ScenarioSpec:
         {"schema_version", "name", "engine", "base", "sweep"},
         "scenario",
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _as_int(doc["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise MalformedSpecError(
             f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
         )
@@ -553,7 +553,7 @@ def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
     }
     try:
         config, attack_section = _materialize(spec, values)
-    except (ValueError, ConfigValidationError):
+    except ValueError:
         # Intensity or range violations during materialisation: report, skip.
         row["status"] = "skipped-unstable"
         return row, None

@@ -77,6 +77,7 @@ def test_round_trip_parse():
         (lambda d: d.update(sweep=[{"path": "intensity", "values": []}]), "nonempty"),
         (lambda d: d.update(sweep=[{"path": "servers", "values": [1.5]}]), "integer"),
         (lambda d: d.update(schema_version=2), "schema_version"),
+        (lambda d: d.update(schema_version=True), "schema_version: expected an integer"),
         (lambda d: d["base"].update(arrival_rate="fast"), "number"),
         (
             lambda d: d.update(
