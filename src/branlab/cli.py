@@ -19,8 +19,8 @@ from .scenarios import (
 )
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output file path")
+def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> None:
+    parser.add_argument("--out", required=out_required, help="output file path")
     parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
@@ -42,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a JSON scenario file")
     run_p.add_argument("--scenario", required=True, help="scenario JSON path")
-    _add_run_options(run_p)
+    _add_run_options(run_p, out_required=False)  # falls back to the file's output.path
 
     preset_p = sub.add_parser("preset", help="run a bundled preset sweep")
     preset_p.add_argument("name", help="preset name, see list-presets")
-    _add_run_options(preset_p)
+    _add_run_options(preset_p, out_required=True)
 
     sub.add_parser("list-presets", help="list bundled presets")
     return parser

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from collections import deque
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .config import ChainConfig, HierarchicalConfig, validate
 
@@ -121,11 +121,11 @@ def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
         means = arr[: batch * _CI_BATCHES].reshape(_CI_BATCHES, batch).mean(axis=1)
         center = float(means.mean())
         spread = float(means.std(ddof=1)) / math.sqrt(_CI_BATCHES)
-        tcrit = float(_scipy_stats.t.ppf(0.975, _CI_BATCHES - 1))
+        tcrit = float(stdtrit(_CI_BATCHES - 1, 0.975))
         half = tcrit * spread
         return LatencyStats(mean, variance, (center - half, center + half), n)
     spread = math.sqrt(variance / n) if n > 1 else 0.0
-    tcrit = float(_scipy_stats.t.ppf(0.975, max(n - 1, 1)))
+    tcrit = float(stdtrit(max(n - 1, 1), 0.975))
     half = tcrit * spread
     return LatencyStats(mean, variance, (mean - half, mean + half), n)
 

@@ -21,9 +21,10 @@ than hidden.
 
 The generator is column-oriented: column ``n`` holds the outflows of state
 ``n``, every column sums to zero, and the stationary vector solves
-``Q @ p = 0`` together with ``sum(p) == 1``.  States are enumerated in
-levels of constant ``i + j``, descending ``i`` within a level, so the
-vector reads ``[p00 | p10 p01 | p20 p11 p02 | ...]``.
+``Q @ p = 0`` together with ``sum(p) == 1``.  States are enumerated
+row-major, ``(i, j)`` at index ``i * (j_max + 1) + j``, so the vector reads
+``[p00 p01 ... p0J | p10 p11 ... p1J | ...]`` and reshapes to the
+``(i_max + 1, j_max + 1)`` grid whose row sums are the ``i``-marginal.
 """
 
 from __future__ import annotations
@@ -67,18 +68,18 @@ class TruncationDidNotConverge(RuntimeError):
 
 
 class StateSpace:
-    """Level-ordered enumeration of the truncated state box."""
+    """Row-major enumeration of the truncated state box: ``(i, j)`` has
+    index ``i * (j_max + 1) + j``."""
 
-    __slots__ = ("i_max", "j_max", "pending", "queued", "_lookup")
+    __slots__ = ("i_max", "j_max", "pending", "queued")
 
-    def __init__(self, i_max: int, j_max: int, pending: np.ndarray, queued: np.ndarray):
+    def __init__(self, i_max: int, j_max: int):
         self.i_max = i_max
         self.j_max = j_max
-        self.pending = pending  # i coordinate per state, in level order
-        self.queued = queued  # j coordinate per state, in level order
-        lookup = np.full((i_max + 1, j_max + 1), -1, dtype=np.int64)
-        lookup[pending, queued] = np.arange(pending.size)
-        self._lookup = lookup
+        # i and j coordinate per state
+        self.pending, self.queued = np.divmod(
+            np.arange((i_max + 1) * (j_max + 1), dtype=np.int64), j_max + 1
+        )
 
     @property
     def count(self) -> int:
@@ -87,7 +88,7 @@ class StateSpace:
     def index_of(self, i: int, j: int) -> int:
         if not (0 <= i <= self.i_max and 0 <= j <= self.j_max):
             raise IndexError(f"state ({i}, {j}) outside the truncation box")
-        return int(self._lookup[i, j])
+        return i * (self.j_max + 1) + j
 
     def state_of(self, index: int) -> tuple[int, int]:
         return int(self.pending[index]), int(self.queued[index])
@@ -95,19 +96,11 @@ class StateSpace:
     def states(self) -> Iterator[tuple[int, int]]:
         return zip(self.pending.tolist(), self.queued.tolist())
 
-    @property
-    def frontier_mask(self) -> np.ndarray:
-        """Boolean mask of states sitting on the truncation frontier."""
-        return (self.pending == self.i_max) | (self.queued == self.j_max)
-
-    def __repr__(self) -> str:
-        return f"StateSpace(i_max={self.i_max}, j_max={self.j_max}, count={self.count})"
-
 
 def enumerate_states(
     i_max: int, j_max: int, max_states: int = DEFAULT_MAX_STATES
 ) -> StateSpace:
-    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max`` in level order."""
+    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max``, row-major."""
     if i_max < 0 or j_max < 0:
         raise ValueError("truncation bounds must be nonnegative")
     count = (i_max + 1) * (j_max + 1)
@@ -115,18 +108,7 @@ def enumerate_states(
         raise StateSpaceLimitError(
             f"box ({i_max}, {j_max}) holds {count} states, above the cap of {max_states}"
         )
-    pending = np.empty(count, dtype=np.int64)
-    queued = np.empty(count, dtype=np.int64)
-    pos = 0
-    for level in range(i_max + j_max + 1):
-        i_hi = min(level, i_max)
-        i_lo = max(0, level - j_max)
-        width = i_hi - i_lo + 1
-        block = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
-        pending[pos : pos + width] = block
-        queued[pos : pos + width] = level - block
-        pos += width
-    return StateSpace(i_max, j_max, pending, queued)
+    return StateSpace(i_max, j_max)
 
 
 @dataclass(frozen=True)
@@ -154,39 +136,34 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     validate(config)
     n = space.count
     ii, jj = space.pending, space.queued
-    lookup = space._lookup
+    stride = space.j_max + 1  # index step of one pending request
     col_idx = np.arange(n, dtype=np.int64)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    def emit(mask: np.ndarray, targets: np.ndarray, rates: np.ndarray | float) -> None:
-        rows.append(targets)
-        cols.append(col_idx[mask])
-        if np.isscalar(rates):
-            vals.append(np.full(targets.size, rates, dtype=np.float64))
-        else:
-            vals.append(np.asarray(rates, dtype=np.float64))
+    def emit(mask: np.ndarray, step: np.ndarray | int, rates: np.ndarray | float) -> None:
+        sources = col_idx[mask]
+        rows.append(sources + step)
+        cols.append(sources)
+        vals.append(np.broadcast_to(np.asarray(rates, dtype=np.float64), sources.shape))
 
     mask = ii < space.i_max
-    emit(mask, lookup[ii[mask] + 1, jj[mask]], config.arrival_rate)
+    emit(mask, stride, config.arrival_rate)
 
     batch = np.minimum(ii, config.block_capacity)
     mask = (ii >= 1) & (jj + batch <= space.j_max)
-    emit(mask, lookup[ii[mask] - batch[mask], jj[mask] + batch[mask]], config.mining_rate)
+    # (i - m, j + m) lies m strides back and m states on: -m * stride + m
+    emit(mask, -batch[mask] * space.j_max, config.mining_rate)
 
     mask = jj >= 1
-    emit(
-        mask,
-        lookup[ii[mask], jj[mask] - 1],
-        np.minimum(jj[mask], config.servers) * config.service_rate,
-    )
+    emit(mask, -1, np.minimum(jj[mask], config.servers) * config.service_rate)
 
     if config.rejection_rate > 0:
         drop = np.minimum(ii, config.rejection_batch)
         mask = ii >= 1
-        emit(mask, lookup[ii[mask] - drop[mask], jj[mask]], config.rejection_rate)
+        emit(mask, -drop[mask] * stride, config.rejection_rate)
 
     all_rows = np.concatenate(rows)
     all_cols = np.concatenate(cols)
@@ -200,8 +177,9 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     matrix = sparse.coo_matrix((all_vals, (all_rows, all_cols)), shape=(n, n)).tocsc()
     # About R_a / R_s links are busy on average, so (0, floor(R_a / R_s)) sits
     # near the mode; (0, 0) can carry 1e-17 of the mass with many links.
+    # State (0, j) has index j.
     busy = min(space.j_max, int(config.arrival_rate // config.service_rate))
-    return RateMatrix(matrix=matrix, space=space, anchor=space.index_of(0, busy))
+    return RateMatrix(matrix=matrix, space=space, anchor=busy)
 
 
 @dataclass(frozen=True)
@@ -214,29 +192,13 @@ class SteadyStateDistribution:
     space: StateSpace
 
 
-def _finalize(p: np.ndarray, Q: RateMatrix) -> SteadyStateDistribution:
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ReducibleChainError("stationary solve produced no probability mass")
-    p = p / total
-    if np.min(p) < -1e-12:
-        raise SolverConvergenceError(
-            f"stationary solve produced probability {np.min(p):.3e} below the clamp threshold"
-        )
-    p = np.maximum(p, 0.0)
-    p = p / p.sum()
-    residual = float(np.max(np.abs(Q.matrix @ p)))
-    if residual > 1e-9:
-        raise SolverConvergenceError(
-            f"stationary residual {residual:.3e} exceeds 1e-9 after normalisation"
-        )
-    frontier = float(p[Q.space.frontier_mask].sum())
-    return SteadyStateDistribution(
-        probabilities=p, truncation_mass_bound=frontier, residual=residual, space=Q.space
-    )
+def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
+    """Stationary vector of ``Q``: ``Q @ p = 0``, ``sum(p) = 1``.
 
-
-def _solve_sparse(Q: RateMatrix) -> np.ndarray:
+    Every box goes through one path: a sparse LU factorisation (SuperLU)
+    with one refinement step.  The result is verified to a residual of at
+    most 1e-9, and sub-1e-12 negative noise is clamped to zero.
+    """
     # Pin the anchor's probability at one and solve the remaining balance
     # equations: A @ x = -q_a with A the generator less the anchor's row and
     # column, nonsingular exactly when the chain is irreducible.  Unlike
@@ -252,20 +214,27 @@ def _solve_sparse(Q: RateMatrix) -> np.ndarray:
     x = lu.solve(b)
     # One refinement step keeps the residual at rounding level on large boxes.
     x += lu.solve(b - A @ x)
-    p = np.empty(Q.dimension)
-    p[Q.anchor] = 1.0
-    p[keep] = x
-    return p
-
-
-def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
-    """Stationary vector of ``Q``: ``Q @ p = 0``, ``sum(p) = 1``.
-
-    Every box goes through one path: a sparse LU factorisation (SuperLU)
-    with one refinement step.  The result is verified to a residual of at
-    most 1e-9, and sub-1e-12 negative noise is clamped to zero.
-    """
-    return _finalize(_solve_sparse(Q), Q)
+    p = np.insert(x, Q.anchor, 1.0)
+    total = p.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ReducibleChainError("stationary solve produced no probability mass")
+    p = p / total
+    if np.min(p) < -1e-12:
+        raise SolverConvergenceError(
+            f"stationary solve produced probability {np.min(p):.3e} below the clamp threshold"
+        )
+    p = np.maximum(p, 0.0)
+    p = p / p.sum()
+    residual = float(np.max(np.abs(Q.matrix @ p)))
+    if residual > 1e-9:
+        raise SolverConvergenceError(
+            f"stationary residual {residual:.3e} exceeds 1e-9 after normalisation"
+        )
+    grid = p.reshape(Q.space.i_max + 1, Q.space.j_max + 1)
+    frontier = float(grid[-1].sum() + grid[:-1, -1].sum())  # row i_max, then column j_max
+    return SteadyStateDistribution(
+        probabilities=p, truncation_mass_bound=frontier, residual=residual, space=Q.space
+    )
 
 
 def mean_queue_length(dist: SteadyStateDistribution) -> float:
@@ -373,13 +342,43 @@ def stationary_solution(config: ChainConfig) -> TruncationResult:
     return _stationary_cached(replace(config, confirmations=1))
 
 
-def latency(config: ChainConfig) -> float:
-    """Mean request latency: submission to service start, in time units.
+def _pending_walk(config: ChainConfig, pending_law: np.ndarray) -> tuple[float, float]:
+    """Served share of arrivals, and the mean pending wait of a served one.
 
-    Computed from the stationary mean queue length via Little's law,
-    ``E[i+j] / R_a``, minus one mean service interval, plus ``N - 1`` mean
-    block intervals for the confirmations beyond block inclusion.
+    An arrival finding ``i`` pending (probability ``pending_law[i]``) joins
+    the FIFO pool at ``n = i + 1``.  Blocks and rejections take ``k`` and ``r``
+    requests from the head, so with ``q = R_m + R_r`` the inclusion
+    probability is ``P(n) = R_m/q [n <= k ? 1 : P(n-k)] + R_r/q [n <= r ? 0 :
+    P(n-r)]``, and ``M(n) = E[T 1{served}]`` adds ``P(n)/q`` to the same sum.
+    """
+    k, r = config.block_capacity, config.rejection_batch
+    q = config.mining_rate + config.rejection_rate
+    block, reject = config.mining_rate / q, config.rejection_rate / q
+    served = np.zeros(pending_law.size + 1)
+    wait = np.zeros(pending_law.size + 1)
+    for n in range(1, pending_law.size + 1):
+        served[n] = block * (served[n - k] if n > k else 1.0)
+        wait[n] = block * (wait[n - k] if n > k else 0.0)
+        if n > r:
+            served[n] += reject * served[n - r]
+            wait[n] += reject * wait[n - r]
+        wait[n] += served[n] / q
+    share = float(np.dot(pending_law, served[1:]))
+    return share, float(np.dot(pending_law, wait[1:])) / share
+
+
+def latency(config: ChainConfig) -> float:
+    """Mean latency of a served request: submission to service start.
+
+    Rejected requests are not counted.  The pending wait is
+    ``_pending_walk``'s; the access stage is Little's law, ``E[j]`` over the
+    served throughput ``R_a * P(served)``, less one mean service interval;
+    ``N - 1`` block intervals add the confirmations beyond inclusion.
     """
     result = stationary_solution(config)
-    base = result.mean_queue_length / config.arrival_rate - 1.0 / config.service_rate
+    space, p = result.space, result.distribution.probabilities
+    pending_law = p.reshape(space.i_max + 1, space.j_max + 1).sum(axis=1)
+    served, pending_wait = _pending_walk(config, pending_law)
+    access = float(np.dot(space.queued, p)) / (config.arrival_rate * served)
+    base = pending_wait + access - 1.0 / config.service_rate
     return base + (config.confirmations - 1) / config.mining_rate

@@ -28,8 +28,9 @@ utilisation and is applied after any other swept field of the same point.
 Rows come out in row-major grid order.  Every point goes through one
 pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
 in one table of result columns and evaluation functions.  Points whose
-materialised configuration fails validation, and closed-form points
-outside the tandem's domain, are emitted with ``status=skipped-unstable``;
+materialised configuration fails validation, closed-form points outside
+the tandem's domain, and simulation points whose pending pool runs away
+are emitted with ``status=skipped-unstable``;
 markov points whose solve raises a typed solver error are emitted with
 ``status=solver-failed``.  Neither aborts the run, and both leave the
 result columns blank.  Per-point seeds derive from
@@ -192,7 +193,7 @@ def _check_attack(section: AttackSection, where: str) -> None:
 
 
 def parse_scenario(source) -> ScenarioSpec:
-    """Parse and strictly validate a scenario from a dict, JSON string, or path."""
+    """Parse and strictly validate a scenario from a dict or a JSON file path."""
     if isinstance(source, (str, Path)):
         try:
             text = Path(source).read_text()
@@ -479,14 +480,22 @@ def _sim_counts(sim: des.SimResult, seed: int) -> dict:
 
 
 def _simulation(config, attack_section, replication, seed) -> dict:
-    sim = des.simulate_chain(config, replication.target_served, seed)
+    try:
+        sim = des.simulate_chain(config, replication.target_served, seed)
+    except des.SimulationUnstableError:
+        return {"status": "skipped-unstable"}
     out = {"latency": sim.mean, "variance": sim.variance}
     out["ci_low"], out["ci_high"] = sim.confidence_interval_95
     return {**out, **_sim_counts(sim, seed)}
 
 
 def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
-    sim = des.simulate_hierarchical(config, replication.target_served, seed)
+    try:
+        sim = des.simulate_hierarchical(config, replication.target_served, seed)
+    except des.SimulationUnstableError:
+        # A valid hierarchy can still overload the primary with handed-over
+        # traffic, which validation does not count.
+        return {"status": "skipped-unstable"}
     out = {}
     for key in ("e2e", "secondary", "primary"):
         stats = sim.breakdown[key]

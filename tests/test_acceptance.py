@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from branlab.attack import (
     AttackParams,
@@ -191,6 +192,32 @@ def test_criterion_06_simulator_agrees_with_solver():
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     report("6", f"12 configs at 1e5 served requests, all 95% CIs cover, {elapsed:.1f}s")
+
+
+def test_simulator_agrees_with_solver_under_rejection():
+    # Served-request latency with rejection, and with N > 1 on top.  Four
+    # points share one gate, so each gets a Sidak share of a family-wise
+    # alpha of 0.01, read off the 31-df t law of the 32 batch means and
+    # expressed in 95% half-widths: about 1.61.
+    alpha = 1.0 - 0.99 ** (1 / 4)
+    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    assert bound == pytest.approx(1.61, abs=0.005)
+    configs = [
+        ChainConfig(0.5, 2.5, 0.25, 1.0, servers=1, block_capacity=3),
+        ChainConfig(0.8, 2.5, 0.5, 1.0, servers=1),
+        ChainConfig(0.8, 1.0, 0.5, 1.0, servers=1, block_capacity=3, rejection_batch=3),
+        ChainConfig(0.5, 2.5, 0.25, 1.0, servers=1, block_capacity=3, confirmations=4),
+    ]
+    master = 20261018
+    worst = 0.0
+    for index, cfg in enumerate(configs):
+        reference = latency(cfg)
+        sim = simulate_chain(cfg, 100_000, seed=master + index)
+        lo, hi = sim.confidence_interval_95
+        gap = abs(sim.mean - reference) / ((hi - lo) / 2)
+        assert gap <= bound, (index, cfg, reference, sim.mean, (lo, hi))
+        worst = max(worst, gap)
+    print(f"rejection agreement: 4 configs at 1e5 served, worst {worst:.2f} of {bound:.2f} half-widths")
 
 
 def test_criterion_07_structural_invariants():

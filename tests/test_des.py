@@ -1,12 +1,18 @@
 import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from branlab.config import ChainConfig, HierarchicalConfig, with_intensity
+import branlab
 from branlab.des import (
     SimulationUnstableError,
+    _stats,
     simulate_chain,
     simulate_hierarchical,
     write_trace_csv,
@@ -136,6 +142,36 @@ def test_simulated_mean_matches_solver():
     res = simulate_chain(cfg, 30_000, seed=4)
     lo, hi = res.confidence_interval_95
     assert lo <= latency(cfg) <= hi
+
+
+@pytest.mark.parametrize("n", [2, 30, 63, 64, 5000])
+def test_interval_half_width_is_the_t_quantile(n):
+    from scipy import stats
+
+    samples = np.random.default_rng(n).exponential(size=n)
+    lo, hi = _stats(samples).confidence_interval_95
+    if n >= 64:  # 32 batch means
+        means = samples[: n // 32 * 32].reshape(32, n // 32).mean(axis=1)
+        spread, df = means.std(ddof=1) / math.sqrt(32), 31
+    else:
+        spread, df = samples.std(ddof=1) / math.sqrt(n), n - 1
+    assert (hi - lo) / 2 == pytest.approx(stats.t.ppf(0.975, df) * spread, rel=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the simulator needs
+    # only one t quantile, which scipy.special provides.
+    code = (
+        "import sys, scipy.sparse.linalg\n"
+        "before = set(sys.modules)\n"
+        "import branlab\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy.stats')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(branlab.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def test_two_server_delay_probability():

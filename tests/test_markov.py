@@ -10,6 +10,7 @@ from branlab.markov import (
     ReducibleChainError,
     StateSpaceLimitError,
     TruncationDidNotConverge,
+    _pending_walk,
     auto_truncate,
     build_generator,
     enumerate_states,
@@ -40,9 +41,10 @@ def mm1_tandem_config(rho=0.5, mining_rate=200.0):
 # ---------------------------------------------------------------- state space
 
 
-def test_level_order_enumeration():
-    sp = enumerate_states(1, 1)
-    assert list(sp.states()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+def test_row_major_enumeration():
+    sp = enumerate_states(1, 2)
+    assert list(sp.states()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert [sp.index_of(i, j) for i, j in sp.states()] == [i * 3 + j for i, j in sp.states()]
     assert enumerate_states(2, 2).count == 9
     sp05 = enumerate_states(0, 5)
     assert sp05.count == 6
@@ -105,8 +107,8 @@ def test_partial_block_and_rejection_targets():
 
 
 def test_generator_matches_hand_built_block():
-    """First ten level-ordered states for capacity 2, rejection batch 1, one
-    server, far from the truncation frontier, against a hand-built matrix."""
+    """The ten states with ``i + j <= 3`` for capacity 2, rejection batch 1,
+    one server, far from the truncation frontier, against a hand-built matrix."""
     ra, rm, rr, rs = 0.7, 1.0, 0.3, 1.0
     cfg = ChainConfig(ra, rm, rr, rs, servers=1, block_capacity=2)
     sp = enumerate_states(5, 5)
@@ -280,6 +282,48 @@ def test_many_links_solve_without_losing_precision(servers, rho):
     batched = replace(base, block_capacity=3)
     assert math.isfinite(latency(batched))
     assert stationary_solution(batched).distribution.truncation_mass_bound < 1e-9
+
+
+# (config, served-request latency); the event simulator gives 1.279, 2.472
+# and 2.266 at 1e5-2e5 served requests
+REJECTING_CHAINS = [
+    (ChainConfig(0.5, 2.5, 0.25, 1.0, servers=1, block_capacity=3), 1.2972),
+    (ChainConfig(0.8, 2.5, 0.5, 1.0, servers=1), 2.4545),
+    (ChainConfig(0.8, 1.0, 0.5, 1.0, servers=1, block_capacity=3, rejection_batch=3), 2.2745),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", REJECTING_CHAINS)
+def test_latency_counts_served_requests_only(cfg, expected):
+    result = stationary_solution(cfg)
+    space = result.space
+    grid = result.distribution.probabilities.reshape(space.i_max + 1, space.j_max + 1)
+    pending_law = grid.sum(axis=1)
+    served, _ = _pending_walk(cfg, pending_law)
+    # a rejection event removes min(i, r) pending requests
+    removed = np.arange(space.i_max + 1).clip(max=cfg.rejection_batch)
+    throughput = cfg.arrival_rate - cfg.rejection_rate * float(np.dot(pending_law, removed))
+    assert cfg.arrival_rate * served == pytest.approx(throughput, rel=0, abs=1e-9)
+    assert latency(cfg) == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ChainConfig(0.5, 1.0, 0.0, 1.0, servers=1),
+        ChainConfig(0.5, 2.5, 0.0, 1.0, servers=1, block_capacity=6),
+        ChainConfig(2.0, 1.5, 0.0, 1.0, servers=4, block_capacity=3),
+    ],
+)
+def test_without_rejection_latency_is_littles_law(cfg):
+    # Every arrival is served, so the position walk agrees with E[i+j] / R_a
+    # up to the truncation error: the frontier mass, moved at most i_max +
+    # j_max requests, spread over the arrival rate.
+    result = stationary_solution(cfg)
+    little = result.mean_queue_length / cfg.arrival_rate - 1.0 / cfg.service_rate
+    frontier = result.distribution.truncation_mass_bound
+    bound = frontier * (result.space.i_max + result.space.j_max) / cfg.arrival_rate
+    assert abs(latency(cfg) - little) <= bound
 
 
 def test_unstable_config_is_refused():

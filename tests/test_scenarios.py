@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from branlab import markov, scenarios
+from branlab import des, markov, scenarios
 from branlab.cli import main as cli_main
 from branlab.scenarios import (
     MalformedSpecError,
@@ -391,6 +391,46 @@ def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
     assert [int(r["confirmations"]) for r in rows] == [1, 2]
 
 
+def hier_doc(**overrides):
+    doc = {
+        "schema_version": 1,
+        "name": "hier",
+        "engine": "hierarchical-simulation",
+        "base": {
+            "primary": chain_doc(arrival_rate=2.0, mining_rate=50.0, service_rate=4.0,
+                                 servers=4, block_capacity=3),
+            "secondary": chain_doc(mining_rate=10.0, service_rate=5.0),
+        },
+        "sweep": [{"path": "secondary.intensity", "values": [0.3, 0.6]}],
+        "replication": {"seed": 3, "target_served": 800},
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [sim_doc(), hier_doc()], ids=["chain", "hierarchy"])
+def test_runaway_simulation_is_reported_not_fatal(tmp_path, monkeypatch, doc):
+    def runaway(config, target_served, seed):
+        raise des.SimulationUnstableError("pending pool exceeded 1000000 on chain 'primary'")
+
+    # A real runaway grows a million pending records before it raises, so
+    # the failure is injected.
+    monkeypatch.setattr(des, "simulate_chain", runaway)
+    monkeypatch.setattr(des, "simulate_hierarchical", runaway)
+    spec = parse_scenario(doc)
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(spec, out, include_timestamp=False)
+    assert (summary.points_total, summary.points_ok) == (2, 0)
+    rows = read_rows(out)
+    assert list(rows[0]) == scenario_header(spec)
+    assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
+    header = scenario_header(spec)
+    results = [c for c in header if c.endswith("latency") or c == "served"]
+    assert results and all(r[c] == "" for r in rows for c in results)
+    echoes = [c for c in header if c.endswith("mining_rate")]
+    assert echoes and all(r[c] for r in rows for c in echoes)
+
+
 def test_jsonl_output(tmp_path):
     out = tmp_path / "rows.jsonl"
     spec = parse_scenario(markov_doc())
@@ -418,20 +458,8 @@ def test_output_section_supplies_path_and_format(tmp_path):
 
 
 def test_hierarchical_sweep_paths(tmp_path):
-    doc = {
-        "schema_version": 1,
-        "name": "hier",
-        "engine": "hierarchical-simulation",
-        "base": {
-            "primary": chain_doc(arrival_rate=2.0, mining_rate=50.0, service_rate=4.0,
-                                 servers=4, block_capacity=3),
-            "secondary": chain_doc(mining_rate=10.0, service_rate=5.0),
-        },
-        "sweep": [{"path": "secondary.intensity", "values": [0.3, 0.6]}],
-        "replication": {"seed": 3, "target_served": 800},
-    }
     out = tmp_path / "hier.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(hier_doc()), out, include_timestamp=False)
     assert summary.points_ok == 2
     rows = read_rows(out)
     assert [float(r["secondary_arrival_rate"]) for r in rows] == [1.5, 3.0]
@@ -494,6 +522,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["preset", "fig10", "--out", str(missing)]) == 3
 
     assert cli_main(["preset", "fig99", "--out", str(out)]) == 2
+
+
+def test_cli_run_out_defaults_to_the_output_path(tmp_path, capsys):
+    out = tmp_path / "from-spec.csv"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(markov_doc(output={"path": str(out)})))
+    assert cli_main(["run", "--scenario", str(scenario), "--no-timestamp"]) == 0
+    assert len(read_rows(out)) == 2
+
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(markov_doc()))
+    assert cli_main(["run", "--scenario", str(bare)]) == 2
+    assert "no output path" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["preset", "fig10"])
+    assert exit_.value.code == 2
 
 
 def test_cli_list_presets(capsys):
