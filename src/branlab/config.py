@@ -75,11 +75,19 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
 
     Checks run in a fixed order: rate ranges, integer ranges, the
     rejection-batch bound, service-stage stability, mining-stage stability.
+    A hierarchy checks both chains, then the primary again with the
+    secondary's served traffic added to its arrivals.
     Deterministic and side-effect free.
     """
     if isinstance(config, HierarchicalConfig):
         validate(config.primary)
         validate(config.secondary)
+        # The primary also carries every request the secondary serves.
+        arrivals = config.primary.arrival_rate + served_rate(config.secondary)
+        try:
+            validate(replace(config.primary, arrival_rate=arrivals))
+        except ConfigValidationError as err:
+            raise ConfigValidationError(err.code, f"primary with handover: {err}") from None
         return
 
     rates = {
@@ -130,6 +138,42 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
             f"block_capacity * mining_rate + rejection_batch * rejection_rate "
             f"= {config.mining_drain}",
         )
+
+
+def pending_root(config: ChainConfig) -> float:
+    """Root ``z0`` in (0, 1) of ``g(z) = R_m (z + ... + z^k) + R_r (z + ... + z^r) - R_a``.
+
+    Mining and rejection never look at the access stage, so the pending
+    count alone is a bulk-service queue with batch rejections whose
+    stationary law is geometric, ``P(i) = (1 - z0) z0**i``.  On [0, 1] ``g``
+    is increasing and convex, ``g(0) = -R_a`` and ``g(1) = mining_drain -
+    R_a``: the root exists exactly when :func:`validate` passes, and
+    Newton's method from ``z = 1`` decreases onto it monotonically.
+    """
+    validate(config)
+    # coefficient of z**m in g, m = 1 .. k; rejection_batch <= block_capacity
+    coeffs = [
+        config.mining_rate + (config.rejection_rate if m <= config.rejection_batch else 0.0)
+        for m in range(1, config.block_capacity + 1)
+    ]
+    z = 1.0
+    while True:
+        # g(z) = z h(z) - R_a; Horner gives h and h'
+        h = dh = 0.0
+        for c in reversed(coeffs):
+            dh = dh * z + h
+            h = h * z + c
+        step = (z * h - config.arrival_rate) / (h + z * dh)
+        z -= step
+        if step <= 1e-14 * z:  # quadratic convergence: the error is now rounding
+            return z
+
+
+def served_rate(config: ChainConfig) -> float:
+    """Served throughput ``R_a - R_r E[min(i, r)]`` under :func:`pending_root`'s law."""
+    z = pending_root(config)
+    removed = z * (1.0 - z**config.rejection_batch) / (1.0 - z)  # E[min(i, r)]
+    return config.arrival_rate - config.rejection_rate * removed
 
 
 def is_valid(config: ChainConfig | HierarchicalConfig) -> bool:

@@ -342,43 +342,20 @@ def stationary_solution(config: ChainConfig) -> TruncationResult:
     return _stationary_cached(replace(config, confirmations=1))
 
 
-def _pending_walk(config: ChainConfig, pending_law: np.ndarray) -> tuple[float, float]:
-    """Served share of arrivals, and the mean pending wait of a served one.
-
-    An arrival finding ``i`` pending (probability ``pending_law[i]``) joins
-    the FIFO pool at ``n = i + 1``.  Blocks and rejections take ``k`` and ``r``
-    requests from the head, so with ``q = R_m + R_r`` the inclusion
-    probability is ``P(n) = R_m/q [n <= k ? 1 : P(n-k)] + R_r/q [n <= r ? 0 :
-    P(n-r)]``, and ``M(n) = E[T 1{served}]`` adds ``P(n)/q`` to the same sum.
-    """
-    k, r = config.block_capacity, config.rejection_batch
-    q = config.mining_rate + config.rejection_rate
-    block, reject = config.mining_rate / q, config.rejection_rate / q
-    served = np.zeros(pending_law.size + 1)
-    wait = np.zeros(pending_law.size + 1)
-    for n in range(1, pending_law.size + 1):
-        served[n] = block * (served[n - k] if n > k else 1.0)
-        wait[n] = block * (wait[n - k] if n > k else 0.0)
-        if n > r:
-            served[n] += reject * served[n - r]
-            wait[n] += reject * wait[n - r]
-        wait[n] += served[n] / q
-    share = float(np.dot(pending_law, served[1:]))
-    return share, float(np.dot(pending_law, wait[1:])) / share
-
-
 def latency(config: ChainConfig) -> float:
-    """Mean latency of a served request: submission to service start.
+    """Mean latency of a served request, submission to service start:
+    ``E[i]/R_a + E[j]/(R_a - R_r E[min(i, r)]) - 1/R_s + (N - 1)/R_m``.
 
-    Rejected requests are not counted.  The pending wait is
-    ``_pending_walk``'s; the access stage is Little's law, ``E[j]`` over the
-    served throughput ``R_a * P(served)``, less one mean service interval;
-    ``N - 1`` block intervals add the confirmations beyond inclusion.
+    Little's law on the solved law; rejected requests are not counted.  A
+    request's time in the pending pool does not depend on whether it is
+    later mined or rejected, so a served one waits ``E[i]/R_a`` there; the
+    access stage holds ``E[j]`` requests at the served throughput.
     """
     result = stationary_solution(config)
     space, p = result.space, result.distribution.probabilities
-    pending_law = p.reshape(space.i_max + 1, space.j_max + 1).sum(axis=1)
-    served, pending_wait = _pending_walk(config, pending_law)
-    access = float(np.dot(space.queued, p)) / (config.arrival_rate * served)
+    removed = float(np.dot(np.minimum(space.pending, config.rejection_batch), p))
+    throughput = config.arrival_rate - config.rejection_rate * removed
+    pending_wait = float(np.dot(space.pending, p)) / config.arrival_rate
+    access = float(np.dot(space.queued, p)) / throughput
     base = pending_wait + access - 1.0 / config.service_rate
     return base + (config.confirmations - 1) / config.mining_rate

@@ -1,32 +1,31 @@
-"""Closed-form latency of the decoupled tandem approximation.
+"""Closed-form latency of the decoupled tandem.
 
-The pending stage is treated as a single-server memoryless queue drained at
-the mining rate, the access stage as an s-server memoryless queue, and the
-confirmation depth adds ``N - 1`` mean block intervals:
+The pending count alone is a bulk-service queue with batch rejections whose
+stationary law is geometric, ``P(i) = (1 - z0) z0**i`` with ``z0`` from
+:func:`~branlab.config.pending_root`.  A request's time in the pool does
+not depend on whether it is later mined or rejected, so Little's law gives
+a served request's pending wait, and the access stage is an s-server
+memoryless queue fed by the served throughput ``lambda``:
 
-    block_wait        = 1 / (R_m - R_a)
-    service_stage     = C(s, R_a / R_s) / (s * R_s - R_a) + 1 / R_s
+    block_wait        = z0 / (R_a (1 - z0))
+    lambda            = R_a - R_r E[min(i, r)]
+    service_stage     = C(s, lambda / R_s) / (s * R_s - lambda) + 1 / R_s
     confirmation_wait = (N - 1) / R_m
 
 with ``C`` the Erlang C delay probability.  The sojourn is their sum and
 the reported latency excludes the request's own service time, so
 ``total = sojourn - 1 / R_s``.
 
-These formulas describe the ``block_capacity == 1``, ``rejection_rate == 0``
-special case of the full chain model, where the tandem decouples exactly;
-for batched blocks or nonzero rejection they are only an approximation and
-are refused unless explicitly requested.
+With single-request blocks the mined stream thins a memoryless departure
+stream, Poisson by Burke (1956), so the tandem is exact, with or without
+rejection; batched blocks arrive in bulk, and the result is approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ChainConfig, ConfigValidationError, validate
-
-
-class ClosedFormDomainError(ValueError):
-    """Closed form requested outside its exact domain without the approximate flag."""
+from .config import ChainConfig, pending_root, served_rate
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -63,34 +62,19 @@ class LatencyBreakdown:
     approximate: bool = False
 
 
-def closed_form_latency(config: ChainConfig, approximate: bool = False) -> LatencyBreakdown:
+def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     """Tandem closed form for ``config``.
 
-    Exact for single-request blocks without rejection; with
-    ``approximate=True`` the same formulas are evaluated for other
-    configurations and the result is labelled approximate.  Raises
-    :class:`ConfigValidationError` for a configuration :func:`validate`
-    rejects, or whose arrival rate reaches the mining rate.
+    Defined wherever :func:`~branlab.config.validate` passes; elsewhere its
+    :class:`~branlab.config.ConfigValidationError` propagates.  Exact for
+    ``block_capacity == 1``; otherwise the result is labelled approximate.
     """
-    if (config.block_capacity != 1 or config.rejection_rate != 0.0) and not approximate:
-        raise ClosedFormDomainError(
-            "closed form is exact only for block_capacity == 1 and rejection_rate == 0; "
-            "pass approximate=True to evaluate it anyway"
-        )
-    validate(config)
-    # The tandem drains its pending stage one request per block, a stricter
-    # bound than the batched drain capacity that validate() checks.
-    if config.arrival_rate >= config.mining_rate:
-        raise ConfigValidationError(
-            "unstable-mining-queue",
-            f"block-inclusion stage needs arrival_rate < mining_rate "
-            f"({config.arrival_rate} >= {config.mining_rate})",
-        )
-
-    block_wait = 1.0 / (config.mining_rate - config.arrival_rate)
-    delay_prob = erlang_c(config.servers, config.arrival_rate / config.service_rate)
+    z = pending_root(config)
+    block_wait = z / (config.arrival_rate * (1.0 - z))
+    throughput = served_rate(config)
+    delay_prob = erlang_c(config.servers, throughput / config.service_rate)
     service_stage = (
-        delay_prob / (config.servers * config.service_rate - config.arrival_rate)
+        delay_prob / (config.servers * config.service_rate - throughput)
         + 1.0 / config.service_rate
     )
     confirmation_wait = (config.confirmations - 1) / config.mining_rate
@@ -101,5 +85,5 @@ def closed_form_latency(config: ChainConfig, approximate: bool = False) -> Laten
         confirmation_wait=confirmation_wait,
         sojourn=sojourn,
         total=sojourn - 1.0 / config.service_rate,
-        approximate=config.block_capacity != 1 or config.rejection_rate != 0.0,
+        approximate=config.block_capacity > 1,
     )

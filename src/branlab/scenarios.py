@@ -28,15 +28,16 @@ utilisation and is applied after any other swept field of the same point.
 Rows come out in row-major grid order.  Every point goes through one
 pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
 in one table of result columns and evaluation functions.  Points whose
-materialised configuration fails validation, closed-form points outside
-the tandem's domain, and simulation points whose pending pool runs away
-are emitted with ``status=skipped-unstable``;
-markov points whose solve raises a typed solver error are emitted with
-``status=solver-failed``.  Neither aborts the run, and both leave the
-result columns blank.  Per-point seeds derive from
-``sha256("<master_seed>:<point_index>")``, so extending a value list never
-perturbs existing points.  Output rows echo the full materialised
-configuration, making every row self-describing and re-runnable.
+materialised configuration fails validation (a hierarchy's primary counts
+the traffic its secondary hands over) and simulation points whose pending
+pool runs away are emitted with ``status=skipped-unstable``, markov points
+whose solve raises a typed solver error with ``status=solver-failed``.
+Neither aborts the run, and both leave the result columns blank; a
+closed-form point that passes validation always yields an ok row.
+Per-point seeds derive from ``sha256("<master_seed>:<point_index>")``, so
+extending a value list never perturbs existing points.  Output rows echo
+the full materialised configuration, making every row self-describing and
+re-runnable.
 """
 
 from __future__ import annotations
@@ -440,12 +441,7 @@ def _markov(config, attack_section, replication, seed) -> dict:
 
 
 def _closed_form(config, attack_section, replication, seed) -> dict:
-    try:
-        breakdown = queueing.closed_form_latency(config, approximate=True)
-    except ConfigValidationError:
-        # Valid chains whose arrival rate reaches the mining rate lie
-        # outside the tandem's domain.
-        return {"status": "skipped-unstable"}
+    breakdown = queueing.closed_form_latency(config)
     return {
         "latency": breakdown.total,
         "block_wait": breakdown.block_wait,
@@ -493,8 +489,6 @@ def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
     try:
         sim = des.simulate_hierarchical(config, replication.target_served, seed)
     except des.SimulationUnstableError:
-        # A valid hierarchy can still overload the primary with handed-over
-        # traffic, which validation does not count.
         return {"status": "skipped-unstable"}
     out = {}
     for key in ("e2e", "secondary", "primary"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,8 @@ from branlab.config import (
     arrival_rate_for_intensity,
     intensity_of,
     is_valid,
+    pending_root,
+    served_rate,
     validate,
     with_intensity,
 )
@@ -74,9 +77,67 @@ def test_invalid_fields_carry_the_violated_invariant(kwargs, code):
 def test_hierarchical_validates_both_members():
     good = ChainConfig(0.5, 2.0, 0.0, 1.0)
     bad = ChainConfig(2.0, 10.0, 0.0, 1.0)
-    validate(HierarchicalConfig(primary=good, secondary=good))
+    # two links, as the primary also serves the 0.5 the secondary hands over
+    primary = replace(good, servers=2)
+    validate(HierarchicalConfig(primary=primary, secondary=good))
     with pytest.raises(ConfigValidationError):
-        validate(HierarchicalConfig(primary=good, secondary=bad))
+        validate(HierarchicalConfig(primary=primary, secondary=bad))
+
+
+def test_hierarchy_counts_the_traffic_the_secondary_hands_over():
+    # Each chain is stable alone, but the primary's single-request blocks
+    # also carry the secondary's 0.5 served requests: mining load 1.49.
+    overloaded = HierarchicalConfig(
+        primary=ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4),
+        secondary=ChainConfig(0.5, 1.0, 0.0, 1.0),
+    )
+    assert is_valid(overloaded.primary) and is_valid(overloaded.secondary)
+    with pytest.raises(ConfigValidationError) as err:
+        validate(overloaded)
+    assert err.value.code == "unstable-mining-queue"
+    assert "primary with handover" in str(err.value)
+
+
+def test_hierarchy_counts_served_not_submitted_traffic():
+    # The secondary rejects part of its 0.5 arrivals and hands over 0.385,
+    # a primary mining load of 0.985; all 0.5 would overload it.
+    primary = ChainConfig(0.6, 1.0, 0.0, 1.0, servers=4)
+    secondary = ChainConfig(0.5, 1.0, 0.3, 1.0)
+    assert served_rate(secondary) == pytest.approx(0.5 / 1.3, rel=1e-12)
+    validate(HierarchicalConfig(primary=primary, secondary=secondary))
+    assert not is_valid(replace(primary, arrival_rate=0.6 + 0.5))
+
+
+@given(
+    load=st.floats(min_value=1e-3, max_value=1 - 1e-6),
+    mining_rate=st.floats(min_value=0.1, max_value=10.0),
+    rejection_share=st.floats(min_value=0.0, max_value=2.0),
+    capacity=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_pending_root_solves_the_bulk_service_equation(
+    load, mining_rate, rejection_share, capacity, data
+):
+    batch = data.draw(st.integers(min_value=1, max_value=capacity))
+    cfg = ChainConfig(1.0, mining_rate, rejection_share * mining_rate, 1e3,
+                      block_capacity=capacity, rejection_batch=batch)
+    cfg = replace(cfg, arrival_rate=load * cfg.mining_drain)
+    z = pending_root(cfg)
+    assert 0 < z < 1
+    mined = sum(z**m for m in range(1, capacity + 1))
+    rejected = sum(z**m for m in range(1, batch + 1))
+    g = cfg.mining_rate * mined + cfg.rejection_rate * rejected - cfg.arrival_rate
+    assert abs(g) <= 1e-12 * cfg.mining_drain
+
+
+def test_pending_root_of_single_request_blocks():
+    # one request leaves per mining or rejection event: a memoryless queue
+    # at load R_a / (R_m + R_r)
+    cfg = ChainConfig(0.5, 2.0, 0.3, 10.0)
+    assert pending_root(cfg) == pytest.approx(0.5 / 2.3, rel=1e-14)
+    with pytest.raises(ConfigValidationError) as err:
+        pending_root(replace(cfg, arrival_rate=2.3))
+    assert err.value.code == "unstable-mining-queue"
 
 
 def test_intensity_conversion_examples():

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from branlab.config import ChainConfig, with_intensity
+from branlab.config import ChainConfig, pending_root, served_rate, with_intensity
 from branlab.markov import (
     ReducibleChainError,
     StateSpaceLimitError,
     TruncationDidNotConverge,
-    _pending_walk,
     auto_truncate,
     build_generator,
     enumerate_states,
@@ -293,18 +292,64 @@ REJECTING_CHAINS = [
 ]
 
 
+def solver_pending_stage(cfg):
+    """``E[i]`` and the served throughput ``R_a - R_r E[min(i, r)]`` under the
+    solved law, with the solve itself."""
+    result = stationary_solution(cfg)
+    space, p = result.space, result.distribution.probabilities
+    # a rejection event removes min(i, r) pending requests
+    removed = float(np.dot(np.minimum(space.pending, cfg.rejection_batch), p))
+    return float(np.dot(space.pending, p)), cfg.arrival_rate - cfg.rejection_rate * removed, result
+
+
 @pytest.mark.parametrize("cfg, expected", REJECTING_CHAINS)
 def test_latency_counts_served_requests_only(cfg, expected):
-    result = stationary_solution(cfg)
-    space = result.space
-    grid = result.distribution.probabilities.reshape(space.i_max + 1, space.j_max + 1)
-    pending_law = grid.sum(axis=1)
-    served, _ = _pending_walk(cfg, pending_law)
-    # a rejection event removes min(i, r) pending requests
-    removed = np.arange(space.i_max + 1).clip(max=cfg.rejection_batch)
-    throughput = cfg.arrival_rate - cfg.rejection_rate * float(np.dot(pending_law, removed))
-    assert cfg.arrival_rate * served == pytest.approx(throughput, rel=0, abs=1e-9)
+    _, throughput, _ = solver_pending_stage(cfg)
+    assert throughput == pytest.approx(served_rate(cfg), rel=0, abs=1e-9)
+    assert throughput < cfg.arrival_rate
     assert latency(cfg) == pytest.approx(expected, rel=1e-3)
+
+
+def test_pending_marginal_is_the_bulk_service_law():
+    # The grid and the bounds were fixed before the first run.  k = 1
+    # without rejection at rho = 0.95 is left out: its box is the slowest
+    # to solve, and criterion 4 and the access-axis test cover it.
+    checked, worst_gap, worst_ratio = 0, 0.0, 0.0
+    for servers in (1, 10, 50):
+        for k in (1, 3, 6):
+            rejections = [(0.0, 1)] + [(0.25, r) for r in sorted({1, k})]
+            for share, r in rejections:
+                for rho in (0.3, 0.8, 0.95):
+                    if k == 1 and share == 0.0 and rho == 0.95:
+                        continue
+                    mining = 1.25 * servers
+                    cfg = with_intensity(
+                        ChainConfig(0.1, mining, share * mining, 1.0, servers=servers,
+                                    block_capacity=k, rejection_batch=r),
+                        rho,
+                    )
+                    mean_pending, throughput, result = solver_pending_stage(cfg)
+                    space = result.space
+                    grid = result.distribution.probabilities.reshape(
+                        space.i_max + 1, space.j_max + 1
+                    )
+                    z = pending_root(cfg)
+                    geometric = (1 - z) * z ** np.arange(space.i_max + 1)
+                    gap = float(np.max(np.abs(grid.sum(axis=1) - geometric)))
+                    assert gap <= 1e-9, (cfg, gap)
+                    # truncation moves the frontier mass by at most i_max + j_max
+                    bound = (result.distribution.truncation_mass_bound
+                             * (space.i_max + space.j_max) / cfg.arrival_rate)
+                    block_wait = z / (cfg.arrival_rate * (1 - z))
+                    deviation = abs(block_wait - mean_pending / cfg.arrival_rate)
+                    assert deviation <= bound, (cfg, deviation, bound)
+                    assert served_rate(cfg) == pytest.approx(throughput, rel=1e-9, abs=0)
+                    checked += 1
+                    worst_gap = max(worst_gap, gap)
+                    worst_ratio = max(worst_ratio, deviation / bound)
+    assert checked == 69
+    print(f"bulk-service law: {checked} configs, worst marginal gap {worst_gap:.1e}, "
+          f"worst block-wait deviation {worst_ratio:.2f} of its bound")
 
 
 @pytest.mark.parametrize(
@@ -316,9 +361,10 @@ def test_latency_counts_served_requests_only(cfg, expected):
     ],
 )
 def test_without_rejection_latency_is_littles_law(cfg):
-    # Every arrival is served, so the position walk agrees with E[i+j] / R_a
-    # up to the truncation error: the frontier mass, moved at most i_max +
-    # j_max requests, spread over the arrival rate.
+    # Every arrival is served, so the served throughput is R_a and the
+    # latency is E[i+j] / R_a up to rounding; the bound is the truncation
+    # error: the frontier mass, moved at most i_max + j_max requests,
+    # spread over the arrival rate.
     result = stationary_solution(cfg)
     little = result.mean_queue_length / cfg.arrival_rate - 1.0 / cfg.service_rate
     frontier = result.distribution.truncation_mass_bound

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branlab.config import ChainConfig, ConfigValidationError
-from branlab.queueing import ClosedFormDomainError, closed_form_latency, erlang_c
+from branlab.queueing import closed_form_latency, erlang_c
 
 
 def test_single_server_delay_probability_is_the_load():
@@ -92,15 +92,29 @@ def test_components_positive_and_divergent_at_saturation():
     assert closed_form_latency(service_saturated).service_stage > 1e3
 
 
-def test_domain_guard_for_batched_or_rejecting_chains():
-    batched = ChainConfig(0.5, 2.0, 0.0, 1.0, servers=1, block_capacity=3)
-    with pytest.raises(ClosedFormDomainError):
-        closed_form_latency(batched)
-    assert closed_form_latency(batched, approximate=True).approximate
-
+def test_closed_form_covers_batched_and_rejecting_chains():
+    # Single-request blocks stay exact with rejection: the pending stage is
+    # a memoryless queue drained at R_m + R_r, and its mined stream is Poisson.
     rejecting = ChainConfig(0.5, 2.0, 0.3, 1.0, servers=1)
-    with pytest.raises(ClosedFormDomainError):
-        closed_form_latency(rejecting)
+    bd = closed_form_latency(rejecting)
+    assert not bd.approximate
+    assert bd.block_wait == pytest.approx(1 / (2.0 + 0.3 - 0.5), rel=1e-12)
+    served = 0.5 * 2.0 / 2.3  # arrivals times the share mined rather than rejected
+    assert bd.service_stage == pytest.approx(1 / (1.0 - served), rel=1e-12)
+
+    # Batched mining past R_a >= R_m is stable and yields a labelled value.
+    batched = ChainConfig(4.75, 2.0, 0.0, 1.0, servers=5, block_capacity=3)
+    bd = closed_form_latency(batched)
+    assert bd.approximate
+    assert 0 < bd.block_wait < math.inf and bd.total > 0
+
+
+@pytest.mark.parametrize("deficit", [0.5, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_block_wait_is_precise_near_saturation(deficit):
+    mining_rate = 2.0
+    cfg = ChainConfig(mining_rate * (1 - deficit), mining_rate, 0.0, 10.0, servers=1)
+    exact = 1.0 / (cfg.mining_rate - cfg.arrival_rate)
+    assert closed_form_latency(cfg).block_wait == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 def test_stage_instability_errors():

@@ -6,6 +6,7 @@ import pytest
 
 from branlab import des, markov, scenarios
 from branlab.cli import main as cli_main
+from branlab.config import ChainConfig
 from branlab.scenarios import (
     MalformedSpecError,
     list_presets,
@@ -355,8 +356,8 @@ def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
     assert len(pools) == 1
 
 
-def test_closed_form_outside_tandem_domain_is_skipped(tmp_path):
-    # Valid (batched drain 1.2 > 0.5) but the tandem needs arrival < mining.
+def test_closed_form_points_past_the_mining_rate_are_ok(tmp_path):
+    # Batched mining drains 1.2 > 0.5 per unit time, so R_a >= R_m is stable.
     doc = markov_doc(
         engine="closed-form",
         base=chain_doc(arrival_rate=0.5, mining_rate=0.4, block_capacity=3),
@@ -364,10 +365,32 @@ def test_closed_form_outside_tandem_domain_is_skipped(tmp_path):
     )
     out = tmp_path / "cf.csv"
     summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
-    assert (summary.points_ok, summary.points_skipped) == (0, 2)
+    assert (summary.points_ok, summary.points_skipped) == (2, 0)
     rows = read_rows(out)
-    assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
-    assert all(r["latency"] == "" for r in rows)
+    assert [r["approximate"] for r in rows] == ["true"] * 2
+    assert float(rows[1]["latency"]) - float(rows[0]["latency"]) == pytest.approx(1 / 0.4)
+
+
+def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
+    doc = markov_doc(
+        engine="closed-form",
+        base=chain_doc(mining_rate=2.5, servers=3, confirmations=2),
+        sweep=[
+            {"path": "rejection_rate", "values": [0.0, 0.25, 1.25]},
+            {"path": "intensity", "values": [0.3, 0.8]},
+        ],
+    )
+    out = tmp_path / "cf.csv"
+    run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["ok"] * 6
+    for row in rows:
+        assert row["approximate"] == "false"
+        cfg = ChainConfig(
+            float(row["arrival_rate"]), 2.5, float(row["rejection_rate"]), 1.0,
+            servers=3, confirmations=2,
+        )
+        assert float(row["latency"]) == pytest.approx(markov.latency(cfg), rel=1e-7)
 
 
 def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
@@ -429,6 +452,25 @@ def test_runaway_simulation_is_reported_not_fatal(tmp_path, monkeypatch, doc):
     assert results and all(r[c] == "" for r in rows for c in results)
     echoes = [c for c in header if c.endswith("mining_rate")]
     assert echoes and all(r[c] for r in rows for c in echoes)
+
+
+def test_overloaded_primary_is_skipped_without_simulating(tmp_path, monkeypatch):
+    def never(config, target_served, seed):
+        raise AssertionError("an invalid hierarchy reached the simulator")
+
+    monkeypatch.setattr(des, "simulate_hierarchical", never)
+    # the primary's mining stage carries 0.99 plus the secondary's 0.5
+    doc = hier_doc(
+        base={
+            "primary": chain_doc(arrival_rate=0.99, mining_rate=1.0, servers=4),
+            "secondary": chain_doc(arrival_rate=0.5, mining_rate=1.0),
+        },
+        sweep=[{"path": "secondary.arrival_rate", "values": [0.5]}],
+    )
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    assert (summary.points_total, summary.points_skipped) == (1, 1)
+    assert read_rows(out)[0]["status"] == "skipped-unstable"
 
 
 def test_jsonl_output(tmp_path):
