@@ -48,14 +48,14 @@ class AttackParams:
     giveup_threshold: int
 
     def __post_init__(self):
-        if not isinstance(self.confirmations, int) or self.confirmations < 1:
-            raise ValueError(f"confirmations must be an integer >= 1, got {self.confirmations!r}")
+        # bool is an int subclass, but True is not a count.
+        confs, giveup = self.confirmations, self.giveup_threshold
+        if isinstance(confs, bool) or not isinstance(confs, int) or confs < 1:
+            raise ValueError(f"confirmations must be an integer >= 1, got {confs!r}")
         if not (self.relative_power > 0 and math.isfinite(self.relative_power)):
             raise ValueError(f"relative_power must be finite and > 0, got {self.relative_power!r}")
-        if not isinstance(self.giveup_threshold, int) or self.giveup_threshold < 1:
-            raise ValueError(
-                f"giveup_threshold must be an integer >= 1, got {self.giveup_threshold!r}"
-            )
+        if isinstance(giveup, bool) or not isinstance(giveup, int) or giveup < 1:
+            raise ValueError(f"giveup_threshold must be an integer >= 1, got {giveup!r}")
 
 
 @dataclass(frozen=True)

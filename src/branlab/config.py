@@ -114,7 +114,8 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
         "confirmations": config.confirmations,
     }
     for name, value in counts.items():
-        if not isinstance(value, int) or value < 1:
+        # bool is an int subclass, but True is not a count.
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigValidationError(
                 "capacity-violation", f"{name} must be an integer >= 1, got {value!r}"
             )

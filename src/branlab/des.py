@@ -1,13 +1,15 @@
 """Event-driven simulation of one chain and of the two-chain hierarchy.
 
-A future-event-list loop drives four event families per chain: Poisson
-request arrivals, block-mined events (enabled only while requests are
-pending, each mining the oldest ``min(pending, k)`` requests), rejection
-events (enabled while pending, each permanently removing the oldest
-``min(pending, r)`` requests), and per-link exponential service.  Mining
-and rejection clocks are memoryless, so they are re-armed from scratch
-whenever the pending pool refills and lazily invalidated, via generation
-counters, when it drains.
+A future-event-list loop drives three event families per chain: Poisson
+request arrivals, one pool clock, and per-link exponential service.
+Mining and rejection are competing exponential transitions out of the
+same pending pool, so the pool has a single clock at rate ``R_m + R_r``:
+it is armed when the pool goes from empty to one request and re-armed by
+its own ring while requests remain.  Each ring is a rejection with
+probability ``R_r / (R_m + R_r)``, permanently removing the oldest
+``min(pending, r)`` requests, and otherwise a mined block of the oldest
+``min(pending, k)``.  A chain holds at most one pool event, so no event
+is ever stale.
 
 Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
 independent exponential block intervals to each request's inclusion time
@@ -46,7 +48,7 @@ from scipy.special import stdtrit
 
 from .config import ChainConfig, HierarchicalConfig, validate
 
-_ARRIVAL, _MINE, _REJECT, _ENTER, _DEPART = range(5)
+_ARRIVAL, _POOL, _ENTER, _DEPART = range(4)
 
 CONFIRMATION_MODES = ("additive", "event-driven")
 DEFAULT_MAX_PENDING = 10**6
@@ -138,9 +140,9 @@ class _Chain:
     """
 
     __slots__ = (
-        "label", "arrival_rate", "mining_rate", "rejection_rate", "service_rate",
-        "servers", "capacity", "reject_batch", "extra_confs", "event_driven",
-        "pending", "mine_gen", "reject_gen", "blocks_mined", "conf_groups",
+        "label", "arrival_rate", "mining_rate", "pool_rate", "reject_share",
+        "service_rate", "servers", "capacity", "reject_batch",
+        "extra_confs", "event_driven", "pending", "blocks_mined", "conf_groups",
         "ready_queue", "busy", "generated", "served", "rejected",
         "max_mined_batch", "max_rejected_batch", "downstream",
     )
@@ -149,7 +151,8 @@ class _Chain:
         self.label = label
         self.arrival_rate = config.arrival_rate
         self.mining_rate = config.mining_rate
-        self.rejection_rate = config.rejection_rate
+        self.pool_rate = config.mining_rate + config.rejection_rate
+        self.reject_share = config.rejection_rate / self.pool_rate
         self.service_rate = config.service_rate
         self.servers = config.servers
         self.capacity = config.block_capacity
@@ -157,8 +160,6 @@ class _Chain:
         self.extra_confs = config.confirmations - 1
         self.event_driven = mode == "event-driven"
         self.pending: deque[RequestRecord] = deque()
-        self.mine_gen = 0
-        self.reject_gen = 0
         self.blocks_mined = 0
         self.conf_groups: deque[tuple[int, list[RequestRecord]]] = deque()
         self.ready_queue: deque[RequestRecord] = deque()
@@ -224,14 +225,7 @@ class _Engine:
                 f"at t={t:.3f}; the configuration cannot drain its arrivals"
             )
         if len(chain.pending) == 1:
-            chain.mine_gen += 1
-            self.push(t + self.rng.expovariate(chain.mining_rate), _MINE, chain, chain.mine_gen)
-            if chain.rejection_rate > 0.0:
-                chain.reject_gen += 1
-                self.push(
-                    t + self.rng.expovariate(chain.rejection_rate),
-                    _REJECT, chain, chain.reject_gen,
-                )
+            self.push(t + self.rng.expovariate(chain.pool_rate), _POOL, chain, None)
 
     def _release(self, chain: _Chain, rec: RequestRecord, t: float) -> None:
         assert rec.submitted_at <= rec.mined_at <= rec.confirmed_at <= t
@@ -263,63 +257,48 @@ class _Engine:
         if len(self.e2e) >= self.target:
             self.stop = True
 
-    def _handle_mine(self, chain: _Chain, t: float, gen: int) -> None:
-        if gen != chain.mine_gen:
-            return
-        size = min(len(chain.pending), chain.capacity)
-        batch = [chain.pending.popleft() for _ in range(size)]
-        chain.blocks_mined += 1
-        if size > chain.max_mined_batch:
-            chain.max_mined_batch = size
-        if chain.event_driven:
-            for rec in batch:
-                rec.mined_at = t
-            chain.conf_groups.append((chain.blocks_mined + chain.extra_confs, batch))
-            while chain.conf_groups and chain.conf_groups[0][0] <= chain.blocks_mined:
-                _, group = chain.conf_groups.popleft()
-                for rec in group:
-                    rec.confirmed_at = t
-                    self._release(chain, rec, t)
+    def _handle_pool(self, chain: _Chain, t: float) -> None:
+        # Competing exponentials: the ring is a rejection with probability R_r / (R_m + R_r).
+        if chain.reject_share > 0.0 and self.rng.random() < chain.reject_share:
+            size = min(len(chain.pending), chain.reject_batch)
+            if size > chain.max_rejected_batch:
+                chain.max_rejected_batch = size
+            for _ in range(size):
+                rec = chain.pending.popleft()
+                rec.disposition = "rejected"
+                chain.rejected += 1
+                if rec.origin_submitted_at is not None:
+                    self.rejected_downstream += 1
         else:
-            expovariate = self.rng.expovariate
-            for rec in batch:
-                rec.mined_at = t
-                if chain.extra_confs:
-                    delay = sum(
-                        expovariate(chain.mining_rate) for _ in range(chain.extra_confs)
-                    )
-                    rec.confirmed_at = t + delay
-                    self.push(rec.confirmed_at, _ENTER, chain, rec)
-                else:
-                    rec.confirmed_at = t
-                    self._release(chain, rec, t)
+            size = min(len(chain.pending), chain.capacity)
+            batch = [chain.pending.popleft() for _ in range(size)]
+            chain.blocks_mined += 1
+            if size > chain.max_mined_batch:
+                chain.max_mined_batch = size
+            if chain.event_driven:
+                for rec in batch:
+                    rec.mined_at = t
+                chain.conf_groups.append((chain.blocks_mined + chain.extra_confs, batch))
+                while chain.conf_groups and chain.conf_groups[0][0] <= chain.blocks_mined:
+                    _, group = chain.conf_groups.popleft()
+                    for rec in group:
+                        rec.confirmed_at = t
+                        self._release(chain, rec, t)
+            else:
+                expovariate = self.rng.expovariate
+                for rec in batch:
+                    rec.mined_at = t
+                    if chain.extra_confs:
+                        delay = sum(
+                            expovariate(chain.mining_rate) for _ in range(chain.extra_confs)
+                        )
+                        rec.confirmed_at = t + delay
+                        self.push(rec.confirmed_at, _ENTER, chain, rec)
+                    else:
+                        rec.confirmed_at = t
+                        self._release(chain, rec, t)
         if chain.pending:
-            chain.mine_gen += 1
-            self.push(t + self.rng.expovariate(chain.mining_rate), _MINE, chain, chain.mine_gen)
-        else:
-            chain.mine_gen += 1
-            chain.reject_gen += 1
-
-    def _handle_reject(self, chain: _Chain, t: float, gen: int) -> None:
-        if gen != chain.reject_gen:
-            return
-        size = min(len(chain.pending), chain.reject_batch)
-        batch = [chain.pending.popleft() for _ in range(size)]
-        if size > chain.max_rejected_batch:
-            chain.max_rejected_batch = size
-        for rec in batch:
-            rec.disposition = "rejected"
-            chain.rejected += 1
-            if rec.origin_submitted_at is not None:
-                self.rejected_downstream += 1
-        if chain.pending:
-            chain.reject_gen += 1
-            self.push(
-                t + self.rng.expovariate(chain.rejection_rate), _REJECT, chain, chain.reject_gen
-            )
-        else:
-            chain.mine_gen += 1
-            chain.reject_gen += 1
+            self.push(t + self.rng.expovariate(chain.pool_rate), _POOL, chain, None)
 
     def run(self) -> None:
         heap = self.heap
@@ -331,10 +310,8 @@ class _Engine:
                 rec = self.new_record(chain, t)
                 self.submit(chain, rec, t)
                 self.push(t + self.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
-            elif kind == _MINE:
-                self._handle_mine(chain, t, payload)
-            elif kind == _REJECT:
-                self._handle_reject(chain, t, payload)
+            elif kind == _POOL:
+                self._handle_pool(chain, t)
             elif kind == _ENTER:
                 self._release(chain, payload, t)
             else:  # _DEPART

@@ -582,9 +582,10 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
     """One row per grid point of every spec in ``specs``, in grid order.
 
     Each point is materialised and validated, then evaluated by its
-    engine's table entry.  At ``jobs > 1`` the engines run in one process
-    pool for the whole call.  Markov points that differ only in their
-    confirmation depth form one task, so their chain is solved once.
+    engine's table entry.  Markov points that differ only in their
+    confirmation depth form one task, so their chain is solved once.  When
+    ``jobs`` and the task count both exceed 1, the tasks run in one process
+    pool of ``min(jobs, tasks)`` workers for the whole call.
     """
     rows: list[dict] = []
     groups: dict = {}
@@ -599,10 +600,12 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
             groups.setdefault(key, []).append((row, task))
     batches = list(groups.values())
     work = [[task for _, task in batch] for batch in batches]
-    if jobs <= 1:
+    # A worker beyond the batch count would only be forked to sit idle.
+    workers = min(jobs, len(work))
+    if workers <= 1:
         results = map(_run_tasks, work)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_tasks, work))
     for batch, outputs in zip(batches, results):
         for (row, _), output in zip(batch, outputs):

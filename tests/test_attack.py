@@ -129,6 +129,12 @@ def test_even_power_hand_value():
     assert res.probability == pytest.approx(23 / 28, abs=1e-15)
 
 
+@pytest.mark.parametrize("args", [(True, 0.5, 4), (1, 0.5, True)])
+def test_booleans_are_not_counts(args):
+    with pytest.raises(ValueError, match="must be an integer >= 1, got True"):
+        AttackParams(*args)
+
+
 def test_closed_equals_direct_on_domain():
     for confs in (1, 3, 6):
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):

@@ -74,6 +74,15 @@ def test_invalid_fields_carry_the_violated_invariant(kwargs, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("name", ["servers", "block_capacity", "rejection_batch", "confirmations"])
+def test_booleans_are_not_counts(name):
+    # True == 1 would otherwise pass as one link, one request or one block.
+    with pytest.raises(ConfigValidationError) as err:
+        validate(replace(ChainConfig(0.5, 2.5, 0.0, 1.0), **{name: True}))
+    assert err.value.code == "capacity-violation"
+    assert name in str(err.value)
+
+
 def test_hierarchical_validates_both_members():
     good = ChainConfig(0.5, 2.0, 0.0, 1.0)
     bad = ChainConfig(2.0, 10.0, 0.0, 1.0)

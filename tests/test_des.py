@@ -7,8 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
-from branlab.config import ChainConfig, HierarchicalConfig, with_intensity
+from branlab.config import (
+    ChainConfig,
+    HierarchicalConfig,
+    pending_root,
+    served_rate,
+    with_intensity,
+)
 import branlab
 from branlab.des import (
     SimulationUnstableError,
@@ -142,6 +149,41 @@ def test_simulated_mean_matches_solver():
     res = simulate_chain(cfg, 30_000, seed=4)
     lo, hi = res.confidence_interval_95
     assert lo <= latency(cfg) <= hi
+
+
+def test_pending_pool_follows_its_exact_law():
+    # The pool alone is a bulk-service queue with batch rejections whose
+    # stationary law is geometric in z0 (config.pending_root), so the
+    # simulator's pool is checked without the solver: the mean pool time of
+    # mined requests against z0 / (R_a (1 - z0)), and the rejected share of
+    # the requests that left the pool against 1 - served_rate / R_a.  Eight
+    # comparisons share one Sidak gate at a family-wise alpha of 0.01, in
+    # batch-means 95% half-widths.
+    alpha = 1.0 - 0.99 ** (1 / 8)
+    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    configs = [
+        ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
+        ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=1),
+        ChainConfig(0.5, 2.5, 0.25, 1.0, block_capacity=3),
+        ChainConfig(4.0, 2.0, 1.0, 1.0, servers=5, block_capacity=3, rejection_batch=2),
+    ]
+    master = 1954
+    for index, cfg in enumerate(configs):
+        records = simulate_chain(cfg, 50_000, seed=master + index, collect_records=True).records
+        kept = records[len(records) // 10:]
+        pool_times = [rec.mined_at - rec.submitted_at for rec in kept if rec.mined_at is not None]
+        rejected = [rec.disposition == "rejected" for rec in kept
+                    if rec.mined_at is not None or rec.disposition == "rejected"]
+        z0 = pending_root(cfg)
+        exact = {
+            "pool time": (pool_times, z0 / (cfg.arrival_rate * (1.0 - z0))),
+            "rejected share": (rejected, 1.0 - served_rate(cfg) / cfg.arrival_rate),
+        }
+        for name, (samples, reference) in exact.items():
+            stats = _stats(samples)
+            lo, hi = stats.confidence_interval_95
+            gap = abs(stats.mean - reference) / ((hi - lo) / 2)
+            assert gap <= bound, (index, name, reference, stats.mean, (lo, hi))
 
 
 @pytest.mark.parametrize("n", [2, 30, 63, 64, 5000])

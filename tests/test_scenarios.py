@@ -356,6 +356,50 @@ def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
     assert len(pools) == 1
 
 
+def test_pool_has_no_idle_workers(monkeypatch):
+    # A stand-in executor records its size and maps in this process, and a
+    # stand-in engine call records the batches, so no process or engine runs.
+    sizes, batches = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    def fake_tasks(tasks):
+        batches.append(len(tasks))
+        return [{} for _ in tasks]
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scenarios, "_run_tasks", fake_tasks)
+
+    scenarios.evaluate(preset_specs("fig9"), jobs=8)
+    assert sizes == [3] and batches == [1, 1, 1]
+
+    # Three confirmation depths of one chain share one solve: one batch.
+    sizes.clear()
+    batches.clear()
+    one_batch = parse_scenario(markov_doc(sweep=[{"path": "confirmations", "values": [1, 2, 3]}]))
+    scenarios.evaluate([one_batch], jobs=4)
+    assert sizes == [] and batches == [3]
+
+    # Every point skipped: nothing to run, and no pool.
+    sizes.clear()
+    batches.clear()
+    unstable = parse_scenario(markov_doc(sweep=[{"path": "arrival_rate", "values": [5.0, 6.0]}]))
+    rows = scenarios.evaluate([unstable], jobs=4)
+    assert [row["status"] for row in rows] == ["skipped-unstable"] * 2
+    assert sizes == [] and batches == []
+
+
 def test_closed_form_points_past_the_mining_rate_are_ok(tmp_path):
     # Batched mining drains 1.2 > 0.5 per unit time, so R_a >= R_m is stable.
     doc = markov_doc(
