@@ -48,12 +48,12 @@ class AttackParams:
     giveup_threshold: int
 
     def __post_init__(self):
-        # bool is an int subclass, but True is not a count.
-        confs, giveup = self.confirmations, self.giveup_threshold
+        # bool is an int subclass, but True is neither a count nor a power.
+        confs, power, giveup = self.confirmations, self.relative_power, self.giveup_threshold
         if isinstance(confs, bool) or not isinstance(confs, int) or confs < 1:
             raise ValueError(f"confirmations must be an integer >= 1, got {confs!r}")
-        if not (self.relative_power > 0 and math.isfinite(self.relative_power)):
-            raise ValueError(f"relative_power must be finite and > 0, got {self.relative_power!r}")
+        if isinstance(power, bool) or not (power > 0 and math.isfinite(power)):
+            raise ValueError(f"relative_power must be finite and > 0, got {power!r}")
         if isinstance(giveup, bool) or not isinstance(giveup, int) or giveup < 1:
             raise ValueError(f"giveup_threshold must be an integer >= 1, got {giveup!r}")
 

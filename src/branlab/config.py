@@ -97,7 +97,8 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
         "service_rate": config.service_rate,
     }
     for name, value in rates.items():
-        if not math.isfinite(value) or value < 0:
+        # bool is an int subclass, but True is not a rate.
+        if isinstance(value, bool) or not math.isfinite(value) or value < 0:
             raise ConfigValidationError(
                 "nonpositive-rate", f"{name} must be finite and nonnegative, got {value!r}"
             )
@@ -168,6 +169,13 @@ def pending_root(config: ChainConfig) -> float:
         z -= step
         if step <= 1e-14 * z:  # quadratic convergence: the error is now rounding
             return z
+
+
+def pending_wait(config: ChainConfig) -> float:
+    """Mean pool time ``E[i]/R_a = z0/(R_a (1 - z0))`` under :func:`pending_root`'s law;
+    mined or rejected later, a request waits the same, so a served one does too."""
+    z = pending_root(config)
+    return z / (config.arrival_rate * (1.0 - z))
 
 
 def served_rate(config: ChainConfig) -> float:

@@ -13,7 +13,9 @@ Mining is disabled on an empty pending queue (no empty blocks), and a
 partial block carries all pending requests when ``i <= k``.
 
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
-``0 <= j <= j_max``, each extent grown on its own (see ``auto_truncate``).
+``0 <= j <= j_max``: ``i_max`` is read off the exact geometric law of the
+pending count and ``j_max`` is grown until the result settles (see
+``auto_truncate``).
 Transitions that would leave the box are dropped and excluded from the
 diagonal, which keeps the generator a proper generator; the stationary mass
 on the box frontier is reported so the truncation bias is measured rather
@@ -37,10 +39,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .config import ChainConfig, validate
+from .config import ChainConfig, pending_root, pending_wait, served_rate, validate
 
 DEFAULT_MAX_STATES = 4_000_000
-_INITIAL_EXTENT = 16  # auto_truncate's first i_max, and the least j_max
+_INITIAL_EXTENT = 16  # auto_truncate's least j_max
 _STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
 
 
@@ -268,63 +270,45 @@ def auto_truncate(
 ) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
-    ``i_max`` starts at 16, ``j_max`` at the smallest
-    ``16 * 2**m`` covering twice the offered load ``R_a / R_s``.
-    Each step doubles ``j_max`` while ``P(j = j_max) >= tol / 2``, else
-    ``i_max`` while ``P(i = i_max) >= tol / 2``, else both.  ``j`` goes first
-    because mining is blocked at ``j = j_max``, which piles mass onto the
-    ``i`` edge that a longer ``j`` axis removes.
-
-    A box is accepted once its frontier mass is below ``tol`` and the mean
-    queue length moved by less than 0.1 percent from
-    the previous box; the initial box needs a probe with both axes doubled
-    to confirm it, so the search never solves beyond the first adequate box.
+    The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
+    :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
+    smallest ``i`` with ``z0**i < tol / 2``, capped so that the initial box
+    fits in ``max_states``.  ``j_max`` starts at the smallest ``16 * 2**m``
+    covering twice the offered load ``R_a / R_s`` and doubles until the
+    frontier mass is below ``tol`` and the mean queue length moved by less
+    than 0.1 percent from the previous box; the last box solved is returned.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     validate(config)
-
-    def stable(a: float, b: float) -> bool:
-        return abs(a - b) <= _STABILITY_RTOL * max(abs(b), 1e-6)
-
-    i_max = j_max = _INITIAL_EXTENT
+    j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
+    z0 = pending_root(config)
+    i_max = 1
+    while z0**i_max >= tol / 2 and (i_max + 2) * (j_max + 1) <= max_states:
+        i_max += 1
     tried = [(i_max, j_max)]
     current = _solve_box(config, i_max, j_max, max_states)
-    previous: TruncationResult | None = None
     while True:
-        if current.distribution.truncation_mass_bound < tol:
-            if previous is not None and stable(
-                current.mean_queue_length, previous.mean_queue_length
-            ):
-                return replace(current, extents_tried=tuple(tried))
-            if previous is None:
-                i_max, j_max = 2 * i_max, 2 * j_max
-                probe = _solve_box(config, i_max, j_max, max_states)
-                tried.append((i_max, j_max))
-                if stable(probe.mean_queue_length, current.mean_queue_length):
-                    return replace(current, extents_tried=tuple(tried))
-                previous, current = current, probe
-                continue
-        p, space = current.distribution.probabilities, current.space
-        if p[space.queued == j_max].sum() >= tol / 2:
-            j_max *= 2
-        elif p[space.pending == i_max].sum() >= tol / 2:
-            i_max *= 2
-        else:
-            i_max, j_max = 2 * i_max, 2 * j_max
-        if (i_max + 1) * (j_max + 1) > max_states:
+        if (i_max + 1) * (2 * j_max + 1) > max_states:
+            frontier = current.distribution.truncation_mass_bound
             raise TruncationDidNotConverge(
                 f"no convergence below {max_states} states; last box "
-                f"({space.i_max}, {space.j_max}) left frontier mass "
-                f"{current.distribution.truncation_mass_bound:.3e}",
-                i_max=space.i_max,
-                j_max=space.j_max,
-                frontier_mass=current.distribution.truncation_mass_bound,
+                f"({i_max}, {j_max}) left frontier mass {frontier:.3e}",
+                i_max=i_max,
+                j_max=j_max,
+                frontier_mass=frontier,
             )
+        j_max *= 2
         tried.append((i_max, j_max))
         previous, current = current, _solve_box(config, i_max, j_max, max_states)
+        moved = abs(current.mean_queue_length - previous.mean_queue_length)
+        if (
+            current.distribution.truncation_mass_bound < tol
+            and moved <= _STABILITY_RTOL * max(previous.mean_queue_length, 1e-6)
+        ):
+            return replace(current, extents_tried=tuple(tried))
 
 
 @lru_cache(maxsize=32)
@@ -344,18 +328,16 @@ def stationary_solution(config: ChainConfig) -> TruncationResult:
 
 def latency(config: ChainConfig) -> float:
     """Mean latency of a served request, submission to service start:
-    ``E[i]/R_a + E[j]/(R_a - R_r E[min(i, r)]) - 1/R_s + (N - 1)/R_m``.
+    ``z0/(R_a (1 - z0)) + E[j]/lambda - 1/R_s + (N - 1)/R_m``.
 
-    Little's law on the solved law; rejected requests are not counted.  A
-    request's time in the pending pool does not depend on whether it is
-    later mined or rejected, so a served one waits ``E[i]/R_a`` there; the
-    access stage holds ``E[j]`` requests at the served throughput.
+    Rejected requests are not counted.  The pending stage is exact: its
+    wait and the served throughput ``lambda`` come from the pending law
+    (:func:`~branlab.config.pending_wait`, :func:`~branlab.config.served_rate`),
+    and the solve gives only ``E[j]``, the access stage's mean occupancy,
+    which Little's law turns into its sojourn.
     """
     result = stationary_solution(config)
     space, p = result.space, result.distribution.probabilities
-    removed = float(np.dot(np.minimum(space.pending, config.rejection_batch), p))
-    throughput = config.arrival_rate - config.rejection_rate * removed
-    pending_wait = float(np.dot(space.pending, p)) / config.arrival_rate
-    access = float(np.dot(space.queued, p)) / throughput
-    base = pending_wait + access - 1.0 / config.service_rate
+    access = float(np.dot(space.queued, p)) / served_rate(config)
+    base = pending_wait(config) + access - 1.0 / config.service_rate
     return base + (config.confirmations - 1) / config.mining_rate

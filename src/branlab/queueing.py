@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ChainConfig, pending_root, served_rate
+from .config import ChainConfig, pending_wait, served_rate
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -69,8 +69,7 @@ def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     :class:`~branlab.config.ConfigValidationError` propagates.  Exact for
     ``block_capacity == 1``; otherwise the result is labelled approximate.
     """
-    z = pending_root(config)
-    block_wait = z / (config.arrival_rate * (1.0 - z))
+    block_wait = pending_wait(config)
     throughput = served_rate(config)
     delay_prob = erlang_c(config.servers, throughput / config.service_rate)
     service_stage = (

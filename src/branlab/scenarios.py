@@ -23,7 +23,8 @@ sweep, and a closed-form attack method on a grid that leaves its
 ``giveup_threshold > confirmations`` domain.  Sweep
 paths name real configuration fields; the pseudo-field ``intensity`` (or
 ``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
-utilisation and is applied after any other swept field of the same point.
+utilisation and is applied after any other swept field of the same point,
+so it may not be swept together with the same chain's ``arrival_rate``.
 
 Rows come out in row-major grid order.  Every point goes through one
 pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
@@ -295,8 +296,13 @@ def parse_scenario(source) -> ScenarioSpec:
             for i, v in enumerate(values):
                 _check_attack(replace(attack_section, **{leaf: v}), f"{where}.values[{i}]")
         sweep.append(SweepParam(path=path, values=tuple(values)))
-    if len({p.path for p in sweep}) != len(sweep):
+    paths = {p.path for p in sweep}
+    if len(paths) != len(sweep):
         raise MalformedSpecError("sweep: the two parameters must target distinct paths")
+    for path in paths:
+        rate = path.replace("intensity", "arrival_rate")
+        if rate != path and rate in paths:
+            raise MalformedSpecError(f"sweep: {path!r} sets {rate!r}, so only one may be swept")
 
     if attack_section is not None and attack_section.method == "closed-form":
         grid = {param.path: param.values for param in sweep}

@@ -135,6 +135,11 @@ def test_booleans_are_not_counts(args):
         AttackParams(*args)
 
 
+def test_boolean_is_not_a_relative_power():
+    with pytest.raises(ValueError, match="relative_power must be finite and > 0, got True"):
+        AttackParams(1, True, 4)
+
+
 def test_closed_equals_direct_on_domain():
     for confs in (1, 3, 6):
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):

@@ -83,6 +83,15 @@ def test_booleans_are_not_counts(name):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["arrival_rate", "mining_rate", "rejection_rate", "service_rate"])
+def test_booleans_are_not_rates(name):
+    # True == 1.0 would otherwise pass as a rate; ChainConfig(True, 2.5, 0, 1.5) validated.
+    with pytest.raises(ConfigValidationError) as err:
+        validate(replace(ChainConfig(0.5, 2.5, 0.0, 1.5), **{name: True}))
+    assert err.value.code == "nonpositive-rate"
+    assert name in str(err.value)
+
+
 def test_hierarchical_validates_both_members():
     good = ChainConfig(0.5, 2.0, 0.0, 1.0)
     bad = ChainConfig(2.0, 10.0, 0.0, 1.0)

@@ -383,10 +383,38 @@ def test_unstable_config_is_refused():
 
 
 def test_light_traffic_converges_at_the_initial_box():
+    # z0 = R_a / R_m = 0.1, and 0.1**10 is the first power below tol / 2; the
+    # least access extent already meets the tolerance, so one doubling
+    # confirms it and the confirming box is returned.
     cfg = ChainConfig(0.1, 1.0, 0.0, 1.0, servers=1)
     res = auto_truncate(cfg)
-    assert (res.space.i_max, res.space.j_max) == (16, 16)
+    assert res.extents_tried == ((10, 16), (10, 32))
+    assert (res.space.i_max, res.space.j_max) == (10, 32)
     assert res.distribution.truncation_mass_bound < 1e-9
+
+
+def test_pending_extent_comes_from_the_exact_law():
+    # The grid was fixed before the first run.
+    tol, checked = 1e-9, 0
+    for servers in (1, 10):
+        for k in (1, 3, 6):
+            rejections = [(0.0, 1)] + [(0.25, r) for r in sorted({1, k})]
+            for share, r in rejections:
+                for rho in (0.3, 0.8, 0.95):
+                    mining = 1.25 * servers
+                    cfg = with_intensity(
+                        ChainConfig(0.1, mining, share * mining, 1.0, servers=servers,
+                                    block_capacity=k, rejection_batch=r),
+                        rho,
+                    )
+                    res = auto_truncate(cfg, tol=tol)
+                    z = pending_root(cfg)
+                    i_max = res.space.i_max
+                    assert z**i_max < tol / 2 <= z ** (i_max - 1), (cfg, i_max)
+                    assert {extent[0] for extent in res.extents_tried} == {i_max}
+                    assert res.distribution.truncation_mass_bound < tol, cfg
+                    checked += 1
+    assert checked == 48
 
 
 def test_heavier_traffic_needs_larger_boxes():

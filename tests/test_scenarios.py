@@ -99,6 +99,26 @@ def test_malformed_documents_are_rejected(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "make_doc, rate, intensity",
+    [
+        (lambda: markov_doc(engine="closed-form"), "arrival_rate", "intensity"),
+        (lambda: hier_doc(), "secondary.arrival_rate", "secondary.intensity"),
+    ],
+    ids=["chain", "hierarchy"],
+)
+def test_arrival_rate_and_intensity_are_not_swept_together(make_doc, rate, intensity):
+    # intensity is applied last and would overwrite every swept arrival rate
+    doc = make_doc()
+    doc["sweep"] = [
+        {"path": rate, "values": [0.1, 0.3]},
+        {"path": intensity, "values": [0.5, 0.6]},
+    ]
+    with pytest.raises(MalformedSpecError) as err:
+        parse_scenario(doc)
+    assert rate in str(err.value) and intensity in str(err.value)
+
+
 def test_attack_section_rules():
     doc = markov_doc(engine="attack")
     with pytest.raises(MalformedSpecError, match="required"):
