@@ -1,6 +1,7 @@
 """Command-line front end: run scenario files or bundled presets.
 
-Exit codes: 0 success, 1 nothing evaluated, 2 malformed scenario, 3 I/O error.
+Exit codes: 0 success, 1 nothing evaluated, 2 malformed scenario or usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -19,12 +20,22 @@ from .scenarios import (
 )
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> None:
     parser.add_argument("--out", required=out_required, help="output file path")
     parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_jobs, default=None,
         help="parallel sweep points (default: $BRANLAB_JOBS or 1)",
     )
     parser.add_argument(

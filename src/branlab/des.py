@@ -1,15 +1,19 @@
 """Event-driven simulation of one chain and of the two-chain hierarchy.
 
-A future-event-list loop drives three event families per chain: Poisson
-request arrivals, one pool clock, and per-link exponential service.
+One loop over a future-event list drives every chain: Poisson request
+arrivals, one pool clock per chain and exponential service on each link.
 Mining and rejection are competing exponential transitions out of the
 same pending pool, so the pool has a single clock at rate ``R_m + R_r``:
 it is armed when the pool goes from empty to one request and re-armed by
 its own ring while requests remain.  Each ring is a rejection with
 probability ``R_r / (R_m + R_r)``, permanently removing the oldest
 ``min(pending, r)`` requests, and otherwise a mined block of the oldest
-``min(pending, k)``.  A chain holds at most one pool event, so no event
-is ever stale.
+``min(pending, k)``.  Each chain keeps its busy links' departure times in
+a heap of its own.  A released request takes a link whose time has
+passed, or else queues; only then does the earliest departure become an
+event, which serves the head of the queue.  A departure with nobody
+waiting draws nothing, so it never enters the event list.  A chain holds
+at most one pool event and one departure event, so no event is stale.
 
 Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
 independent exponential block intervals to each request's inclusion time
@@ -29,9 +33,11 @@ the submission that a handed-over request carries as
 ``origin_submitted_at``.  The primary's own background Poisson traffic is
 served but not sampled.
 
-A run is strictly single-threaded and bitwise reproducible for a fixed
-seed; replications with distinct seeds can run concurrently and be merged
-by the caller.
+Requests are plain lists; ``RequestRecord`` objects, numbered in creation
+order, are built from them only when records are asked for.  A run is
+strictly single-threaded and bitwise reproducible for a fixed seed;
+replications with distinct seeds can run concurrently and be merged by
+the caller.
 """
 
 from __future__ import annotations
@@ -135,15 +141,17 @@ def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
 class _Chain:
     """Mutable per-chain simulation state.
 
-    ``downstream`` is the chain that each request starting service here is
-    handed to, or ``None`` on the chain where requests are sampled.
+    ``free`` is a heap of link departure times; times already passed belong
+    to idle links.  ``downstream`` is the chain that each request starting
+    service here is handed to, or ``None`` on the chain where requests are
+    sampled.
     """
 
     __slots__ = (
         "label", "arrival_rate", "mining_rate", "pool_rate", "reject_share",
         "service_rate", "servers", "capacity", "reject_batch",
         "extra_confs", "event_driven", "pending", "blocks_mined", "conf_groups",
-        "ready_queue", "busy", "generated", "served", "rejected",
+        "ready_queue", "free", "generated", "served", "rejected",
         "max_mined_batch", "max_rejected_batch", "downstream",
     )
 
@@ -159,11 +167,11 @@ class _Chain:
         self.reject_batch = config.rejection_batch
         self.extra_confs = config.confirmations - 1
         self.event_driven = mode == "event-driven"
-        self.pending: deque[RequestRecord] = deque()
+        self.pending: deque[list] = deque()
         self.blocks_mined = 0
-        self.conf_groups: deque[tuple[int, list[RequestRecord]]] = deque()
-        self.ready_queue: deque[RequestRecord] = deque()
-        self.busy = 0
+        self.conf_groups: deque[tuple[int, list[list]]] = deque()
+        self.ready_queue: deque[list] = deque()
+        self.free: list[float] = []
         self.generated = 0
         self.served = 0
         self.rejected = 0
@@ -172,152 +180,143 @@ class _Chain:
         self.downstream: _Chain | None = None
 
 
-class _Engine:
-    """Shared clock, event heap, RNG and end-user latency samples for one run.
+def _run(
+    chains: tuple[_Chain, ...], seed: int, max_pending: int, target: int, requests: list | None
+) -> tuple[list[float], list[float], list[float], int]:
+    """Run until ``target`` end-user requests, arriving at ``chains[0]``, start their last service.
 
-    End-user requests arrive at ``entry``; the run stops once ``target`` of
-    them have started their last service.  ``first_leg`` and ``last_leg``
-    split the latency of handed-over requests at the hand-over.
+    A request is a list with ``RequestRecord``'s fields after the id, and is
+    appended to ``requests`` unless that is ``None``.  Each exponential draw
+    is ``random.expovariate``'s own ``-log(1 - U) / rate``, so the variates
+    are that method's.  Returns the end-to-end latencies, the two legs of
+    handed-over requests and how many of them were rejected downstream.
     """
+    entry = chains[0]
+    uniform = random.Random(seed).random
+    log = math.log
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap: list = []
+    seq = 0  # push counter: orders events with equal times, never compares chains
+    e2e, first_leg, last_leg = [], [], []
+    rejected_downstream = 0
 
-    __slots__ = (
-        "rng", "heap", "seq", "now", "max_pending", "stop", "next_id", "records",
-        "entry", "target", "e2e", "first_leg", "last_leg", "rejected_downstream",
-    )
-
-    def __init__(
-        self, seed: int, max_pending: int, collect_records: bool, entry: _Chain, target: int
-    ):
-        self.rng = random.Random(seed)
-        self.heap: list = []
-        self.seq = 0
-        self.now = 0.0
-        self.max_pending = max_pending
-        self.stop = False
-        self.next_id = 0
-        self.records: list[RequestRecord] | None = [] if collect_records else None
-        self.entry = entry
-        self.target = target
-        self.e2e: list[float] = []
-        self.first_leg: list[float] = []
-        self.last_leg: list[float] = []
-        self.rejected_downstream = 0
-
-    def push(self, t: float, kind: int, chain: _Chain, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, kind, chain, payload))
-
-    def new_record(self, chain: _Chain, t: float, origin: float | None = None) -> RequestRecord:
-        rec = RequestRecord(self.next_id, chain.label, t, origin_submitted_at=origin)
-        self.next_id += 1
-        if self.records is not None:
-            self.records.append(rec)
-        return rec
-
-    # -- chain mechanics ---------------------------------------------------
-
-    def submit(self, chain: _Chain, rec: RequestRecord, t: float) -> None:
+    def submit(chain: _Chain, t: float, origin: float | None) -> None:
+        nonlocal seq
+        req = [chain.label, t, None, None, None, "in-flight", origin]
+        if requests is not None:
+            requests.append(req)
         chain.generated += 1
-        chain.pending.append(rec)
-        if len(chain.pending) > self.max_pending:
+        pending = chain.pending
+        pending.append(req)
+        if len(pending) > max_pending:
             raise SimulationUnstableError(
-                f"chain {chain.label!r}: pending pool exceeded {self.max_pending} requests "
+                f"chain {chain.label!r}: pending pool exceeded {max_pending} requests "
                 f"at t={t:.3f}; the configuration cannot drain its arrivals"
             )
-        if len(chain.pending) == 1:
-            self.push(t + self.rng.expovariate(chain.pool_rate), _POOL, chain, None)
+        if len(pending) == 1:
+            seq += 1
+            heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
 
-    def _release(self, chain: _Chain, rec: RequestRecord, t: float) -> None:
-        assert rec.submitted_at <= rec.mined_at <= rec.confirmed_at <= t
-        # One mined block can release several requests in one event; once the
-        # run has met its target the rest stay in flight.
-        if chain.busy < chain.servers and not self.stop:
-            self._begin_service(chain, rec, t)
-        else:
-            chain.ready_queue.append(rec)
-
-    def _begin_service(self, chain: _Chain, rec: RequestRecord, t: float) -> None:
-        rec.service_start_at = t
-        rec.disposition = "served"
+    def begin(chain: _Chain, req: list, t: float) -> None:
+        req[4] = t
+        req[5] = "served"
         chain.served += 1
-        chain.busy += 1
-        self.push(t + self.rng.expovariate(chain.service_rate), _DEPART, chain, None)
+        heappush(chain.free, t - log(1.0 - uniform()) / chain.service_rate)
         if chain.downstream is not None:
-            twin = self.new_record(chain.downstream, t, origin=rec.submitted_at)
-            self.submit(chain.downstream, twin, t)
-            return
-        if rec.origin_submitted_at is not None:
-            self.e2e.append(t - rec.origin_submitted_at)
-            self.first_leg.append(rec.submitted_at - rec.origin_submitted_at)
-            self.last_leg.append(t - rec.submitted_at)
-        elif chain is self.entry:
-            self.e2e.append(t - rec.submitted_at)
-        else:
-            return  # background traffic of a chain that receives hand-overs
-        if len(self.e2e) >= self.target:
-            self.stop = True
+            submit(chain.downstream, t, req[1])
+        elif req[6] is not None:
+            e2e.append(t - req[6])
+            first_leg.append(req[1] - req[6])
+            last_leg.append(t - req[1])
+        elif chain is entry:
+            e2e.append(t - req[1])
 
-    def _handle_pool(self, chain: _Chain, t: float) -> None:
-        # Competing exponentials: the ring is a rejection with probability R_r / (R_m + R_r).
-        if chain.reject_share > 0.0 and self.rng.random() < chain.reject_share:
-            size = min(len(chain.pending), chain.reject_batch)
-            if size > chain.max_rejected_batch:
-                chain.max_rejected_batch = size
-            for _ in range(size):
-                rec = chain.pending.popleft()
-                rec.disposition = "rejected"
-                chain.rejected += 1
-                if rec.origin_submitted_at is not None:
-                    self.rejected_downstream += 1
-        else:
-            size = min(len(chain.pending), chain.capacity)
-            batch = [chain.pending.popleft() for _ in range(size)]
-            chain.blocks_mined += 1
-            if size > chain.max_mined_batch:
-                chain.max_mined_batch = size
-            if chain.event_driven:
-                for rec in batch:
-                    rec.mined_at = t
-                chain.conf_groups.append((chain.blocks_mined + chain.extra_confs, batch))
-                while chain.conf_groups and chain.conf_groups[0][0] <= chain.blocks_mined:
-                    _, group = chain.conf_groups.popleft()
-                    for rec in group:
-                        rec.confirmed_at = t
-                        self._release(chain, rec, t)
+    for chain in chains:
+        seq += 1
+        heappush(heap, (-log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
+    now = 0.0
+    while len(e2e) < target:
+        t, _, kind, chain, req = heappop(heap)
+        assert t >= now, "event processed out of timestamp order"
+        now = t
+        if kind == _ARRIVAL:
+            submit(chain, t, None)
+            seq += 1
+            heappush(heap, (t - log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
+            continue
+        if kind == _DEPART:
+            # Scheduled only while a request waits, so no release came in between.
+            done = heappop(chain.free)
+            assert done == t
+            queue = chain.ready_queue
+            begin(chain, queue.popleft(), t)
+            if queue:
+                seq += 1
+                heappush(heap, (chain.free[0], seq, _DEPART, chain, None))
+            continue
+        if kind == _ENTER:
+            released = (req,)
+        else:  # _POOL; competing exponentials: a rejection with probability R_r / (R_m + R_r)
+            pending = chain.pending
+            if chain.reject_share > 0.0 and uniform() < chain.reject_share:
+                size = min(len(pending), chain.reject_batch)
+                if size > chain.max_rejected_batch:
+                    chain.max_rejected_batch = size
+                chain.rejected += size
+                for _ in range(size):
+                    req = pending.popleft()
+                    req[5] = "rejected"
+                    if req[6] is not None:
+                        rejected_downstream += 1
+                released = ()
             else:
-                expovariate = self.rng.expovariate
-                for rec in batch:
-                    rec.mined_at = t
-                    if chain.extra_confs:
-                        delay = sum(
-                            expovariate(chain.mining_rate) for _ in range(chain.extra_confs)
-                        )
-                        rec.confirmed_at = t + delay
-                        self.push(rec.confirmed_at, _ENTER, chain, rec)
-                    else:
-                        rec.confirmed_at = t
-                        self._release(chain, rec, t)
-        if chain.pending:
-            self.push(t + self.rng.expovariate(chain.pool_rate), _POOL, chain, None)
-
-    def run(self) -> None:
-        heap = self.heap
-        while heap and not self.stop:
-            t, _, kind, chain, payload = heapq.heappop(heap)
-            assert t >= self.now, "event processed out of timestamp order"
-            self.now = t
-            if kind == _ARRIVAL:
-                rec = self.new_record(chain, t)
-                self.submit(chain, rec, t)
-                self.push(t + self.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
-            elif kind == _POOL:
-                self._handle_pool(chain, t)
-            elif kind == _ENTER:
-                self._release(chain, payload, t)
-            else:  # _DEPART
-                chain.busy -= 1
-                if chain.ready_queue:
-                    self._begin_service(chain, chain.ready_queue.popleft(), t)
+                size = min(len(pending), chain.capacity)
+                batch = [pending.popleft() for _ in range(size)]
+                chain.blocks_mined += 1
+                if size > chain.max_mined_batch:
+                    chain.max_mined_batch = size
+                if chain.event_driven:
+                    for req in batch:
+                        req[2] = t
+                    groups = chain.conf_groups
+                    groups.append((chain.blocks_mined + chain.extra_confs, batch))
+                    released = []
+                    while groups and groups[0][0] <= chain.blocks_mined:
+                        for req in groups.popleft()[1]:
+                            req[3] = t
+                            released.append(req)
+                elif chain.extra_confs:
+                    rate = chain.mining_rate
+                    for req in batch:
+                        req[2] = t
+                        req[3] = t + sum(-log(1.0 - uniform()) / rate for _ in range(chain.extra_confs))
+                        seq += 1
+                        heappush(heap, (req[3], seq, _ENTER, chain, req))
+                    released = ()
+                else:
+                    for req in batch:
+                        req[2] = req[3] = t
+                    released = batch
+        queue = chain.ready_queue
+        free = chain.free
+        for req in released:
+            assert req[1] <= req[2] <= req[3] <= t
+            # A request queues behind any that waits.  One mined block can release
+            # several requests in one event; once the run has met its target the
+            # rest stay in flight.
+            if not queue and len(e2e) < target:
+                while free and free[0] <= t:
+                    heappop(free)
+                if len(free) < chain.servers:
+                    begin(chain, req, t)
+                    continue
+                seq += 1
+                heappush(heap, (free[0], seq, _DEPART, chain, None))
+            queue.append(req)
+        if kind == _POOL and chain.pending:
+            seq += 1
+            heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
+    return e2e, first_leg, last_leg, rejected_downstream
 
 
 def _simulate(
@@ -328,8 +327,11 @@ def _simulate(
     max_pending: int,
     collect_records: bool,
 ) -> SimResult:
-    if target_served < 1:
-        raise ValueError(f"target_served must be >= 1, got {target_served!r}")
+    # bool is an int subclass, but True is not a count.
+    if isinstance(target_served, bool) or not isinstance(target_served, int) or target_served < 1:
+        raise ValueError(f"target_served must be an integer >= 1, got {target_served!r}")
+    if max_pending < 1:
+        raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
     if confirmation_mode not in CONFIRMATION_MODES:
         raise ValueError(
             f"confirmation_mode must be one of {CONFIRMATION_MODES}, got {confirmation_mode!r}"
@@ -344,16 +346,14 @@ def _simulate(
     else:
         chains = (_Chain("chain", config, confirmation_mode),)
     entry = chains[0]
-    engine = _Engine(seed, max_pending, collect_records, entry, target_served)
-    for chain in chains:
-        engine.push(engine.rng.expovariate(chain.arrival_rate), _ARRIVAL, chain, None)
-    engine.run()
+    requests = [] if collect_records else None
+    e2e, first_leg, last_leg, rejected_downstream = _run(chains, seed, max_pending, target_served, requests)
 
     warmup = int(target_served * _WARMUP_FRACTION)
-    kept = np.asarray(engine.e2e[warmup:], dtype=np.float64)
+    kept = np.asarray(e2e[warmup:], dtype=np.float64)
     stats = _stats(kept)
-    served = len(engine.e2e)
-    rejected = entry.rejected + engine.rejected_downstream
+    served = len(e2e)
+    rejected = entry.rejected + rejected_downstream
     result = SimResult(
         latency_samples=kept,
         mean=stats.mean,
@@ -366,17 +366,17 @@ def _simulate(
         max_mined_batch=max(chain.max_mined_batch for chain in chains),
         max_rejected_batch=max(chain.max_rejected_batch for chain in chains),
         warmup_discarded=warmup,
-        records=engine.records,
+        records=None if requests is None else [RequestRecord(i, *req) for i, req in enumerate(requests)],
     )
     if hierarchical:
         result.breakdown = {
             "e2e": stats,
-            "secondary": _stats(engine.first_leg[warmup:]),
-            "primary": _stats(engine.last_leg[warmup:]),
+            "secondary": _stats(first_leg[warmup:]),
+            "primary": _stats(last_leg[warmup:]),
         }
         result.aux_counts = {
             "secondary_rejected": secondary.rejected,
-            "e2e_rejected_at_primary": engine.rejected_downstream,
+            "e2e_rejected_at_primary": rejected_downstream,
             "primary_background_generated": primary.generated - secondary.served,
             "primary_served_total": primary.served,
         }

@@ -267,11 +267,68 @@ def test_runs_leave_no_reference_cycles():
         gc.enable()
 
 
+# Seeded outputs pinned before the event loop was rewritten for speed.  A
+# changed draw order moves a mean or a sample by far more than 1e-12
+# relative; a last-ulp libm difference between machines does not.
+_PINNED_CHAINS = {
+    "single": ChainConfig(0.8, 2.5, 0.0, 1.0),
+    "ten-links": ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3),
+    "rejecting": ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
+    "three-confirmations": ChainConfig(0.8, 2.5, 0.0, 1.0, block_capacity=3, confirmations=3),
+    "busy-links": ChainConfig(3.6, 500.0, 0.0, 1.0, servers=4),  # requests queue for links
+}
+# (served, rejected, generated, max mined batch, records, mean, first sample, last sample)
+_PINNED = {
+    ("single", "additive"): (4000, 0, 4002, 1, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("single", "event-driven"): (4000, 0, 4002, 1, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("ten-links", "additive"): (4000, 0, 4000, 3, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("ten-links", "event-driven"): (4000, 0, 4000, 3, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("rejecting", "additive"): (4000, 2109, 6110, 3, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("rejecting", "event-driven"): (4000, 2109, 6110, 3, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("three-confirmations", "additive"): (4000, 0, 4009, 3, None, 4.90119895991679, 12.702707669481526, 7.827748520810019),
+    ("three-confirmations", "event-driven"): (4000, 0, 4024, 3, None, 7.536558157810613, 6.042700840285534, 12.442406383266643),
+    ("busy-links", "additive"): (4000, 0, 4021, 1, None, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
+    ("hierarchy", "additive"): (4000, 647, 4648, 3, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
+}
+
+
+@pytest.mark.parametrize("name, mode", list(_PINNED))
+def test_seeded_output_is_pinned(name, mode):
+    if name == "hierarchy":
+        hier = HierarchicalConfig(
+            primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3),
+            secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, servers=1),
+        )
+        res = simulate_hierarchical(hier, 4000, seed=2026, confirmation_mode=mode, collect_records=True)
+    else:
+        res = simulate_chain(_PINNED_CHAINS[name], 4000, seed=2026, confirmation_mode=mode)
+    *counts, mean, first, last = _PINNED[name, mode]
+    records = None if res.records is None else len(res.records)
+    assert [res.served_count, res.rejected_count, res.generated_count,
+            res.max_mined_batch, records] == counts
+    assert res.mean == pytest.approx(mean, rel=1e-12)
+    assert res.latency_samples[0] == pytest.approx(first, rel=1e-12)
+    assert res.latency_samples[-1] == pytest.approx(last, rel=1e-12)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         simulate_chain(BASE, 0, seed=1)
     with pytest.raises(ValueError):
         simulate_chain(BASE, 100, seed=1, confirmation_mode="psychic")
+
+
+@pytest.mark.parametrize("target", [True, 10.5])
+def test_target_served_is_a_whole_count(target):
+    # True once served one request and 10.5 served eleven.
+    with pytest.raises(ValueError, match="target_served"):
+        simulate_chain(BASE, target, seed=1)
+
+
+def test_max_pending_below_one_is_rejected():
+    # 0 used to report a stable chain as unable to drain its arrivals.
+    with pytest.raises(ValueError, match="max_pending"):
+        simulate_chain(BASE, 100, seed=1, max_pending=0)
 
 
 # ------------------------------------------------------------- hierarchical

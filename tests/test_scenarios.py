@@ -647,6 +647,19 @@ def test_cli_run_out_defaults_to_the_output_path(tmp_path, capsys):
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(markov_doc()))
+    out = tmp_path / "out.csv"
+    for argv in (["run", "--scenario", str(scenario)], ["preset", "fig10"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([*argv, "--out", str(out), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_list_presets(capsys):
     assert cli_main(["list-presets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
