@@ -31,8 +31,6 @@ from .attack import (
     AttackParams,
     AttackResult,
     attack_success,
-    attack_success_closed,
-    attack_success_direct,
     attack_success_montecarlo,
     catch_up_probability,
     negbin_pmf,

@@ -21,10 +21,12 @@ with boundaries ``P_{-1} = 1`` and ``P_{N_g} = 0``, whose solution is
 
 The overall success probability is the negative-binomial mixture of
 ``P_{N - n_Y}``.  Because every pre-mining count above ``N`` wins outright,
-the infinite mixture collapses to ``N + 1`` terms plus the exact tail mass,
-so the direct sum is evaluated without approximation.  A one-line closed
-form exists when ``N_g > N``; outside that regime some mixture terms hit
-the abandonment boundary and only the direct sum applies.
+the infinite mixture collapses to ``N + 1`` terms plus the tail mass
+``P(n_Y > N)``, the regularised incomplete beta ``I_x(N + 1, N)`` at
+``x = beta / (1 + beta)`` (Rosenfeld 2014).  Every term is nonnegative and
+none is subtracted from one, so the sum keeps its relative precision down
+to the smallest probabilities.  The paper's one-line closed form (valid
+for ``N_g > N``) subtracts from one; it is kept only as a reference.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 
 class ClosedFormRangeError(ValueError):
@@ -107,25 +110,11 @@ def catch_up_probability(deficit: int, params: AttackParams) -> float:
     return num / den
 
 
-def attack_success_direct(params: AttackParams) -> AttackResult:
-    """Negative-binomial mixture of catch-up probabilities, summed exactly.
-
-    Pre-mining counts above the confirmation depth win with certainty, so
-    the infinite tail enters as its exact probability mass and no term is
-    ever dropped.
-    """
-    n_conf = params.confirmations
-    pmf = [negbin_pmf(n, n_conf, params.relative_power) for n in range(n_conf + 1)]
-    head = math.fsum(
-        p * catch_up_probability(n_conf - n, params) for n, p in enumerate(pmf)
-    )
-    tail = max(0.0, 1.0 - math.fsum(pmf))
-    probability = min(1.0, head + tail)
-    return AttackResult(probability=probability, method="direct-sum")
-
-
 def attack_success_closed(params: AttackParams) -> AttackResult:
-    """One-line closed form, valid only for ``giveup_threshold > confirmations``.
+    """The paper's one-line closed form, valid only for ``giveup_threshold > confirmations``.
+
+    Kept as a reference for :func:`attack_success`: it subtracts from one,
+    so it loses relative precision on small probabilities.
 
     ``1 - sum_{n=0}^{N} C(n+N-1, n) (1/(1+b))^N (b/(1+b))^n
     (1 - b^{N-n+1}) / (1 - b^{Ng+1})`` for ``beta != 1``; at ``beta == 1``
@@ -136,7 +125,7 @@ def attack_success_closed(params: AttackParams) -> AttackResult:
     if n_g <= n_conf:
         raise ClosedFormRangeError(
             "closed form needs giveup_threshold > confirmations "
-            f"({n_g} <= {n_conf}); use attack_success_direct"
+            f"({n_g} <= {n_conf}); use attack_success"
         )
     if beta == 1.0:
         acc = math.fsum(
@@ -204,7 +193,20 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
 
 
 def attack_success(params: AttackParams) -> AttackResult:
-    """Analytic success probability: closed form when valid, direct sum otherwise."""
-    if params.giveup_threshold > params.confirmations:
-        return attack_success_closed(params)
-    return attack_success_direct(params)
+    """Negative-binomial mixture of catch-up probabilities, summed exactly.
+
+    Pre-mining counts above the confirmation depth win with certainty, so
+    their whole mass enters as the incomplete-beta tail and no term is ever
+    dropped or subtracted.
+    """
+    n_conf, beta = params.confirmations, params.relative_power
+    terms = [
+        negbin_pmf(n, n_conf, beta) * catch_up_probability(n_conf - n, params)
+        for n in range(n_conf + 1)
+    ]
+    terms.append(betainc(n_conf + 1, n_conf, beta / (1.0 + beta)))
+    return AttackResult(probability=min(1.0, math.fsum(terms)), method="direct-sum")
+
+
+# Only the benchmark tracer needs this second name.
+attack_success_direct = attack_success

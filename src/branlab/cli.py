@@ -7,12 +7,12 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .scenarios import (
     MalformedSpecError,
     RunSummary,
-    default_jobs,
     list_presets,
     parse_scenario,
     run_preset,
@@ -35,7 +35,7 @@ def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> Non
     parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
-        "--jobs", type=_jobs, default=None,
+        "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS", "1"),
         help="parallel sweep points (default: $BRANLAB_JOBS or 1)",
     )
     parser.add_argument(
@@ -78,8 +78,7 @@ def main(argv=None) -> int:
             print(f"{name}\t{description}")
         return 0
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    options = dict(out_path=args.out, seed=args.seed, jobs=jobs,
+    options = dict(out_path=args.out, seed=args.seed, jobs=args.jobs,
                    include_timestamp=not args.no_timestamp)
     try:
         if args.command == "run":

@@ -19,12 +19,12 @@ schema::
 
 Unknown fields are rejected so sweep-path typos surface immediately, and so
 are attack values outside the attack model's range, in the section or in a
-sweep, and a closed-form attack method on a grid that leaves its
-``giveup_threshold > confirmations`` domain.  Sweep
-paths name real configuration fields; the pseudo-field ``intensity`` (or
-``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
-utilisation and is applied after any other swept field of the same point,
-so it may not be swept together with the same chain's ``arrival_rate``.
+sweep.  The attack method is ``auto`` (the analytic direct sum) or
+``monte-carlo``.  Sweep paths name real configuration fields; the
+pseudo-field ``intensity`` (or ``secondary.intensity`` etc.) sets the
+arrival rate to hit a service-stage utilisation and is applied after any
+other swept field of the same point, so it may not be swept together with
+the same chain's ``arrival_rate``.
 
 Rows come out in row-major grid order.  Every point goes through one
 pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
@@ -47,7 +47,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -66,7 +65,7 @@ from .config import (
 
 SCHEMA_VERSION = 1
 _HIER_ENGINES = ("hierarchical-simulation",)
-_ATTACK_METHODS = ("auto", "closed-form", "direct-sum", "monte-carlo")
+_ATTACK_METHODS = ("auto", "monte-carlo")
 
 _CHAIN_FIELDS = tuple(field.name for field in fields(ChainConfig))
 # config.py postpones annotations, so each field's type is its source text.
@@ -304,17 +303,6 @@ def parse_scenario(source) -> ScenarioSpec:
         if rate != path and rate in paths:
             raise MalformedSpecError(f"sweep: {path!r} sets {rate!r}, so only one may be swept")
 
-    if attack_section is not None and attack_section.method == "closed-form":
-        grid = {param.path: param.values for param in sweep}
-        deepest = max(grid.get("confirmations", (base.confirmations,)))
-        lowest = min(grid.get("attack.giveup_threshold", (attack_section.giveup_threshold,)))
-        if lowest <= deepest:
-            raise MalformedSpecError(
-                "attack.method: closed-form needs giveup_threshold > confirmations at "
-                f"every point; the grid reaches confirmations {deepest} and "
-                f"giveup_threshold {lowest}"
-            )
-
     repl_doc = doc.get("replication", {})
     if not isinstance(repl_doc, dict):
         raise MalformedSpecError("replication: expected an object")
@@ -400,14 +388,6 @@ def _path_value(path: str, config, attack_section: AttackSection | None):
     return getattr(target, name)
 
 
-def _analytic_attack(params: attack_mod.AttackParams, method: str) -> attack_mod.AttackResult:
-    if method == "closed-form":
-        return attack_mod.attack_success_closed(params)
-    if method == "direct-sum":
-        return attack_mod.attack_success_direct(params)
-    return attack_mod.attack_success(params)
-
-
 def _attack_params(config: ChainConfig, attack_section: AttackSection) -> attack_mod.AttackParams:
     return attack_mod.AttackParams(
         confirmations=config.confirmations,
@@ -440,7 +420,7 @@ def _markov(config, attack_section, replication, seed) -> dict:
         "std_error": 0.0,
     }
     if attack_section is not None:
-        result = _analytic_attack(_attack_params(config, attack_section), attack_section.method)
+        result = attack_mod.attack_success(_attack_params(config, attack_section))
         out["attack_probability"] = result.probability
         out["attack_method"] = result.method
     return out
@@ -464,7 +444,7 @@ def _attack(config, attack_section, replication, seed) -> dict:
     if attack_section.method == "monte-carlo":
         result = attack_mod.attack_success_montecarlo(params, replication.trials, seed)
     else:
-        result = _analytic_attack(params, attack_section.method)
+        result = attack_mod.attack_success(params)
     return {
         "attack_probability": result.probability,
         "attack_method": result.method,
@@ -882,12 +862,3 @@ def run_preset(
 def preset_rows(name: str, jobs: int = 1) -> list[dict]:
     """Evaluate a preset and return its rows without touching the filesystem."""
     return evaluate(preset_specs(name), jobs)
-
-
-def default_jobs() -> int:
-    """Worker count from the BRANLAB_JOBS environment variable, else one."""
-    raw = os.environ.get("BRANLAB_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -16,8 +16,8 @@ from scipy.special import stdtrit
 
 from branlab.attack import (
     AttackParams,
+    attack_success,
     attack_success_closed,
-    attack_success_direct,
     attack_success_montecarlo,
     catch_up_probability,
 )
@@ -47,7 +47,7 @@ def test_criterion_01_attack_closed_form_equals_direct_sum():
                 params = AttackParams(confs, beta, giveup)
                 diff = abs(
                     attack_success_closed(params).probability
-                    - attack_success_direct(params).probability
+                    - attack_success(params).probability
                 )
                 worst = max(worst, diff)
                 points += 1
@@ -66,7 +66,7 @@ def test_criterion_02_attack_direct_sum_vs_monte_carlo():
     worst_sigma = 0.0
     for index, (confs, beta, giveup) in enumerate(grid):
         params = AttackParams(confs, beta, giveup)
-        exact = attack_success_direct(params).probability
+        exact = attack_success(params).probability
         mc = attack_success_montecarlo(params, 1_000_000, seed=master * 1000 + index)
         bound = 3 * mc.std_error if mc.std_error > 0 else 3e-6
         assert abs(mc.probability - exact) <= bound, (confs, beta, giveup)

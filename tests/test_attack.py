@@ -1,16 +1,19 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import branlab
+from branlab import attack
 from branlab.attack import (
     _DEFAULT_CHUNK,
     AttackParams,
     ClosedFormRangeError,
     attack_success,
     attack_success_closed,
-    attack_success_direct,
     attack_success_montecarlo,
     catch_up_probability,
     negbin_pmf,
@@ -106,17 +109,17 @@ def test_near_even_race_is_stable():
 
 
 def test_powerless_attacker():
-    assert attack_success_direct(AttackParams(1, 1e-9, 5)).probability < 1e-8
+    assert attack_success(AttackParams(1, 1e-9, 5)).probability < 1e-8
 
 
 def test_patient_equal_power_attacker_approaches_certainty():
-    res = attack_success_direct(AttackParams(1, 1.0, 1000))
+    res = attack_success(AttackParams(1, 1.0, 1000))
     assert res.probability > 0.99
     assert res.std_error == 0.0
 
 
 def test_direct_sum_handles_giveup_below_confirmations():
-    res = attack_success_direct(AttackParams(6, 0.5, 2))
+    res = attack_success(AttackParams(6, 0.5, 2))
     assert 0.0 < res.probability < 1.0
 
 
@@ -145,17 +148,56 @@ def test_closed_equals_direct_on_domain():
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             for giveup in range(confs + 1, 13):
                 params = AttackParams(confs, beta, giveup)
-                d = attack_success_direct(params).probability
+                d = attack_success(params).probability
                 c = attack_success_closed(params).probability
                 assert abs(d - c) <= 1e-12
 
 
+def test_one_analytic_path():
+    assert attack.attack_success_direct is attack.attack_success
+    assert attack_success(AttackParams(3, 0.5, 4)).method == "direct-sum"
+    assert not {"attack_success_closed", "attack_success_direct"} & set(dir(branlab))
+
+
 def test_closed_form_guard():
-    with pytest.raises(ClosedFormRangeError):
+    with pytest.raises(ClosedFormRangeError, match="use attack_success"):
         attack_success_closed(AttackParams(3, 0.5, 3))
-    # dispatcher falls back to the direct sum there
-    assert attack_success(AttackParams(3, 0.5, 3)).method == "direct-sum"
-    assert attack_success(AttackParams(3, 0.5, 4)).method == "closed-form"
+
+
+def exact_success(confs: int, beta: Fraction, giveup: int) -> Fraction:
+    """The mixture in rational arithmetic: head terms plus ``1 - P(n <= N)``."""
+    p_honest, p_attacker = 1 / (1 + beta), beta / (1 + beta)
+    pmf = [math.comb(n + confs - 1, n) * p_honest**confs * p_attacker**n
+           for n in range(confs + 1)]
+
+    def catch_up(deficit):
+        if deficit >= giveup:
+            return Fraction(0)
+        if beta == 1:
+            return Fraction(giveup - deficit, giveup + 1)
+        return (beta ** (deficit + 1) - beta ** (giveup + 1)) / (1 - beta ** (giveup + 1))
+
+    head = sum(w * catch_up(confs - n) for n, w in enumerate(pmf))
+    return head + 1 - sum(pmf)
+
+
+def test_relative_precision_against_exact_sums():
+    # Grid fixed before the first run; exact values reach about 1e-42.
+    start = time.perf_counter()
+    worst = 0.0
+    points = set()
+    for confs in (1, 2, 3, 6, 8, 11, 16):
+        for beta in (1e-3, 0.01, 0.05, 0.3, 1.0, 3.0):
+            for giveup in (1, confs, confs + 1, 2 * confs + 8):
+                points.add((confs, beta, giveup))
+    for confs, beta, giveup in sorted(points):
+        got = attack_success(AttackParams(confs, beta, giveup)).probability
+        exact = exact_success(confs, Fraction(beta), giveup)
+        assert got >= 0.0, (confs, beta, giveup, got)
+        worst = max(worst, float(abs(Fraction(got) - exact) / exact))
+    assert len(points) == 162
+    assert worst <= 1e-12
+    assert time.perf_counter() - start < 1.0
 
 
 def test_probability_bounds_and_monotonicity():
@@ -166,7 +208,7 @@ def test_probability_bounds_and_monotonicity():
     for b in grid_beta:
         for n in grid_conf:
             for g in grid_giveup:
-                p = attack_success_direct(AttackParams(n, b, g)).probability
+                p = attack_success(AttackParams(n, b, g)).probability
                 assert 0.0 <= p <= 1.0
                 values[(b, n, g)] = p
     for n in grid_conf:
@@ -190,8 +232,8 @@ def test_probability_bounds_and_monotonicity():
 def test_hair_trigger_giveup_breaks_confirmation_monotonicity():
     # with Ng=1 a near-equal attacker gains from a longer pre-mining window:
     # S(1)=3/8 < S(2)=13/32, both by hand enumeration of the mixture
-    assert attack_success_direct(AttackParams(1, 1.0, 1)).probability == pytest.approx(3 / 8)
-    assert attack_success_direct(AttackParams(2, 1.0, 1)).probability == pytest.approx(13 / 32)
+    assert attack_success(AttackParams(1, 1.0, 1)).probability == pytest.approx(3 / 8)
+    assert attack_success(AttackParams(2, 1.0, 1)).probability == pytest.approx(13 / 32)
 
 
 # --------------------------------------------------------------- Monte Carlo
@@ -228,7 +270,7 @@ def test_partition_prefix_stability():
 
 def test_monte_carlo_agrees_with_direct_sum():
     params = AttackParams(1, 0.5, 6)
-    exact = attack_success_direct(params).probability
+    exact = attack_success(params).probability
     mc = attack_success_montecarlo(params, 1_000_000, seed=99)
     assert abs(mc.probability - exact) <= 3 * mc.std_error
     assert mc.trials == 1_000_000
@@ -237,13 +279,13 @@ def test_monte_carlo_agrees_with_direct_sum():
 
 def test_monte_carlo_agrees_for_weak_attacker():
     params = AttackParams(1, 0.2, 5)
-    exact = attack_success_direct(params).probability
+    exact = attack_success(params).probability
     mc = attack_success_montecarlo(params, 1_000_000, seed=424)
     assert abs(mc.probability - exact) <= 3 * mc.std_error
 
 
 def test_result_invariants():
-    analytic = attack_success_direct(AttackParams(2, 0.3, 5))
+    analytic = attack_success(AttackParams(2, 0.3, 5))
     assert analytic.std_error == 0.0 and analytic.trials is None
     with pytest.raises(ValueError):
         attack_success_montecarlo(AttackParams(1, 0.5, 4), 0, seed=1)

@@ -173,32 +173,6 @@ def test_out_of_range_attack_values_are_malformed(tmp_path, doc, fragment):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        attack_doc(method="closed-form", sweep=[
-            {"path": "confirmations", "values": [3]},
-            {"path": "attack.giveup_threshold", "values": [2, 8]},
-        ]),
-        attack_doc(engine="markov", method="closed-form", giveup=8,
-                   sweep=[{"path": "confirmations", "values": [1, 8, 12]}]),
-        attack_doc(method="closed-form", giveup=1),
-    ],
-)
-def test_closed_form_attack_outside_its_domain_is_malformed(doc):
-    with pytest.raises(MalformedSpecError, match="giveup_threshold > confirmations"):
-        parse_scenario(doc)
-
-
-def test_closed_form_attack_inside_its_domain_runs(tmp_path):
-    doc = attack_doc(engine="markov", method="closed-form", giveup=8,
-                     sweep=[{"path": "confirmations", "values": [1, 7]}])
-    out = tmp_path / "rows.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
-    assert summary.points_ok == 2
-    assert {r["attack_method"] for r in read_rows(out)} == {"closed-form"}
-
-
 @pytest.mark.parametrize("path", [7, 1, "", None, True, ["rows.csv"]])
 def test_output_path_must_be_a_nonempty_string(path):
     with pytest.raises(MalformedSpecError, match="output.path"):
@@ -292,14 +266,25 @@ def test_closed_form_engine_rows(tmp_path):
 
 
 def test_attack_engine_method_dispatch(tmp_path):
-    doc = markov_doc(engine="attack")
-    doc["attack"] = {"relative_power": 0.4, "giveup_threshold": 6, "method": "direct-sum"}
-    doc["sweep"] = [{"path": "confirmations", "values": [1, 2]}]
+    for engine in ("attack", "markov"):
+        for method in ("closed-form", "direct-sum"):
+            with pytest.raises(MalformedSpecError, match="attack.method"):
+                parse_scenario(attack_doc(engine=engine, method=method))
+
+    # the analytic default runs on both sides of giveup_threshold = confirmations
     out = tmp_path / "atk.csv"
-    run_scenario(parse_scenario(doc), out, include_timestamp=False)
-    rows = read_rows(out)
-    assert all(row["attack_method"] == "direct-sum" for row in rows)
+    for engine in ("attack", "markov"):
+        doc = attack_doc(engine=engine, relative_power=0.4, giveup=6,
+                         sweep=[{"path": "confirmations", "values": [1, 2, 7]}])
+        del doc["attack"]["method"]
+        run_scenario(parse_scenario(doc), out, include_timestamp=False)
+        rows = read_rows(out)
+        assert [row["attack_method"] for row in rows] == ["direct-sum"] * 3
+        assert all(0.0 < float(row["attack_probability"]) < 1.0 for row in rows)
     assert all(float(row["std_error"]) == 0.0 for row in rows)
+
+    doc = attack_doc(relative_power=0.4, giveup=6,
+                     sweep=[{"path": "confirmations", "values": [1, 2]}])
 
     doc["attack"]["method"] = "monte-carlo"
     doc["replication"] = {"seed": 11, "trials": 50_000}
@@ -675,12 +660,24 @@ def test_cli_all_points_skipped_is_failure(tmp_path):
     assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
 
 
-def test_cli_jobs_env_default(tmp_path, monkeypatch):
-    from branlab.scenarios import default_jobs
+def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
+    seen = []
 
+    def fake_run_preset(name, jobs, **options):
+        seen.append(jobs)
+        return scenarios.RunSummary(1, 1, 0, options["out_path"])
+
+    monkeypatch.setattr("branlab.cli.run_preset", fake_run_preset)
+    argv = ["preset", "fig10", "--out", str(tmp_path / "out.csv")]
     monkeypatch.setenv("BRANLAB_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("BRANLAB_JOBS", "junk")
-    assert default_jobs() == 1
+    assert cli_main(argv) == 0
     monkeypatch.delenv("BRANLAB_JOBS")
-    assert default_jobs() == 1
+    assert cli_main(argv) == 0
+    assert seen == [3, 1]
+    for raw in ("junk", "0"):
+        monkeypatch.setenv("BRANLAB_JOBS", raw)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        assert f"argument --jobs: must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+    assert seen == [3, 1]
