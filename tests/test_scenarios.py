@@ -5,6 +5,7 @@ import json
 import pytest
 
 from branlab import des, markov, scenarios
+from branlab.attack import AttackParams, attack_success_closed
 from branlab.cli import main as cli_main
 from branlab.config import ChainConfig
 from branlab.scenarios import (
@@ -173,6 +174,40 @@ def test_out_of_range_attack_values_are_malformed(tmp_path, doc, fragment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        attack_doc(method="closed-form", sweep=[
+            {"path": "confirmations", "values": [3]},
+            {"path": "attack.giveup_threshold", "values": [2, 8]},
+        ]),
+        attack_doc(engine="markov", method="closed-form", giveup=8,
+                   sweep=[{"path": "confirmations", "values": [1, 8, 12]}]),
+        attack_doc(method="closed-form", giveup=1),
+        attack_doc(method="direct-sum"),
+        attack_doc(engine="markov", method="direct-sum"),
+    ],
+)
+def test_closed_form_attack_outside_its_domain_is_malformed(doc):
+    # the closed form is no longer a selectable method anywhere; the
+    # analytic default covers its domain and the rest
+    with pytest.raises(MalformedSpecError, match="attack.method"):
+        parse_scenario(doc)
+
+
+def test_closed_form_attack_inside_its_domain_runs(tmp_path):
+    doc = attack_doc(engine="markov", giveup=8,
+                     sweep=[{"path": "confirmations", "values": [1, 7]}])
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    assert summary.points_ok == 2
+    rows = read_rows(out)
+    assert {r["attack_method"] for r in rows} == {"direct-sum"}
+    for n_conf, row in zip((1, 7), rows):
+        closed = attack_success_closed(AttackParams(n_conf, 0.3, 8)).probability
+        assert float(row["attack_probability"]) == pytest.approx(closed, rel=1e-12)
+
+
 @pytest.mark.parametrize("path", [7, 1, "", None, True, ["rows.csv"]])
 def test_output_path_must_be_a_nonempty_string(path):
     with pytest.raises(MalformedSpecError, match="output.path"):
@@ -266,11 +301,6 @@ def test_closed_form_engine_rows(tmp_path):
 
 
 def test_attack_engine_method_dispatch(tmp_path):
-    for engine in ("attack", "markov"):
-        for method in ("closed-form", "direct-sum"):
-            with pytest.raises(MalformedSpecError, match="attack.method"):
-                parse_scenario(attack_doc(engine=engine, method=method))
-
     # the analytic default runs on both sides of giveup_threshold = confirmations
     out = tmp_path / "atk.csv"
     for engine in ("attack", "markov"):
