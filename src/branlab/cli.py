@@ -35,7 +35,7 @@ def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> Non
     parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
-        "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS", "1"),
+        "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS") or "1",
         help="parallel sweep points (default: $BRANLAB_JOBS or 1)",
     )
     parser.add_argument(

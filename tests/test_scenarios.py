@@ -311,7 +311,7 @@ def test_attack_engine_method_dispatch(tmp_path):
         rows = read_rows(out)
         assert [row["attack_method"] for row in rows] == ["direct-sum"] * 3
         assert all(0.0 < float(row["attack_probability"]) < 1.0 for row in rows)
-    assert all(float(row["std_error"]) == 0.0 for row in rows)
+        assert all(float(row["std_error"]) == 0.0 for row in rows)
 
     doc = attack_doc(relative_power=0.4, giveup=6,
                      sweep=[{"path": "confirmations", "values": [1, 2]}])
@@ -703,11 +703,13 @@ def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
     assert cli_main(argv) == 0
     monkeypatch.delenv("BRANLAB_JOBS")
     assert cli_main(argv) == 0
-    assert seen == [3, 1]
+    monkeypatch.setenv("BRANLAB_JOBS", "")  # an empty value reads as unset
+    assert cli_main(argv) == 0
+    assert seen == [3, 1, 1]
     for raw in ("junk", "0"):
         monkeypatch.setenv("BRANLAB_JOBS", raw)
         with pytest.raises(SystemExit) as exit_:
             cli_main(argv)
         assert exit_.value.code == 2
         assert f"argument --jobs: must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-    assert seen == [3, 1]
+    assert seen == [3, 1, 1]
