@@ -185,14 +185,6 @@ def served_rate(config: ChainConfig) -> float:
     return config.arrival_rate - config.rejection_rate * removed
 
 
-def is_valid(config: ChainConfig | HierarchicalConfig) -> bool:
-    try:
-        validate(config)
-    except ConfigValidationError:
-        return False
-    return True
-
-
 def arrival_rate_for_intensity(rho: float, config: ChainConfig) -> float:
     """Arrival rate that loads the service stage of ``config`` to utilisation ``rho``."""
     if not (0.0 < rho < 1.0):

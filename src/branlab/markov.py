@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -46,19 +45,23 @@ _INITIAL_EXTENT = 16  # auto_truncate's least j_max
 _STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
 
 
-class StateSpaceLimitError(ValueError):
+class SolverError(Exception):
+    """A valid configuration the stationary solve could not handle."""
+
+
+class StateSpaceLimitError(SolverError, ValueError):
     """Requested truncation box exceeds the configured state-count cap."""
 
 
-class SolverConvergenceError(RuntimeError):
+class SolverConvergenceError(SolverError, RuntimeError):
     """The stationary solve did not reach the required residual."""
 
 
-class ReducibleChainError(RuntimeError):
+class ReducibleChainError(SolverError, RuntimeError):
     """The generator admits no unique stationary vector."""
 
 
-class TruncationDidNotConverge(RuntimeError):
+class TruncationDidNotConverge(SolverError, RuntimeError):
     """Frontier mass or queue-length stability never met the tolerance
     before the state-count cap; carries the last bounds tried."""
 
@@ -87,17 +90,6 @@ class StateSpace:
     def count(self) -> int:
         return self.pending.size
 
-    def index_of(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.i_max and 0 <= j <= self.j_max):
-            raise IndexError(f"state ({i}, {j}) outside the truncation box")
-        return i * (self.j_max + 1) + j
-
-    def state_of(self, index: int) -> tuple[int, int]:
-        return int(self.pending[index]), int(self.queued[index])
-
-    def states(self) -> Iterator[tuple[int, int]]:
-        return zip(self.pending.tolist(), self.queued.tolist())
-
 
 def enumerate_states(
     i_max: int, j_max: int, max_states: int = DEFAULT_MAX_STATES
@@ -124,13 +116,6 @@ class RateMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def column_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        coo = self.matrix.tocoo()
-        return zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
 def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
@@ -316,14 +301,19 @@ def _stationary_cached(config: ChainConfig) -> TruncationResult:
     return auto_truncate(config)
 
 
-def stationary_solution(config: ChainConfig) -> TruncationResult:
-    """Auto-truncated stationary solve, cached on the confirmation-free config.
+def solve_key(config: ChainConfig) -> ChainConfig:
+    """The confirmation-free config: configs with one key share one solve.
 
     The chain dynamics do not involve the confirmation depth, so one solve
     serves a whole sweep over it.
     """
+    return replace(config, confirmations=1)
+
+
+def stationary_solution(config: ChainConfig) -> TruncationResult:
+    """Auto-truncated stationary solve, cached on :func:`solve_key`."""
     validate(config)
-    return _stationary_cached(replace(config, confirmations=1))
+    return _stationary_cached(solve_key(config))
 
 
 def latency(config: ChainConfig) -> float:

@@ -17,22 +17,26 @@ schema::
       "output": {"path": "out.csv", "format": "csv"}
     }
 
-Unknown fields are rejected so sweep-path typos surface immediately, and so
-are attack values outside the attack model's range, in the section or in a
-sweep.  The attack method is ``auto`` (the analytic direct sum) or
-``monte-carlo``.  Sweep paths name real configuration fields; the
-pseudo-field ``intensity`` (or ``secondary.intensity`` etc.) sets the
-arrival rate to hit a service-stage utilisation and is applied after any
-other swept field of the same point, so it may not be swept together with
-the same chain's ``arrival_rate``.
+Unknown fields and non-object sections are rejected so typos surface
+immediately, and so are attack values outside the attack model's range, in
+the section or in a sweep.  Each engine's record in ``_ENGINES`` says
+whether an attack section is required, allowed or refused and which
+methods it accepts: ``attack`` requires one, with method ``auto`` (the
+analytic direct sum) or ``monte-carlo``; ``markov`` takes an optional one,
+``auto`` only, and adds the attack columns to its rows.  Sweep paths name
+real configuration fields; the pseudo-field ``intensity`` (or
+``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
+utilisation and is applied after any other swept field of the same point,
+so it may not be swept together with the same chain's ``arrival_rate``.
 
 Rows come out in row-major grid order.  Every point goes through one
-pipeline, :func:`evaluate`: materialise, validate, then the engine's entry
-in one table of result columns and evaluation functions.  Points whose
-materialised configuration fails validation (a hierarchy's primary counts
-the traffic its secondary hands over) and simulation points whose pending
-pool runs away are emitted with ``status=skipped-unstable``, markov points
-whose solve raises a typed solver error with ``status=solver-failed``.
+pipeline, :func:`evaluate`: materialise, validate, then the ``run`` of the
+engine's record, the one place that holds what the runner knows about an
+engine.  Points whose materialised configuration fails validation (a
+hierarchy's primary counts the traffic its secondary hands over) and
+simulation points whose pending pool runs away are emitted with
+``status=skipped-unstable``, markov points whose solve raises a
+:class:`markov.SolverError` with ``status=solver-failed``.
 Neither aborts the run, and both leave the result columns blank; a
 closed-form point that passes validation always yields an ok row.
 Per-point seeds derive from ``sha256("<master_seed>:<point_index>")``, so
@@ -47,6 +51,7 @@ import csv
 import hashlib
 import io
 import json
+from collections.abc import Callable, Hashable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -64,8 +69,6 @@ from .config import (
 )
 
 SCHEMA_VERSION = 1
-_HIER_ENGINES = ("hierarchical-simulation",)
-_ATTACK_METHODS = ("auto", "monte-carlo")
 
 _CHAIN_FIELDS = tuple(field.name for field in fields(ChainConfig))
 # config.py postpones annotations, so each field's type is its source text.
@@ -127,7 +130,9 @@ class RunSummary:
 # parsing
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(section, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise MalformedSpecError(f"{where}: expected an object")
     unknown = set(section) - allowed
     if unknown:
         raise MalformedSpecError(f"{where}: unknown field(s) {sorted(unknown)}")
@@ -160,8 +165,6 @@ def _parse_value(path: str, value, where: str):
 
 
 def _parse_chain(section, where: str) -> ChainConfig:
-    if not isinstance(section, dict):
-        raise MalformedSpecError(f"{where}: expected an object with chain fields")
     _require_keys(section, set(_CHAIN_FIELDS), set(_CHAIN_FIELDS), where)
     return ChainConfig(
         **{name: _parse_value(name, section[name], f"{where}.{name}") for name in _CHAIN_FIELDS}
@@ -174,7 +177,7 @@ def _paths(engine: str, has_attack: bool) -> list[str]:
     Each path's echo column is the path with ``.`` replaced by ``_``.
     """
     chain = [*_CHAIN_FIELDS, "intensity"]
-    if engine in _HIER_ENGINES:
+    if _ENGINES[engine].hierarchical:
         return [f"{side}.{name}" for side in ("primary", "secondary") for name in chain]
     if has_attack:
         return chain + ["attack.relative_power", "attack.giveup_threshold"]
@@ -208,9 +211,6 @@ def parse_scenario(source) -> ScenarioSpec:
             ) from exc
     else:
         doc = source
-    if not isinstance(doc, dict):
-        raise MalformedSpecError("scenario root must be a JSON object")
-
     _require_keys(
         doc,
         {"schema_version", "name", "engine", "base", "sweep", "replication", "attack", "output"},
@@ -227,11 +227,10 @@ def parse_scenario(source) -> ScenarioSpec:
     engine = doc["engine"]
     if engine not in ENGINES:
         raise MalformedSpecError(f"engine: expected one of {ENGINES}, got {engine!r}")
+    entry = _ENGINES[engine]
 
-    if engine in _HIER_ENGINES:
+    if entry.hierarchical:
         base_doc = doc["base"]
-        if not isinstance(base_doc, dict):
-            raise MalformedSpecError("base: expected an object")
         _require_keys(base_doc, {"primary", "secondary"}, {"primary", "secondary"}, "base")
         base: ChainConfig | HierarchicalConfig = HierarchicalConfig(
             primary=_parse_chain(base_doc["primary"], "base.primary"),
@@ -242,11 +241,9 @@ def parse_scenario(source) -> ScenarioSpec:
 
     attack_section = None
     if "attack" in doc:
-        if engine not in ("attack", "markov"):
+        if not entry.attack_methods:
             raise MalformedSpecError(f"attack: not allowed for engine {engine!r}")
         sec = doc["attack"]
-        if not isinstance(sec, dict):
-            raise MalformedSpecError("attack: expected an object")
         _require_keys(
             sec,
             {"relative_power", "giveup_threshold", "method"},
@@ -254,13 +251,10 @@ def parse_scenario(source) -> ScenarioSpec:
             "attack",
         )
         method = sec.get("method", "auto")
-        if method not in _ATTACK_METHODS:
+        if method not in entry.attack_methods:
             raise MalformedSpecError(
-                f"attack.method: expected one of {_ATTACK_METHODS}, got {method!r}"
-            )
-        if engine == "markov" and method == "monte-carlo":
-            raise MalformedSpecError(
-                "attack.method: monte-carlo is only available with the attack engine"
+                f"attack.method: expected one of {entry.attack_methods} for engine "
+                f"{engine!r}, got {method!r}"
             )
         attack_section = AttackSection(
             relative_power=_as_number(sec["relative_power"], "attack.relative_power"),
@@ -268,25 +262,23 @@ def parse_scenario(source) -> ScenarioSpec:
             method=method,
         )
         _check_attack(attack_section, "attack")
-    elif engine == "attack":
-        raise MalformedSpecError("attack: required for the attack engine")
+    elif entry.attack_required:
+        raise MalformedSpecError(f"attack: required for engine {engine!r}")
 
     sweep_doc = doc["sweep"]
     if not isinstance(sweep_doc, list) or not (1 <= len(sweep_doc) <= 2):
         raise MalformedSpecError("sweep: expected a list of one or two swept parameters")
     allowed_paths = _paths(engine, attack_section is not None)
     sweep: list[SweepParam] = []
-    for pos, entry in enumerate(sweep_doc):
+    for pos, item in enumerate(sweep_doc):
         where = f"sweep[{pos}]"
-        if not isinstance(entry, dict):
-            raise MalformedSpecError(f"{where}: expected an object")
-        _require_keys(entry, {"path", "values"}, {"path", "values"}, where)
-        path = entry["path"]
+        _require_keys(item, {"path", "values"}, {"path", "values"}, where)
+        path = item["path"]
         if path not in allowed_paths:
             raise MalformedSpecError(
                 f"{where}.path: {path!r} is not a sweepable field for this scenario"
             )
-        values = entry["values"]
+        values = item["values"]
         if not isinstance(values, list) or not values:
             raise MalformedSpecError(f"{where}.values: expected a nonempty list")
         values = [_parse_value(path, v, f"{where}.values[{i}]") for i, v in enumerate(values)]
@@ -304,8 +296,6 @@ def parse_scenario(source) -> ScenarioSpec:
             raise MalformedSpecError(f"sweep: {path!r} sets {rate!r}, so only one may be swept")
 
     repl_doc = doc.get("replication", {})
-    if not isinstance(repl_doc, dict):
-        raise MalformedSpecError("replication: expected an object")
     _require_keys(repl_doc, {field.name for field in fields(Replication)}, set(), "replication")
     replication = Replication(
         **{name: _as_int(value, f"replication.{name}") for name, value in repl_doc.items()}
@@ -316,8 +306,6 @@ def parse_scenario(source) -> ScenarioSpec:
         raise MalformedSpecError("replication.trials: must be >= 1")
 
     out = doc.get("output", {})
-    if not isinstance(out, dict):
-        raise MalformedSpecError("output: expected an object")
     _require_keys(out, {"path", "format"}, set(), "output")
     out_path = out.get("path")
     if "path" in out and not (isinstance(out_path, str) and out_path):
@@ -388,28 +376,16 @@ def _path_value(path: str, config, attack_section: AttackSection | None):
     return getattr(target, name)
 
 
-def _attack_params(config: ChainConfig, attack_section: AttackSection) -> attack_mod.AttackParams:
-    return attack_mod.AttackParams(
-        confirmations=config.confirmations,
-        relative_power=attack_section.relative_power,
-        giveup_threshold=attack_section.giveup_threshold,
-    )
-
-
-# Typed solver failures: the point gets a solver-failed row, the sweep goes on.
-_SOLVER_ERRORS = (
-    markov.ReducibleChainError,
-    markov.SolverConvergenceError,
-    markov.TruncationDidNotConverge,
-    markov.StateSpaceLimitError,
-)
+# Written only by scenarios that carry an attack section.
+_ATTACK_COLUMNS = ("attack_probability", "attack_method")
 
 
 def _markov(config, attack_section, replication, seed) -> dict:
+    # A typed solver failure gives a solver-failed row; the sweep goes on.
     try:
         solution = markov.stationary_solution(config)
         latency = markov.latency(config)
-    except _SOLVER_ERRORS:
+    except markov.SolverError:
         return {"status": "solver-failed"}
     out = {
         "latency": latency,
@@ -420,9 +396,8 @@ def _markov(config, attack_section, replication, seed) -> dict:
         "std_error": 0.0,
     }
     if attack_section is not None:
-        result = attack_mod.attack_success(_attack_params(config, attack_section))
-        out["attack_probability"] = result.probability
-        out["attack_method"] = result.method
+        attack = _attack(config, attack_section, replication, seed)
+        out.update((col, attack[col]) for col in _ATTACK_COLUMNS)
     return out
 
 
@@ -440,7 +415,11 @@ def _closed_form(config, attack_section, replication, seed) -> dict:
 
 
 def _attack(config, attack_section, replication, seed) -> dict:
-    params = _attack_params(config, attack_section)
+    params = attack_mod.AttackParams(
+        confirmations=config.confirmations,
+        relative_power=attack_section.relative_power,
+        giveup_threshold=attack_section.giveup_threshold,
+    )
     if attack_section.method == "monte-carlo":
         result = attack_mod.attack_success_montecarlo(params, replication.trials, seed)
     else:
@@ -485,33 +464,53 @@ def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
     return out
 
 
-# Written only by scenarios that carry an attack section.
-_ATTACK_COLUMNS = ("attack_probability", "attack_method")
+@dataclass(frozen=True)
+class _Engine:
+    """Everything the sweep runner knows about one engine, so that adding
+    or changing an engine edits one record of ``_ENGINES``.
 
-# engine -> (result columns, evaluate_fn).  ``evaluate_fn(config,
-# attack_section, replication, seed)`` returns the result columns of one
-# valid point, or ``{"status": ...}`` to report the point with its result
-# columns blank.
+    ``run(config, attack_section, replication, seed)`` returns the result
+    columns of one valid point, or ``{"status": ...}`` to report the point
+    with its result columns blank.
+    """
+
+    columns: tuple[str, ...]  # result columns, in row order
+    run: Callable[..., dict]
+    hierarchical: bool = False  # base is {"primary": ..., "secondary": ...}
+    attack_methods: tuple[str, ...] = ()  # accepted attack.method; empty forbids the section
+    attack_required: bool = False
+    # Points whose configs map to one key share a task, so one solve serves them.
+    solve_key: Callable[[ChainConfig], Hashable] | None = None
+
+
 _ENGINES = {
-    "markov": (
+    "markov": _Engine(
         ("latency", "mean_queue_length", "frontier_mass", "box_i_max", "box_j_max",
          "std_error", *_ATTACK_COLUMNS),
         _markov,
+        attack_methods=("auto",),
+        solve_key=markov.solve_key,
     ),
-    "closed-form": (
+    "closed-form": _Engine(
         ("latency", "block_wait", "service_stage", "confirmation_wait", "sojourn",
          "approximate", "std_error"),
         _closed_form,
     ),
-    "simulation": (
+    "simulation": _Engine(
         ("latency", "variance", "ci_low", "ci_high", *_SIM_COUNT_COLUMNS),
         _simulation,
     ),
-    "attack": ((*_ATTACK_COLUMNS, "std_error", "trials"), _attack),
-    "hierarchical-simulation": (
+    "attack": _Engine(
+        (*_ATTACK_COLUMNS, "std_error", "trials"),
+        _attack,
+        attack_methods=("auto", "monte-carlo"),
+        attack_required=True,
+    ),
+    "hierarchical-simulation": _Engine(
         tuple(f"{key}_{stat}" for key in ("e2e", "secondary", "primary")
               for stat in ("latency", "ci_low", "ci_high")) + _SIM_COUNT_COLUMNS,
         _hierarchical_simulation,
+        hierarchical=True,
     ),
 }
 ENGINES = tuple(_ENGINES)
@@ -520,7 +519,7 @@ _BASE_COLUMNS = ["scenario", "engine", "point_index", "status", "param_1", "valu
 
 
 def scenario_header(spec: ScenarioSpec) -> list[str]:
-    results = _ENGINES[spec.engine][0]
+    results = _ENGINES[spec.engine].columns
     if spec.attack is None:
         results = [col for col in results if col not in _ATTACK_COLUMNS]
     echo = [path.replace(".", "_") for path in _paths(spec.engine, spec.attack is not None)]
@@ -560,16 +559,17 @@ def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
 
 
 def _run_tasks(tasks: list[tuple]) -> list[dict]:
-    return [_ENGINES[engine][1](config, attack_section, replication, seed)
+    return [_ENGINES[engine].run(config, attack_section, replication, seed)
             for engine, config, attack_section, replication, seed in tasks]
 
 
 def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
     """One row per grid point of every spec in ``specs``, in grid order.
 
-    Each point is materialised and validated, then evaluated by its
-    engine's table entry.  Markov points that differ only in their
-    confirmation depth form one task, so their chain is solved once.  When
+    Each point is materialised and validated, then run by its engine's
+    record in ``_ENGINES``.  Points whose configs map to one ``solve_key``
+    of their engine form one task, so one solve serves them all: a markov
+    sweep over confirmation depth solves its chain once.  When
     ``jobs`` and the task count both exceed 1, the tasks run in one process
     pool of ``min(jobs, tasks)`` workers for the whole call.
     """
@@ -581,8 +581,9 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
             rows.append(row)
             if task is None:
                 continue
-            engine, config = task[:2]
-            key = replace(config, confirmations=1) if engine == "markov" else len(rows)
+            config = task[1]
+            solve_key = _ENGINES[spec.engine].solve_key
+            key = solve_key(config) if solve_key else len(rows)
             groups.setdefault(key, []).append((row, task))
     batches = list(groups.values())
     work = [[task for _, task in batch] for batch in batches]

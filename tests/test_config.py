@@ -10,7 +10,6 @@ from branlab.config import (
     HierarchicalConfig,
     arrival_rate_for_intensity,
     intensity_of,
-    is_valid,
     pending_root,
     served_rate,
     validate,
@@ -22,7 +21,6 @@ def test_textbook_stable_tandem_is_ok():
     cfg = ChainConfig(0.5, 1.0, 0.0, 1.0, servers=1, block_capacity=1,
                       rejection_batch=1, confirmations=1)
     validate(cfg)  # must not raise
-    assert is_valid(cfg)
 
 
 def test_overloaded_service_stage_rejected():
@@ -109,7 +107,8 @@ def test_hierarchy_counts_the_traffic_the_secondary_hands_over():
         primary=ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4),
         secondary=ChainConfig(0.5, 1.0, 0.0, 1.0),
     )
-    assert is_valid(overloaded.primary) and is_valid(overloaded.secondary)
+    validate(overloaded.primary)
+    validate(overloaded.secondary)
     with pytest.raises(ConfigValidationError) as err:
         validate(overloaded)
     assert err.value.code == "unstable-mining-queue"
@@ -123,7 +122,8 @@ def test_hierarchy_counts_served_not_submitted_traffic():
     secondary = ChainConfig(0.5, 1.0, 0.3, 1.0)
     assert served_rate(secondary) == pytest.approx(0.5 / 1.3, rel=1e-12)
     validate(HierarchicalConfig(primary=primary, secondary=secondary))
-    assert not is_valid(replace(primary, arrival_rate=0.6 + 0.5))
+    with pytest.raises(ConfigValidationError):
+        validate(replace(primary, arrival_rate=0.6 + 0.5))
 
 
 @given(

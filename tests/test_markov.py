@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from branlab.config import ChainConfig, pending_root, served_rate, with_intensity
+from branlab.config import (
+    ChainConfig,
+    ConfigValidationError,
+    pending_root,
+    served_rate,
+    validate,
+    with_intensity,
+)
 from branlab.markov import (
     ReducibleChainError,
     StateSpaceLimitError,
@@ -37,17 +44,25 @@ def mm1_tandem_config(rho=0.5, mining_rate=200.0):
     return ChainConfig(rho, mining_rate, 0.0, 1.0, servers=1)
 
 
+def at(sp, i, j):
+    """Index of state ``(i, j)`` in the row-major box ``sp``."""
+    return i * (sp.j_max + 1) + j
+
+
+def states(sp):
+    return list(zip(sp.pending.tolist(), sp.queued.tolist()))
+
+
 # ---------------------------------------------------------------- state space
 
 
 def test_row_major_enumeration():
     sp = enumerate_states(1, 2)
-    assert list(sp.states()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert [sp.index_of(i, j) for i, j in sp.states()] == [i * 3 + j for i, j in sp.states()]
+    assert states(sp) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert enumerate_states(2, 2).count == 9
     sp05 = enumerate_states(0, 5)
     assert sp05.count == 6
-    assert all(i == 0 for i, _ in sp05.states())
+    assert all(i == 0 for i, _ in states(sp05))
 
 
 def test_state_count_cap():
@@ -59,9 +74,8 @@ def test_state_count_cap():
 def test_index_is_a_bijection(i_max, j_max):
     sp = enumerate_states(i_max, j_max)
     seen = set()
-    for idx, (i, j) in enumerate(sp.states()):
-        assert sp.index_of(i, j) == idx
-        assert sp.state_of(idx) == (i, j)
+    for idx, (i, j) in enumerate(states(sp)):
+        assert at(sp, i, j) == idx
         seen.add((i, j))
     assert len(seen) == sp.count == (i_max + 1) * (j_max + 1)
 
@@ -73,10 +87,10 @@ def test_empty_state_has_only_the_arrival_outflow():
     cfg = ChainConfig(0.7, 1.0, 0.3, 1.0, servers=1)
     sp = enumerate_states(4, 4)
     q = build_generator(cfg, sp).matrix.toarray()
-    i00 = sp.index_of(0, 0)
+    i00 = at(sp, 0, 0)
     assert q[i00, i00] == pytest.approx(-0.7)
     # no mining or rejection column entries out of (0, 0)
-    outflows = {sp.state_of(r): q[r, i00] for r in range(sp.count) if r != i00 and q[r, i00]}
+    outflows = {state: q[r, i00] for r, state in enumerate(states(sp)) if r != i00 and q[r, i00]}
     assert outflows == {(1, 0): pytest.approx(0.7)}
 
 
@@ -84,10 +98,10 @@ def test_state_with_one_queued_request():
     cfg = ChainConfig(0.7, 1.0, 0.3, 1.0, servers=1)
     sp = enumerate_states(4, 4)
     q = build_generator(cfg, sp).matrix.toarray()
-    i01 = sp.index_of(0, 1)
+    i01 = at(sp, 0, 1)
     assert q[i01, i01] == pytest.approx(-(0.7 + 1.0))
-    assert q[sp.index_of(0, 0), i01] == pytest.approx(1.0)
-    assert q[sp.index_of(1, 1), i01] == pytest.approx(0.7)
+    assert q[at(sp, 0, 0), i01] == pytest.approx(1.0)
+    assert q[at(sp, 1, 1), i01] == pytest.approx(0.7)
 
 
 def test_partial_block_and_rejection_targets():
@@ -97,12 +111,13 @@ def test_partial_block_and_rejection_targets():
     sp = enumerate_states(5, 5)
     rates = build_generator(cfg, sp)
     q = rates.matrix.toarray()
-    i20 = sp.index_of(2, 0)
-    assert q[sp.index_of(0, 2), i20] == pytest.approx(1.0)
-    assert q[sp.index_of(1, 0), i20] == pytest.approx(0.3)
+    i20 = at(sp, 2, 0)
+    assert q[at(sp, 0, 2), i20] == pytest.approx(1.0)
+    assert q[at(sp, 1, 0), i20] == pytest.approx(0.3)
     assert q[i20, i20] == pytest.approx(-(0.7 + 1.0 + 0.3))
-    # the sparse entry view agrees with the dense matrix
-    assert all(q[row, col] == rate for row, col, rate in rates.entries())
+    # the sparse entries agree with the dense matrix
+    coo = rates.matrix.tocoo()
+    assert all(q[row, col] == rate for row, col, rate in zip(coo.row, coo.col, coo.data))
 
 
 def test_generator_matches_hand_built_block():
@@ -113,7 +128,7 @@ def test_generator_matches_hand_built_block():
     sp = enumerate_states(5, 5)
     order = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3)]
-    idx = [sp.index_of(i, j) for i, j in order]
+    idx = [at(sp, i, j) for i, j in order]
     got = build_generator(cfg, sp).matrix.toarray()[np.ix_(idx, idx)]
 
     expected = np.zeros((10, 10))
@@ -150,12 +165,13 @@ def test_generator_matches_hand_built_block():
 def test_generator_invariants(ra, rm, rr, rs, servers, capacity, extent):
     from hypothesis import assume
 
-    from branlab.config import is_valid
-
     cfg = ChainConfig(ra, rm, rr, rs, servers=servers, block_capacity=capacity)
-    assume(is_valid(cfg))
+    try:
+        validate(cfg)
+    except ConfigValidationError:
+        assume(False)
     q = build_generator(cfg, enumerate_states(extent, extent))
-    assert np.max(np.abs(q.column_sums())) <= 1e-12
+    assert np.max(np.abs(q.matrix.sum(axis=0))) <= 1e-12
     dense = q.matrix.toarray()
     off = dense - np.diag(np.diag(dense))
     assert np.all(off >= 0)
@@ -170,7 +186,7 @@ def test_empty_system_limit():
     sp = enumerate_states(6, 6)
     dist = solve_steady_state(build_generator(cfg, sp))
     p = dist.probabilities
-    assert p[sp.index_of(0, 0)] == pytest.approx(1.0, abs=1e-6)
+    assert p[at(sp, 0, 0)] == pytest.approx(1.0, abs=1e-6)
     assert np.all(p[1:] < 1e-6)
 
 
@@ -179,9 +195,7 @@ def test_degenerate_chain_recovers_single_queue_law():
     cfg = mm1_tandem_config(rho)
     sp = enumerate_states(4, 40)
     dist = solve_steady_state(build_generator(cfg, sp))
-    marginal = np.zeros(41)
-    for idx, (_, j) in enumerate(sp.states()):
-        marginal[j] += dist.probabilities[idx]
+    marginal = np.bincount(sp.queued, weights=dist.probabilities, minlength=41)
     expected = (1 - rho) * rho ** np.arange(41)
     np.testing.assert_allclose(marginal[:20], expected[:20], atol=2e-3)
 

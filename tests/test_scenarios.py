@@ -90,11 +90,25 @@ def test_round_trip_parse():
             ),
             "distinct",
         ),
+        # Every section that must be an object refuses a non-object, naming its path.
+        (lambda d: [d], "scenario: expected an object"),
+        (lambda d: d.update(base=[1]), "base: expected an object"),
+        (
+            lambda d: d.update(engine="hierarchical-simulation",
+                               base={"primary": 3, "secondary": chain_doc()}),
+            "base.primary: expected an object",
+        ),
+        (lambda d: d.update(attack="auto"), "attack: expected an object"),
+        (lambda d: d.update(sweep=["intensity"]), "sweep[0]: expected an object"),
+        (lambda d: d.update(replication=7), "replication: expected an object"),
+        (lambda d: d.update(output="out.csv"), "output: expected an object"),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
     doc = markov_doc()
-    mutate(doc)
+    root = mutate(doc)
+    if isinstance(root, list):  # the mutation built a non-object root
+        doc = root
     with pytest.raises(MalformedSpecError) as err:
         parse_scenario(doc)
     assert fragment in str(err.value)
@@ -120,19 +134,45 @@ def test_arrival_rate_and_intensity_are_not_swept_together(make_doc, rate, inten
     assert rate in str(err.value) and intensity in str(err.value)
 
 
-def test_attack_section_rules():
-    doc = markov_doc(engine="attack")
-    with pytest.raises(MalformedSpecError, match="required"):
-        parse_scenario(doc)
-    doc["attack"] = {"relative_power": 0.3, "giveup_threshold": 6}
-    doc["sweep"] = [{"path": "attack.relative_power", "values": [0.1, 0.2]}]
-    spec = parse_scenario(doc)
-    assert spec.attack.method == "auto"
+# engine -> (accepted attack.method values, empty where the section is refused;
+#            whether the section is required)
+ATTACK_RULES = {
+    "markov": (("auto",), False),
+    "attack": (("auto", "monte-carlo"), True),
+    "closed-form": ((), False),
+    "simulation": ((), False),
+    "hierarchical-simulation": ((), False),
+}
 
-    bad = sim_doc()
-    bad["attack"] = {"relative_power": 0.3, "giveup_threshold": 6}
-    with pytest.raises(MalformedSpecError, match="not allowed"):
-        parse_scenario(bad)
+
+@pytest.mark.parametrize("engine", list(ATTACK_RULES))
+def test_attack_section_rules(engine):
+    assert set(ATTACK_RULES) == set(scenarios.ENGINES)
+    methods, required = ATTACK_RULES[engine]
+    doc = hier_doc() if engine == "hierarchical-simulation" else markov_doc(engine=engine)
+    if required:
+        with pytest.raises(MalformedSpecError, match="attack: required"):
+            parse_scenario(doc)
+    else:
+        assert parse_scenario(doc).attack is None
+
+    for method in ("auto", "monte-carlo"):
+        doc["attack"] = {"relative_power": 0.3, "giveup_threshold": 6, "method": method}
+        if not methods:
+            with pytest.raises(MalformedSpecError, match="attack: not allowed"):
+                parse_scenario(doc)
+        elif method in methods:
+            assert parse_scenario(doc).attack.method == method
+        else:
+            with pytest.raises(MalformedSpecError, match="attack.method"):
+                parse_scenario(doc)
+
+    if methods:
+        del doc["attack"]["method"]
+        doc["sweep"] = [{"path": "attack.relative_power", "values": [0.1, 0.2]}]
+        spec = parse_scenario(doc)
+        assert spec.attack.method == "auto"
+        assert "attack_probability" in scenario_header(spec)
 
 
 def attack_doc(engine="attack", relative_power=0.3, giveup=8, method="auto", sweep=None):
@@ -472,9 +512,22 @@ def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
         assert float(row["latency"]) == pytest.approx(markov.latency(cfg), rel=1e-7)
 
 
-def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "error",
+    [
+        markov.ReducibleChainError("stationary solve produced no probability mass"),
+        markov.SolverConvergenceError("stationary residual 1e-6 exceeds 1e-9"),
+        markov.TruncationDidNotConverge("no convergence", i_max=40, j_max=512,
+                                        frontier_mass=1e-3),
+        markov.StateSpaceLimitError("box (40, 512) holds 20553 states"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch, error):
+    assert isinstance(error, markov.SolverError)
+
     def fail(config):
-        raise markov.ReducibleChainError("stationary solve produced no probability mass")
+        raise error
 
     # No cheap valid configuration fails to solve, so the failure is injected.
     monkeypatch.setattr(markov, "stationary_solution", fail)
@@ -491,6 +544,19 @@ def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch):
     assert [r["status"] for r in rows] == ["solver-failed"] * 2
     assert all(r["latency"] == "" and r["box_i_max"] == "" for r in rows)
     assert [int(r["confirmations"]) for r in rows] == [1, 2]
+
+
+def test_untyped_solver_exception_propagates(tmp_path, monkeypatch):
+    # Only typed solver errors become rows; anything else is a bug and stops the run.
+    def fail(config):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(markov, "stationary_solution", fail)
+    spec = parse_scenario(markov_doc())
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ZeroDivisionError):
+        run_scenario(spec, out, include_timestamp=False)
+    assert not out.exists()
 
 
 def hier_doc(**overrides):
@@ -606,6 +672,13 @@ def test_every_preset_parses():
         assert specs
         for spec in specs:
             assert spec.point_count >= 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+def test_preset_sub_scenarios_share_one_header(name):
+    # A preset's rows are all written under its first sub-scenario's header.
+    headers = {tuple(scenario_header(spec)) for spec in preset_specs(name)}
+    assert len(headers) == 1
 
 
 def test_unknown_preset():
