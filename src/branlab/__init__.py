@@ -3,41 +3,26 @@
 Analytic Markov-chain latency, closed-form tandem queueing, alternate
 history attack probabilities, and an event-driven simulator, plus a sweep
 runner with presets.
+
+The package exports the user API only: the two config types and their
+checks, one entry point per engine, and the sweep runner.  Solver
+internals, helpers and result types are imported from their modules
+(``branlab.markov``, ``branlab.queueing``, ``branlab.attack``,
+``branlab.des``, ``branlab.scenarios``).
 """
 
 from .config import (
     ChainConfig,
     ConfigValidationError,
     HierarchicalConfig,
-    arrival_rate_for_intensity,
     intensity_of,
     validate,
     with_intensity,
 )
-from .markov import (
-    RateMatrix,
-    StateSpace,
-    SteadyStateDistribution,
-    auto_truncate,
-    build_generator,
-    enumerate_states,
-    latency,
-    mean_queue_length,
-    solve_steady_state,
-    stationary_solution,
-)
-from .queueing import LatencyBreakdown, closed_form_latency, erlang_c
-from .attack import (
-    AttackParams,
-    AttackResult,
-    attack_success,
-    attack_success_montecarlo,
-    catch_up_probability,
-    negbin_pmf,
-)
+from .markov import latency, stationary_solution
+from .queueing import closed_form_latency
+from .attack import AttackParams, attack_success, attack_success_montecarlo
 from .des import (
-    RequestRecord,
-    SimResult,
     SimulationUnstableError,
     simulate_chain,
     simulate_hierarchical,
@@ -45,7 +30,6 @@ from .des import (
 )
 from .scenarios import (
     MalformedSpecError,
-    ScenarioSpec,
     list_presets,
     parse_scenario,
     preset_specs,

@@ -75,11 +75,8 @@ def negbin_pmf(attacker_blocks: int, confirmations: int, relative_power: float) 
 
     ``C(n+N-1, n) * (1/(1+beta))^N * (beta/(1+beta))^n`` evaluated in log
     space, so block counts in the hundreds neither overflow nor underflow.
+    Callers pass ``attacker_blocks >= 0`` and a validated ``relative_power > 0``.
     """
-    if attacker_blocks < 0:
-        return 0.0
-    if relative_power == 0.0:
-        return 1.0 if attacker_blocks == 0 else 0.0
     n, k = attacker_blocks, confirmations
     log_comb = math.lgamma(n + k) - math.lgamma(n + 1) - math.lgamma(k)
     log_p = -k * math.log1p(relative_power)
@@ -165,8 +162,9 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     derived from ``(seed, partition_index)``, so the merged estimate is
     identical however the partitions are assigned to workers.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    # bool is an int subclass, but True is not a count.
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)

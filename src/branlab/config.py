@@ -185,19 +185,14 @@ def served_rate(config: ChainConfig) -> float:
     return config.arrival_rate - config.rejection_rate * removed
 
 
-def arrival_rate_for_intensity(rho: float, config: ChainConfig) -> float:
-    """Arrival rate that loads the service stage of ``config`` to utilisation ``rho``."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"traffic intensity must lie in (0, 1), got {rho!r}")
-    return rho * config.servers * config.service_rate
-
-
 def intensity_of(config: ChainConfig) -> float:
-    """Inverse of :func:`arrival_rate_for_intensity`: service-stage utilisation."""
+    """Service-stage utilisation ``R_a / (s R_s)``; inverse of :func:`with_intensity`."""
     return config.arrival_rate / (config.servers * config.service_rate)
 
 
 def with_intensity(config: ChainConfig, rho: float) -> ChainConfig:
-    """Copy of ``config`` with the arrival rate set to hit intensity ``rho``."""
-    return replace(config, arrival_rate=arrival_rate_for_intensity(rho, config))
+    """Copy of ``config`` with arrival rate ``rho s R_s``: service-stage utilisation ``rho``."""
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"traffic intensity must lie in (0, 1), got {rho!r}")
+    return replace(config, arrival_rate=rho * config.servers * config.service_rate)
 

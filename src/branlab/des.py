@@ -46,7 +46,7 @@ import csv
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections import deque
 
 import numpy as np
@@ -427,26 +427,18 @@ def simulate_hierarchical(
     return _simulate(hconfig, target_served, seed, confirmation_mode, max_pending, collect_records)
 
 
-_TRACE_COLUMNS = (
-    "request_id", "chain", "submitted_at", "mined_at",
-    "confirmed_at", "service_start_at", "disposition",
-)
-
-
 def write_trace_csv(records: list[RequestRecord], path) -> None:
-    """Dump per-request lifecycle records (one row per request per chain)."""
+    """Dump per-request lifecycle records, one row per request per chain.
+
+    One column per :class:`RequestRecord` field, in field order: an unset
+    timestamp is an empty cell and a float is written with ``repr``.
+    """
+    names = [f.name for f in fields(RequestRecord)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_TRACE_COLUMNS)
+        writer.writerow(names)
         for rec in records:
+            values = (getattr(rec, name) for name in names)
             writer.writerow(
-                [
-                    rec.request_id,
-                    rec.chain,
-                    repr(rec.submitted_at),
-                    "" if rec.mined_at is None else repr(rec.mined_at),
-                    "" if rec.confirmed_at is None else repr(rec.confirmed_at),
-                    "" if rec.service_start_at is None else repr(rec.service_start_at),
-                    rec.disposition,
-                ]
+                "" if v is None else repr(v) if isinstance(v, float) else v for v in values
             )

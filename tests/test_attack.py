@@ -284,8 +284,9 @@ def test_monte_carlo_agrees_for_weak_attacker():
 def test_result_invariants():
     analytic = attack_success(AttackParams(2, 0.3, 5))
     assert analytic.std_error == 0.0 and analytic.trials is None
-    with pytest.raises(ValueError):
-        attack_success_montecarlo(AttackParams(1, 0.5, 4), 0, seed=1)
+    for trials in (0, True, 2.5):
+        with pytest.raises(ValueError, match=f"trials must be an integer >= 1, got {trials!r}"):
+            attack_success_montecarlo(AttackParams(1, 0.5, 4), trials, seed=1)
     with pytest.raises(ValueError):
         AttackParams(0, 0.5, 4)
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from branlab.config import (
     ChainConfig,
     ConfigValidationError,
     HierarchicalConfig,
-    arrival_rate_for_intensity,
     intensity_of,
     pending_root,
     served_rate,
@@ -159,15 +158,15 @@ def test_pending_root_of_single_request_blocks():
 
 
 def test_intensity_conversion_examples():
-    assert arrival_rate_for_intensity(0.5, ChainConfig(1, 1, 0, 1.0, servers=1)) == 0.5
-    assert arrival_rate_for_intensity(0.8, ChainConfig(1, 1, 0, 1.0, servers=10)) == 8.0
+    assert with_intensity(ChainConfig(1, 1, 0, 1.0, servers=1), 0.5).arrival_rate == 0.5
+    assert with_intensity(ChainConfig(1, 1, 0, 1.0, servers=10), 0.8).arrival_rate == 8.0
     assert intensity_of(ChainConfig(4.0, 1, 0, 1.0, servers=10)) == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5])
 def test_intensity_out_of_range(rho):
-    with pytest.raises(ValueError):
-        arrival_rate_for_intensity(rho, ChainConfig(1.0, 1.0, 0.1, 1.0, servers=10))
+    with pytest.raises(ValueError, match="traffic intensity must lie in"):
+        with_intensity(ChainConfig(1.0, 1.0, 0.1, 1.0, servers=10), rho)
 
 
 @given(

@@ -18,6 +18,7 @@ from branlab.config import (
 )
 import branlab
 from branlab.des import (
+    RequestRecord,
     SimulationUnstableError,
     _stats,
     simulate_chain,
@@ -100,17 +101,21 @@ def test_record_timestamps_are_ordered():
 
 def test_trace_dump_round_trip(tmp_path):
     import csv
+    from dataclasses import fields
 
-    res = simulate_chain(BASE, 500, seed=5, collect_records=True)
+    res = simulate_hierarchical(HIER, 200, seed=5, collect_records=True)
+    assert any(rec.origin_submitted_at is not None for rec in res.records)
     path = tmp_path / "trace.csv"
     write_trace_csv(res.records, path)
-    rows = list(csv.DictReader(path.open()))
+    with path.open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == [f.name for f in fields(RequestRecord)]
     assert len(rows) == len(res.records)
-    assert set(rows[0]) == {
-        "request_id", "chain", "submitted_at", "mined_at",
-        "confirmed_at", "service_start_at", "disposition",
-    }
-    assert float(rows[0]["submitted_at"]) == res.records[0].submitted_at
+    for rec, row in zip(res.records, rows):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            value = getattr(rec, name)
+            assert (None if cell == "" else type(value)(cell)) == value, (name, cell)
 
 
 def test_single_queue_waiting_time_oracle():

@@ -576,6 +576,33 @@ def hier_doc(**overrides):
     return doc
 
 
+@pytest.mark.parametrize(
+    "make_doc",
+    [
+        markov_doc,
+        lambda: attack_doc(engine="markov"),
+        lambda: markov_doc(engine="closed-form"),
+        sim_doc,
+        attack_doc,
+        lambda: {**attack_doc(method="monte-carlo"), "replication": {"seed": 1, "trials": 1000}},
+        hier_doc,
+    ],
+    ids=["markov", "markov-attack", "closed-form", "simulation", "attack", "attack-monte-carlo",
+         "hierarchical-simulation"],
+)
+def test_engine_rows_fill_exactly_their_result_columns(make_doc):
+    # An engine's columns and its evaluator's keys are written separately,
+    # and the writer blanks a header column that no row key fills.
+    spec = parse_scenario(make_doc())
+    echo = [path.replace(".", "_") for path in scenarios._paths(spec.engine, spec.attack is not None)]
+    prefix = {*scenarios._BASE_COLUMNS, *echo}
+    results = set(scenario_header(spec)) - prefix
+    rows = scenarios.evaluate([spec])
+    assert rows and all(row["status"] == "ok" for row in rows)
+    for row in rows:
+        assert set(row) - prefix == results
+
+
 @pytest.mark.parametrize("doc", [sim_doc(), hier_doc()], ids=["chain", "hierarchy"])
 def test_runaway_simulation_is_reported_not_fatal(tmp_path, monkeypatch, doc):
     def runaway(config, target_served, seed):
