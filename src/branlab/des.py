@@ -17,10 +17,10 @@ at most one pool event and one departure event, so no event is stale.
 
 Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
 independent exponential block intervals to each request's inclusion time
-before it may join the service queue.  ``event-driven`` instead counts
-``N - 1`` actual subsequent block-mined events of the same chain, which
-can stall when the pending pool goes quiet; the mode exists to quantify
-that approximation gap.
+before it may join the service queue.  ``event-driven`` instead queues the
+chain's last ``N - 1`` mined blocks and releases a block's requests when
+the ``N - 1``-th block after it is mined, which can stall when the pending
+pool goes quiet; the mode exists to quantify that approximation gap.
 
 The recorded latency of a request is ``service_start - submitted``: the
 request's own service time is excluded.
@@ -46,7 +46,7 @@ import csv
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from collections import deque
 
 import numpy as np
@@ -85,7 +85,6 @@ class LatencyStats:
     mean: float
     variance: float
     confidence_interval_95: tuple[float, float]
-    count: int
 
 
 @dataclass
@@ -95,7 +94,8 @@ class SimResult:
     ``latency_samples`` holds the post-warm-up samples the statistics are
     computed from.  ``breakdown`` is present for hierarchical runs and maps
     ``secondary``, ``primary`` and ``e2e`` to per-component statistics over
-    the same retained requests.
+    the same retained requests.  Batch sizes, per-chain rejections and the
+    primary's background traffic are read from ``records``.
     """
 
     latency_samples: np.ndarray
@@ -106,20 +106,14 @@ class SimResult:
     rejected_count: int
     generated_count: int
     in_flight_count: int
-    max_mined_batch: int
-    max_rejected_batch: int
     warmup_discarded: int
     breakdown: dict[str, LatencyStats] | None = None
-    aux_counts: dict[str, int] = field(default_factory=dict)
     records: list[RequestRecord] | None = None
 
 
 def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
     arr = np.asarray(samples, dtype=np.float64)
     n = arr.size
-    if n == 0:
-        nan = float("nan")
-        return LatencyStats(nan, nan, (nan, nan), 0)
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1)) if n > 1 else 0.0
     # Batch means absorb the autocorrelation of queueing output; fall back
@@ -131,28 +125,28 @@ def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
         spread = float(means.std(ddof=1)) / math.sqrt(_CI_BATCHES)
         tcrit = float(stdtrit(_CI_BATCHES - 1, 0.975))
         half = tcrit * spread
-        return LatencyStats(mean, variance, (center - half, center + half), n)
+        return LatencyStats(mean, variance, (center - half, center + half))
     spread = math.sqrt(variance / n) if n > 1 else 0.0
     tcrit = float(stdtrit(max(n - 1, 1), 0.975))
     half = tcrit * spread
-    return LatencyStats(mean, variance, (mean - half, mean + half), n)
+    return LatencyStats(mean, variance, (mean - half, mean + half))
 
 
 class _Chain:
     """Mutable per-chain simulation state.
 
     ``free`` is a heap of link departure times; times already passed belong
-    to idle links.  ``downstream`` is the chain that each request starting
-    service here is handed to, or ``None`` on the chain where requests are
-    sampled.
+    to idle links.  ``unconfirmed`` queues the batches of the last ``N - 1``
+    mined blocks, oldest first, in ``event-driven`` mode.  ``downstream`` is
+    the chain that each request starting service here is handed to, or
+    ``None`` on the chain where requests are sampled.
     """
 
     __slots__ = (
         "label", "arrival_rate", "mining_rate", "pool_rate", "reject_share",
         "service_rate", "servers", "capacity", "reject_batch",
-        "extra_confs", "event_driven", "pending", "blocks_mined", "conf_groups",
-        "ready_queue", "free", "generated", "served", "rejected",
-        "max_mined_batch", "max_rejected_batch", "downstream",
+        "extra_confs", "event_driven", "pending", "unconfirmed",
+        "ready_queue", "free", "generated", "rejected", "downstream",
     )
 
     def __init__(self, label: str, config: ChainConfig, mode: str):
@@ -168,15 +162,11 @@ class _Chain:
         self.extra_confs = config.confirmations - 1
         self.event_driven = mode == "event-driven"
         self.pending: deque[list] = deque()
-        self.blocks_mined = 0
-        self.conf_groups: deque[tuple[int, list[list]]] = deque()
+        self.unconfirmed: deque[list[list]] = deque()
         self.ready_queue: deque[list] = deque()
         self.free: list[float] = []
         self.generated = 0
-        self.served = 0
         self.rejected = 0
-        self.max_mined_batch = 0
-        self.max_rejected_batch = 0
         self.downstream: _Chain | None = None
 
 
@@ -220,7 +210,6 @@ def _run(
     def begin(chain: _Chain, req: list, t: float) -> None:
         req[4] = t
         req[5] = "served"
-        chain.served += 1
         heappush(chain.free, t - log(1.0 - uniform()) / chain.service_rate)
         if chain.downstream is not None:
             submit(chain.downstream, t, req[1])
@@ -260,8 +249,6 @@ def _run(
             pending = chain.pending
             if chain.reject_share > 0.0 and uniform() < chain.reject_share:
                 size = min(len(pending), chain.reject_batch)
-                if size > chain.max_rejected_batch:
-                    chain.max_rejected_batch = size
                 chain.rejected += size
                 for _ in range(size):
                     req = pending.popleft()
@@ -272,19 +259,15 @@ def _run(
             else:
                 size = min(len(pending), chain.capacity)
                 batch = [pending.popleft() for _ in range(size)]
-                chain.blocks_mined += 1
-                if size > chain.max_mined_batch:
-                    chain.max_mined_batch = size
                 if chain.event_driven:
                     for req in batch:
                         req[2] = t
-                    groups = chain.conf_groups
-                    groups.append((chain.blocks_mined + chain.extra_confs, batch))
-                    released = []
-                    while groups and groups[0][0] <= chain.blocks_mined:
-                        for req in groups.popleft()[1]:
-                            req[3] = t
-                            released.append(req)
+                    # This block confirms the one mined N - 1 blocks before it.
+                    unconfirmed = chain.unconfirmed
+                    unconfirmed.append(batch)
+                    released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
+                    for req in released:
+                        req[3] = t
                 elif chain.extra_confs:
                     rate = chain.mining_rate
                     for req in batch:
@@ -327,11 +310,10 @@ def _simulate(
     max_pending: int,
     collect_records: bool,
 ) -> SimResult:
-    # bool is an int subclass, but True is not a count.
-    if isinstance(target_served, bool) or not isinstance(target_served, int) or target_served < 1:
-        raise ValueError(f"target_served must be an integer >= 1, got {target_served!r}")
-    if max_pending < 1:
-        raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
+    for name, count in (("target_served", target_served), ("max_pending", max_pending)):
+        # bool is an int subclass, but True is not a count.
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     if confirmation_mode not in CONFIRMATION_MODES:
         raise ValueError(
             f"confirmation_mode must be one of {CONFIRMATION_MODES}, got {confirmation_mode!r}"
@@ -363,8 +345,6 @@ def _simulate(
         rejected_count=rejected,
         generated_count=entry.generated,
         in_flight_count=entry.generated - served - rejected,
-        max_mined_batch=max(chain.max_mined_batch for chain in chains),
-        max_rejected_batch=max(chain.max_rejected_batch for chain in chains),
         warmup_discarded=warmup,
         records=None if requests is None else [RequestRecord(i, *req) for i, req in enumerate(requests)],
     )
@@ -373,12 +353,6 @@ def _simulate(
             "e2e": stats,
             "secondary": _stats(first_leg[warmup:]),
             "primary": _stats(last_leg[warmup:]),
-        }
-        result.aux_counts = {
-            "secondary_rejected": secondary.rejected,
-            "e2e_rejected_at_primary": rejected_downstream,
-            "primary_background_generated": primary.generated - secondary.served,
-            "primary_served_total": primary.served,
         }
     return result
 

@@ -69,6 +69,7 @@ from .config import (
 )
 
 SCHEMA_VERSION = 1
+_FORMATS = ("csv", "jsonl")
 
 _CHAIN_FIELDS = tuple(field.name for field in fields(ChainConfig))
 # config.py postpones annotations, so each field's type is its source text.
@@ -200,9 +201,9 @@ def parse_scenario(source) -> ScenarioSpec:
     """Parse and strictly validate a scenario from a dict or a JSON file path."""
     if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise MalformedSpecError(f"cannot read scenario file: {exc}") from exc
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedSpecError(f"cannot read scenario file {source}: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -311,7 +312,7 @@ def parse_scenario(source) -> ScenarioSpec:
     if "path" in out and not (isinstance(out_path, str) and out_path):
         raise MalformedSpecError(f"output.path: expected a nonempty string, got {out_path!r}")
     out_format = out.get("format", "csv")
-    if out_format not in ("csv", "jsonl"):
+    if out_format not in _FORMATS:
         raise MalformedSpecError(f"output.format: expected csv or jsonl, got {out_format!r}")
 
     return ScenarioSpec(
@@ -617,6 +618,8 @@ def _format_cell(value) -> str:
 def _write_rows(
     specs: list[ScenarioSpec], path, fmt: str, jobs: int, include_timestamp: bool
 ) -> RunSummary:
+    if fmt not in _FORMATS:
+        raise ValueError(f"fmt: expected csv or jsonl, got {fmt!r}")
     rows = evaluate(specs, jobs)
     header = scenario_header(specs[0])
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")

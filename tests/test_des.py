@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -80,10 +81,13 @@ def test_reported_mean_sits_inside_its_own_interval():
 
 
 def test_batch_sizes_respect_capacity():
+    # The rejection batch bound is checked through the rejected share in
+    # test_pending_pool_follows_its_exact_law, which depends on r.
     cfg = ChainConfig(0.9, 0.5, 0.3, 1.0, servers=2, block_capacity=4, rejection_batch=2)
-    res = simulate_chain(cfg, 5000, seed=11)
-    assert 0 < res.max_mined_batch <= 4
-    assert 0 < res.max_rejected_batch <= 2
+    res = simulate_chain(cfg, 5000, seed=11, collect_records=True)
+    blocks = Counter((rec.chain, rec.mined_at) for rec in res.records if rec.mined_at is not None)
+    assert all(1 <= size <= 4 for size in blocks.values())
+    assert max(blocks.values()) > 1
 
 
 def test_record_timestamps_are_ordered():
@@ -282,18 +286,18 @@ _PINNED_CHAINS = {
     "three-confirmations": ChainConfig(0.8, 2.5, 0.0, 1.0, block_capacity=3, confirmations=3),
     "busy-links": ChainConfig(3.6, 500.0, 0.0, 1.0, servers=4),  # requests queue for links
 }
-# (served, rejected, generated, max mined batch, records, mean, first sample, last sample)
+# (served, rejected, generated, records, mean, first sample, last sample)
 _PINNED = {
-    ("single", "additive"): (4000, 0, 4002, 1, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
-    ("single", "event-driven"): (4000, 0, 4002, 1, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
-    ("ten-links", "additive"): (4000, 0, 4000, 3, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
-    ("ten-links", "event-driven"): (4000, 0, 4000, 3, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
-    ("rejecting", "additive"): (4000, 2109, 6110, 3, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
-    ("rejecting", "event-driven"): (4000, 2109, 6110, 3, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
-    ("three-confirmations", "additive"): (4000, 0, 4009, 3, None, 4.90119895991679, 12.702707669481526, 7.827748520810019),
-    ("three-confirmations", "event-driven"): (4000, 0, 4024, 3, None, 7.536558157810613, 6.042700840285534, 12.442406383266643),
-    ("busy-links", "additive"): (4000, 0, 4021, 1, None, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
-    ("hierarchy", "additive"): (4000, 647, 4648, 3, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
+    ("single", "additive"): (4000, 0, 4002, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("single", "event-driven"): (4000, 0, 4002, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("ten-links", "additive"): (4000, 0, 4000, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("ten-links", "event-driven"): (4000, 0, 4000, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("rejecting", "additive"): (4000, 2109, 6110, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("rejecting", "event-driven"): (4000, 2109, 6110, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("three-confirmations", "additive"): (4000, 0, 4009, None, 4.90119895991679, 12.702707669481526, 7.827748520810019),
+    ("three-confirmations", "event-driven"): (4000, 0, 4024, None, 7.536558157810613, 6.042700840285534, 12.442406383266643),
+    ("busy-links", "additive"): (4000, 0, 4021, None, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
+    ("hierarchy", "additive"): (4000, 647, 4648, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
 }
 
 
@@ -309,8 +313,7 @@ def test_seeded_output_is_pinned(name, mode):
         res = simulate_chain(_PINNED_CHAINS[name], 4000, seed=2026, confirmation_mode=mode)
     *counts, mean, first, last = _PINNED[name, mode]
     records = None if res.records is None else len(res.records)
-    assert [res.served_count, res.rejected_count, res.generated_count,
-            res.max_mined_batch, records] == counts
+    assert [res.served_count, res.rejected_count, res.generated_count, records] == counts
     assert res.mean == pytest.approx(mean, rel=1e-12)
     assert res.latency_samples[0] == pytest.approx(first, rel=1e-12)
     assert res.latency_samples[-1] == pytest.approx(last, rel=1e-12)
@@ -330,10 +333,11 @@ def test_target_served_is_a_whole_count(target):
         simulate_chain(BASE, target, seed=1)
 
 
-def test_max_pending_below_one_is_rejected():
-    # 0 used to report a stable chain as unable to drain its arrivals.
+@pytest.mark.parametrize("max_pending", [0, True, 2.5])
+def test_max_pending_below_one_is_rejected(max_pending):
+    # Each used to report a stable chain as unable to drain its arrivals.
     with pytest.raises(ValueError, match="max_pending"):
-        simulate_chain(BASE, 100, seed=1, max_pending=0)
+        simulate_chain(BASE, 100, seed=1, max_pending=max_pending)
 
 
 # ------------------------------------------------------------- hierarchical
@@ -361,8 +365,10 @@ def test_secondary_slower_than_well_provisioned_primary():
 
 
 def test_primary_carries_background_traffic():
-    with_bg = simulate_hierarchical(HIER, 3000, seed=2)
-    assert with_bg.aux_counts["primary_background_generated"] > 0
+    with_bg = simulate_hierarchical(HIER, 3000, seed=2, collect_records=True)
+    assert any(
+        rec.chain == "primary" and rec.origin_submitted_at is None for rec in with_bg.records
+    )
 
 
 def test_hierarchical_determinism():
@@ -384,13 +390,12 @@ def test_hierarchical_rejections_on_both_chains():
         primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3),
         secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, servers=1),
     )
-    res = simulate_hierarchical(rejecting, 8000, seed=77)
-    assert res.aux_counts["secondary_rejected"] > 0
-    assert res.aux_counts["e2e_rejected_at_primary"] > 0
-    assert (
-        res.rejected_count
-        == res.aux_counts["secondary_rejected"] + res.aux_counts["e2e_rejected_at_primary"]
-    )
+    res = simulate_hierarchical(rejecting, 8000, seed=77, collect_records=True)
+    rejected = [rec for rec in res.records if rec.disposition == "rejected"]
+    at_secondary = sum(rec.chain == "secondary" for rec in rejected)
+    at_primary = sum(rec.chain == "primary" and rec.origin_submitted_at is not None for rec in rejected)
+    assert at_secondary > 0 and at_primary > 0
+    assert res.rejected_count == at_secondary + at_primary
     assert res.served_count + res.rejected_count + res.in_flight_count == res.generated_count
 
 

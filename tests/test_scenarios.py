@@ -267,6 +267,10 @@ def test_json_file_parsing_and_diagnostics(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(MalformedSpecError, match="line 1"):
         parse_scenario(path)
+    # JSON text is UTF-8 (RFC 8259, section 8.1), whatever the locale says.
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(MalformedSpecError, match="scenario.json"):
+        parse_scenario(path)
 
 
 # ----------------------------------------------------------------- execution
@@ -653,6 +657,13 @@ def test_jsonl_output(tmp_path):
     assert len(lines) == 2
     row = json.loads(lines[0])
     assert list(row) == scenario_header(spec)
+    # Formats are case-sensitive: "CSV" used to fall through to JSON lines.
+    upper = tmp_path / "rows.CSV"
+    with pytest.raises(ValueError, match="'CSV'"):
+        run_scenario(spec, upper, fmt="CSV")
+    with pytest.raises(ValueError, match="'CSV'"):
+        run_preset("fig10", upper, fmt="CSV")
+    assert not upper.exists()
 
 
 def test_point_seed_is_stable():
@@ -737,6 +748,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    assert cli_main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    bad.write_bytes(b"\xff\xfe{}")
     assert cli_main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
 
     missing = tmp_path / "missing" / "out.csv"
