@@ -11,6 +11,7 @@ import os
 import sys
 
 from .scenarios import (
+    _FORMATS,
     MalformedSpecError,
     RunSummary,
     list_presets,
@@ -32,7 +33,7 @@ def _jobs(text: str) -> int:
 
 def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> None:
     parser.add_argument("--out", required=out_required, help="output file path")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument(
         "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS") or "1",

@@ -407,6 +407,8 @@ def write_trace_csv(records: list[RequestRecord], path) -> None:
     One column per :class:`RequestRecord` field, in field order: an unset
     timestamp is an empty cell and a float is written with ``repr``.
     """
+    if records is None:
+        raise ValueError("no records to write: run the simulation with collect_records=True")
     names = [f.name for f in fields(RequestRecord)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -30,15 +30,15 @@ utilisation and is applied after any other swept field of the same point,
 so it may not be swept together with the same chain's ``arrival_rate``.
 
 Rows come out in row-major grid order.  Every point goes through one
-pipeline, :func:`evaluate`: materialise, validate, then the ``run`` of the
+loop, :func:`evaluate`: materialise, validate, then the ``run`` of the
 engine's record, the one place that holds what the runner knows about an
-engine.  Points whose materialised configuration fails validation (a
-hierarchy's primary counts the traffic its secondary hands over) and
-simulation points whose pending pool runs away are emitted with
-``status=skipped-unstable``, markov points whose solve raises a
-:class:`markov.SolverError` with ``status=solver-failed``.
-Neither aborts the run, and both leave the result columns blank; a
-closed-form point that passes validation always yields an ok row.
+engine.  Row statuses are set in two places.  The loop reports a point
+that is not a valid configuration (an intensity outside (0, 1), or one
+that fails :func:`config.validate`) as ``skipped-unstable``.  Engine
+evaluators raise, and :func:`_run_task` reports a pending pool that runs
+away (:class:`des.SimulationUnstableError`) as ``skipped-unstable`` and a
+:class:`markov.SolverError` as ``solver-failed``.  Neither aborts the run,
+and both leave the result columns blank.
 Per-point seeds derive from ``sha256("<master_seed>:<point_index>")``, so
 extending a value list never perturbs existing points.  Output rows echo
 the full materialised configuration, making every row self-describing and
@@ -50,7 +50,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 from collections.abc import Callable, Hashable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -61,7 +63,6 @@ from . import attack as attack_mod
 from . import des, markov, queueing
 from .config import (
     ChainConfig,
-    ConfigValidationError,
     HierarchicalConfig,
     intensity_of,
     validate,
@@ -113,10 +114,7 @@ class ScenarioSpec:
 
     @property
     def point_count(self) -> int:
-        count = 1
-        for param in self.sweep:
-            count *= len(param.values)
-        return count
+        return math.prod(len(param.values) for param in self.sweep)
 
 
 @dataclass(frozen=True)
@@ -313,7 +311,7 @@ def parse_scenario(source) -> ScenarioSpec:
         raise MalformedSpecError(f"output.path: expected a nonempty string, got {out_path!r}")
     out_format = out.get("format", "csv")
     if out_format not in _FORMATS:
-        raise MalformedSpecError(f"output.format: expected csv or jsonl, got {out_format!r}")
+        raise MalformedSpecError(f"output.format: expected one of {_FORMATS}, got {out_format!r}")
 
     return ScenarioSpec(
         name=name,
@@ -337,44 +335,32 @@ def point_seed(master_seed: int, point_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _grid_values(spec: ScenarioSpec, index: int) -> tuple:
-    if len(spec.sweep) == 1:
-        return (spec.sweep[0].values[index],)
-    inner = len(spec.sweep[1].values)
-    return (spec.sweep[0].values[index // inner], spec.sweep[1].values[index % inner])
+def _owners(spec: ScenarioSpec) -> dict:
+    """The objects a sweep path addresses, keyed by the path's part before its last ``.``."""
+    if _ENGINES[spec.engine].hierarchical:
+        return {"primary": spec.base.primary, "secondary": spec.base.secondary, "attack": None}
+    return {"": spec.base, "attack": spec.attack}
 
 
-def _materialize(spec: ScenarioSpec, values: tuple):
-    base = spec.base
-    attack_section = spec.attack
+def _materialize(spec: ScenarioSpec, values: tuple) -> dict:
+    """:func:`_owners` with one grid point's ``values`` applied."""
+    owners = _owners(spec)
     # Intensity sets the arrival rate from the other fields, so it goes last.
     points = sorted(zip(spec.sweep, values), key=lambda pair: pair[0].path.endswith("intensity"))
     for param, value in points:
         owner, _, name = param.path.rpartition(".")
-        if owner == "attack":
-            attack_section = replace(attack_section, **{name: value})
-            continue
-        chain = getattr(base, owner) if owner else base
+        target = owners[owner]
         if name == "intensity":
-            chain = with_intensity(chain, value)
+            owners[owner] = with_intensity(target, value)
         else:
-            chain = replace(chain, **{name: value})
-        base = replace(base, **{owner: chain}) if owner else chain
-    return base, attack_section
+            owners[owner] = replace(target, **{name: value})
+    return owners
 
 
-def _path_value(path: str, config, attack_section: AttackSection | None):
+def _path_value(path: str, owners: dict):
     """The materialised value at ``path``, one of :func:`_paths`."""
     owner, _, name = path.rpartition(".")
-    if owner == "attack":
-        target = attack_section
-    elif owner:
-        target = getattr(config, owner)
-    else:
-        target = config
-    if name == "intensity":
-        return intensity_of(target)
-    return getattr(target, name)
+    return intensity_of(owners[owner]) if name == "intensity" else getattr(owners[owner], name)
 
 
 # Written only by scenarios that carry an attack section.
@@ -382,14 +368,9 @@ _ATTACK_COLUMNS = ("attack_probability", "attack_method")
 
 
 def _markov(config, attack_section, replication, seed) -> dict:
-    # A typed solver failure gives a solver-failed row; the sweep goes on.
-    try:
-        solution = markov.stationary_solution(config)
-        latency = markov.latency(config)
-    except markov.SolverError:
-        return {"status": "solver-failed"}
+    solution = markov.stationary_solution(config)
     out = {
-        "latency": latency,
+        "latency": markov.latency(config),
         "mean_queue_length": solution.mean_queue_length,
         "frontier_mass": solution.distribution.truncation_mass_bound,
         "box_i_max": solution.space.i_max,
@@ -442,20 +423,14 @@ def _sim_counts(sim: des.SimResult, seed: int) -> dict:
 
 
 def _simulation(config, attack_section, replication, seed) -> dict:
-    try:
-        sim = des.simulate_chain(config, replication.target_served, seed)
-    except des.SimulationUnstableError:
-        return {"status": "skipped-unstable"}
+    sim = des.simulate_chain(config, replication.target_served, seed)
     out = {"latency": sim.mean, "variance": sim.variance}
     out["ci_low"], out["ci_high"] = sim.confidence_interval_95
     return {**out, **_sim_counts(sim, seed)}
 
 
 def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
-    try:
-        sim = des.simulate_hierarchical(config, replication.target_served, seed)
-    except des.SimulationUnstableError:
-        return {"status": "skipped-unstable"}
+    sim = des.simulate_hierarchical(config, replication.target_served, seed)
     out = {}
     for key in ("e2e", "secondary", "primary"):
         stats = sim.breakdown[key]
@@ -471,8 +446,8 @@ class _Engine:
     or changing an engine edits one record of ``_ENGINES``.
 
     ``run(config, attack_section, replication, seed)`` returns the result
-    columns of one valid point, or ``{"status": ...}`` to report the point
-    with its result columns blank.
+    columns of one valid point and raises on a typed engine failure, which
+    :func:`_run_task` turns into the point's status.
     """
 
     columns: tuple[str, ...]  # result columns, in row order
@@ -527,63 +502,59 @@ def scenario_header(spec: ScenarioSpec) -> list[str]:
     return [*_BASE_COLUMNS, *echo, *results]
 
 
-def _prepare(spec: ScenarioSpec, index: int) -> tuple[dict, tuple | None]:
-    """Row prefix of one grid point, and its engine task unless the point is skipped."""
-    values = _grid_values(spec, index)
-    row: dict = {
-        "scenario": spec.name,
-        "engine": spec.engine,
-        "point_index": index,
-        "status": "ok",
-        "param_1": spec.sweep[0].path,
-        "value_1": values[0],
-        "param_2": spec.sweep[1].path if len(spec.sweep) > 1 else "",
-        "value_2": values[1] if len(spec.sweep) > 1 else "",
-    }
+def _run_task(engine: str, config, attack_section, replication, seed) -> dict:
+    """Result columns of one valid point, or the status of its engine's typed
+    failure; any other exception stops the run."""
     try:
-        config, attack_section = _materialize(spec, values)
-    except ValueError:
-        # Intensity or range violations during materialisation: report, skip.
-        row["status"] = "skipped-unstable"
-        return row, None
-
-    for path in _paths(spec.engine, spec.attack is not None):
-        row[path.replace(".", "_")] = _path_value(path, config, attack_section)
-
-    try:
-        validate(config)
-    except ConfigValidationError:
-        row["status"] = "skipped-unstable"
-        return row, None
-    seed = point_seed(spec.replication.seed, index)
-    return row, (spec.engine, config, attack_section, spec.replication, seed)
+        return _ENGINES[engine].run(config, attack_section, replication, seed)
+    except markov.SolverError:
+        return {"status": "solver-failed"}
+    except des.SimulationUnstableError:
+        return {"status": "skipped-unstable"}
 
 
 def _run_tasks(tasks: list[tuple]) -> list[dict]:
-    return [_ENGINES[engine].run(config, attack_section, replication, seed)
-            for engine, config, attack_section, replication, seed in tasks]
+    return [_run_task(*task) for task in tasks]
 
 
 def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
     """One row per grid point of every spec in ``specs``, in grid order.
 
-    Each point is materialised and validated, then run by its engine's
-    record in ``_ENGINES``.  Points whose configs map to one ``solve_key``
-    of their engine form one task, so one solve serves them all: a markov
-    sweep over confirmation depth solves its chain once.  When
-    ``jobs`` and the task count both exceed 1, the tasks run in one process
-    pool of ``min(jobs, tasks)`` workers for the whole call.
+    Each point is materialised, echoed and validated here, then run through
+    :func:`_run_task`.  Points whose configs map to one ``solve_key`` of
+    their engine form one task, so one solve serves them all: a markov
+    sweep over confirmation depth solves its chain once.  When ``jobs`` and
+    the task count both exceed 1, the tasks run in one process pool of
+    ``min(jobs, tasks)`` workers for the whole call.
     """
+    # bool is an int subclass, but True is not a count.
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     rows: list[dict] = []
     groups: dict = {}
     for spec in specs:
-        for index in range(spec.point_count):
-            row, task = _prepare(spec, index)
+        paths = _paths(spec.engine, spec.attack is not None)
+        solve_key = _ENGINES[spec.engine].solve_key
+        grid = itertools.product(*(param.values for param in spec.sweep))
+        for index, values in enumerate(grid):
+            row = dict.fromkeys(_BASE_COLUMNS, "")
+            row.update(scenario=spec.name, engine=spec.engine, point_index=index, status="ok")
+            for pos, (param, value) in enumerate(zip(spec.sweep, values), 1):
+                row[f"param_{pos}"], row[f"value_{pos}"] = param.path, value
             rows.append(row)
-            if task is None:
+            try:
+                owners = _materialize(spec, values)
+                row.update((path.replace(".", "_"), _path_value(path, owners)) for path in paths)
+                config = owners[""] if "" in owners else HierarchicalConfig(
+                    owners["primary"], owners["secondary"]
+                )
+                validate(config)
+            except ValueError:
+                # An intensity outside (0, 1) or a config that fails validation.
+                row["status"] = "skipped-unstable"
                 continue
-            config = task[1]
-            solve_key = _ENGINES[spec.engine].solve_key
+            seed = point_seed(spec.replication.seed, index)
+            task = (spec.engine, config, owners["attack"], spec.replication, seed)
             key = solve_key(config) if solve_key else len(rows)
             groups.setdefault(key, []).append((row, task))
     batches = list(groups.values())
@@ -619,7 +590,7 @@ def _write_rows(
     specs: list[ScenarioSpec], path, fmt: str, jobs: int, include_timestamp: bool
 ) -> RunSummary:
     if fmt not in _FORMATS:
-        raise ValueError(f"fmt: expected csv or jsonl, got {fmt!r}")
+        raise ValueError(f"fmt: expected one of {_FORMATS}, got {fmt!r}")
     rows = evaluate(specs, jobs)
     header = scenario_header(specs[0])
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -861,8 +832,3 @@ def run_preset(
     return _write_rows(
         _with_seed(preset_specs(name), seed), out_path, fmt, jobs, include_timestamp
     )
-
-
-def preset_rows(name: str, jobs: int = 1) -> list[dict]:
-    """Evaluate a preset and return its rows without touching the filesystem."""
-    return evaluate(preset_specs(name), jobs)

@@ -30,7 +30,7 @@ from branlab.markov import (
     solve_steady_state,
 )
 from branlab.queueing import closed_form_latency, erlang_c
-from branlab.scenarios import parse_scenario, preset_rows, run_scenario
+from branlab.scenarios import evaluate, parse_scenario, preset_specs, run_scenario
 
 
 def report(criterion: str, detail: str) -> None:
@@ -78,7 +78,7 @@ def test_criterion_02_attack_direct_sum_vs_monte_carlo():
 
 
 def test_criterion_03_low_power_attack_datum():
-    rows = preset_rows("fig10")
+    rows = evaluate(preset_specs("fig10"))
     series = defaultdict(dict)
     for row in rows:
         key = (row["confirmations"], row["attack_giveup_threshold"])
@@ -257,7 +257,7 @@ def test_criterion_07_structural_invariants():
 def test_criterion_08_figure_trends():
     start = time.perf_counter()
 
-    rows = preset_rows("fig6")
+    rows = evaluate(preset_specs("fig6"))
     series: dict = defaultdict(dict)
     for row in rows:
         series[(round(row["intensity"], 3), row["block_capacity"])][row["confirmations"]] = row["latency"]
@@ -269,7 +269,7 @@ def test_criterion_08_figure_trends():
         low = [series[(0.2, capacity)][confs] for capacity in (1, 3, 6)]
         assert max(low) <= 1.05 * min(low)
 
-    rows = preset_rows("fig8")
+    rows = evaluate(preset_specs("fig8"))
     by_rho: dict = defaultdict(dict)
     for row in rows:
         by_rho[round(row["intensity"], 3)][row["block_capacity"]] = row["latency"]
@@ -279,7 +279,7 @@ def test_criterion_08_figure_trends():
     heavy = by_rho[0.8]
     assert heavy[1] > heavy[3] > heavy[6]
 
-    rows = sorted(preset_rows("fig9"), key=lambda r: r["point_index"])
+    rows = sorted(evaluate(preset_specs("fig9")), key=lambda r: r["point_index"])
     secondary = [row["secondary_latency"] for row in rows]
     end_to_end = [row["e2e_latency"] for row in rows]
     assert secondary[0] < secondary[1] < secondary[2]
@@ -293,7 +293,7 @@ def test_criterion_08_figure_trends():
             )
             assert gap <= budget
 
-    rows = preset_rows("fig12")
+    rows = evaluate(preset_specs("fig12"))
     frontier: dict = defaultdict(dict)
     for row in rows:
         frontier[(row["servers"], row["block_capacity"])][row["confirmations"]] = (

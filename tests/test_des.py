@@ -122,6 +122,16 @@ def test_trace_dump_round_trip(tmp_path):
             assert (None if cell == "" else type(value)(cell)) == value, (name, cell)
 
 
+
+def test_trace_dump_without_records_is_refused(tmp_path):
+    # records is None unless the run collected them: refuse before any file is made.
+    res = simulate_chain(ChainConfig(0.5, 2.0, 0.0, 1.0), 200, seed=5)
+    assert res.records is None
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="collect_records=True"):
+        write_trace_csv(res.records, path)
+    assert not path.exists()
+
 def test_single_queue_waiting_time_oracle():
     # transparent mining turns the system into one memoryless single-server
     # queue; the recorded latency is its waiting time lam / (mu (mu - lam))

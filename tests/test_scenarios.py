@@ -13,7 +13,6 @@ from branlab.scenarios import (
     list_presets,
     parse_scenario,
     point_seed,
-    preset_rows,
     preset_specs,
     run_preset,
     run_scenario,
@@ -428,10 +427,10 @@ def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
 
     # Two sub-scenarios, one with rejection, through a single pool.
     markov._stationary_cached.cache_clear()
-    serial = preset_rows("fig7", jobs=1)
+    serial = scenarios.evaluate(preset_specs("fig7"), jobs=1)
     markov._stationary_cached.cache_clear()
     pools.clear()
-    assert repr(preset_rows("fig7", jobs=2)) == repr(serial)
+    assert repr(scenarios.evaluate(preset_specs("fig7"), jobs=2)) == repr(serial)
     assert len(pools) == 1
 
 
@@ -665,6 +664,17 @@ def test_jsonl_output(tmp_path):
         run_preset("fig10", upper, fmt="CSV")
     assert not upper.exists()
 
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2"])
+def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
+    # The API refuses what the CLI's --jobs refuses, before any file is made.
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_scenario(parse_scenario(markov_doc()), out, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_preset("fig10", out, jobs=jobs)
+    assert not out.exists()
 
 def test_point_seed_is_stable():
     assert point_seed(7, 0) == point_seed(7, 0)
