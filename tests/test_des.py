@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import math
 from collections import Counter
+from dataclasses import astuple
 import os
 import subprocess
 import sys
@@ -279,8 +281,16 @@ def test_runs_leave_no_reference_cycles():
     try:
         simulate_chain(BASE, 2000, seed=1)
         simulate_hierarchical(HIER, 1000, seed=1)
+        simulate_hierarchical(HIER, 1000, seed=1, confirmation_mode="event-driven")
         with pytest.raises(SimulationUnstableError):
             simulate_chain(ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4), 10**9, seed=1, max_pending=20)
+        # The primary's pool, near saturation, overflows on a hand-over.
+        handing_over = HierarchicalConfig(
+            primary=ChainConfig(0.01, 2.05, 0.0, 10.0, block_capacity=1),
+            secondary=ChainConfig(2.0, 50.0, 0.0, 5.0),
+        )
+        with pytest.raises(SimulationUnstableError, match="chain 'primary'"):
+            simulate_hierarchical(handing_over, 10**9, seed=1, max_pending=20)
         assert des_objects_in_cyclic_garbage() == []
     finally:
         gc.enable()
@@ -288,45 +298,82 @@ def test_runs_leave_no_reference_cycles():
 
 # Seeded outputs pinned before the event loop was rewritten for speed.  A
 # changed draw order moves a mean or a sample by far more than 1e-12
-# relative; a last-ulp libm difference between machines does not.
+# relative; a last-ulp libm difference between machines does not.  The
+# record digests are exact: they pin every field of every request,
+# bit for bit, so they hold only where ``math.log`` rounds as glibc's does.
 _PINNED_CHAINS = {
     "single": ChainConfig(0.8, 2.5, 0.0, 1.0),
     "ten-links": ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3),
     "rejecting": ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
     "three-confirmations": ChainConfig(0.8, 2.5, 0.0, 1.0, block_capacity=3, confirmations=3),
     "busy-links": ChainConfig(3.6, 500.0, 0.0, 1.0, servers=4),  # requests queue for links
+    "hierarchy": HierarchicalConfig(
+        primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3),
+        secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, servers=1),
+    ),
+    # _ENTER events on both chains
+    "hierarchy-confirmations": HierarchicalConfig(
+        primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3, confirmations=3),
+        secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, servers=1, confirmations=3),
+    ),
 }
 # (served, rejected, generated, records, mean, first sample, last sample)
 _PINNED = {
-    ("single", "additive"): (4000, 0, 4002, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
-    ("single", "event-driven"): (4000, 0, 4002, None, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
-    ("ten-links", "additive"): (4000, 0, 4000, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
-    ("ten-links", "event-driven"): (4000, 0, 4000, None, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
-    ("rejecting", "additive"): (4000, 2109, 6110, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
-    ("rejecting", "event-driven"): (4000, 2109, 6110, None, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
-    ("three-confirmations", "additive"): (4000, 0, 4009, None, 4.90119895991679, 12.702707669481526, 7.827748520810019),
-    ("three-confirmations", "event-driven"): (4000, 0, 4024, None, 7.536558157810613, 6.042700840285534, 12.442406383266643),
-    ("busy-links", "additive"): (4000, 0, 4021, None, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
+    ("single", "additive"): (4000, 0, 4002, 4002, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("single", "event-driven"): (4000, 0, 4002, 4002, 5.5596493049211295, 0.18030588358476507, 0.3954904102974979),
+    ("ten-links", "additive"): (4000, 0, 4000, 4000, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("ten-links", "event-driven"): (4000, 0, 4000, 4000, 0.22879669281457324, 0.052863792999033876, 0.0815334469863842),
+    ("rejecting", "additive"): (4000, 2109, 6110, 6110, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("rejecting", "event-driven"): (4000, 2109, 6110, 6110, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
+    ("three-confirmations", "additive"): (4000, 0, 4009, 4009, 4.90119895991679, 12.702707669481526, 7.827748520810019),
+    ("three-confirmations", "event-driven"): (4000, 0, 4024, 4024, 7.536558157810613, 6.042700840285534, 12.442406383266643),
+    ("busy-links", "additive"): (4000, 0, 4021, 4021, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
+    ("busy-links", "event-driven"): (4000, 0, 4021, 4021, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
     ("hierarchy", "additive"): (4000, 647, 4648, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
+    ("hierarchy", "event-driven"): (4000, 647, 4648, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
+    ("hierarchy-confirmations", "additive"): (4000, 693, 4693, 22872, 0.569703238430985, 0.43659768374834584, 0.5873570435651345),
+    ("hierarchy-confirmations", "event-driven"): (4000, 690, 4693, 22832, 1.713138305995536, 1.231242623690207, 1.1996348098227827),
 }
+# sha256 over the repr of every RequestRecord field, in record order
+_PINNED_RECORDS = {
+    ("single", "additive"): "c544f5740d57315a86818f1f5e130178a41cb1cd1e631b25d556c8172899014f",
+    ("single", "event-driven"): "c544f5740d57315a86818f1f5e130178a41cb1cd1e631b25d556c8172899014f",
+    ("ten-links", "additive"): "902007b6376fd216ed517174fa58316a2bb34c5980c5c5899c8c77416ba772a2",
+    ("ten-links", "event-driven"): "902007b6376fd216ed517174fa58316a2bb34c5980c5c5899c8c77416ba772a2",
+    ("rejecting", "additive"): "59434c14e8ff32db2e026f10c314b5a44edc6461d46bfd466cdc42aa1c522e1a",
+    ("rejecting", "event-driven"): "59434c14e8ff32db2e026f10c314b5a44edc6461d46bfd466cdc42aa1c522e1a",
+    ("three-confirmations", "additive"): "7ad3e60d5294d87dff4b2647b07531ec1f27f2e398e55b51e5c63c2e2aa3f12b",
+    ("three-confirmations", "event-driven"): "5a86330a6c022fba24404516ad862e0eaae18652aec4a312cd7881b6d75c7edb",
+    ("busy-links", "additive"): "484f08fe1276a8d1c8eaaba12451c9435048463c3f667ededde0d63fa42e5dd9",
+    ("busy-links", "event-driven"): "484f08fe1276a8d1c8eaaba12451c9435048463c3f667ededde0d63fa42e5dd9",
+    ("hierarchy", "additive"): "a6b1f70ac52cd4fc7bcc03d67d739ea0e63cc716b32ca49b3510c84e8fc1d910",
+    ("hierarchy", "event-driven"): "a6b1f70ac52cd4fc7bcc03d67d739ea0e63cc716b32ca49b3510c84e8fc1d910",
+    ("hierarchy-confirmations", "additive"): "fef8127dccb6924f148e1068bfa909ea3991af389ea09b5db82433e1d3cdac21",
+    ("hierarchy-confirmations", "event-driven"): "1e5e1dbf67ead6bbc5fd25741a3d0b539e0d51db4fe9024fcc926a61c31f98ea",
+}
+
+
+def _records_digest(records):
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(repr(astuple(rec)).encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name, mode", list(_PINNED))
 def test_seeded_output_is_pinned(name, mode):
-    if name == "hierarchy":
-        hier = HierarchicalConfig(
-            primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3),
-            secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, servers=1),
-        )
-        res = simulate_hierarchical(hier, 4000, seed=2026, confirmation_mode=mode, collect_records=True)
-    else:
-        res = simulate_chain(_PINNED_CHAINS[name], 4000, seed=2026, confirmation_mode=mode)
+    config = _PINNED_CHAINS[name]
+    run = simulate_hierarchical if isinstance(config, HierarchicalConfig) else simulate_chain
+    res = run(config, 4000, seed=2026, confirmation_mode=mode, collect_records=True)
     *counts, mean, first, last = _PINNED[name, mode]
-    records = None if res.records is None else len(res.records)
-    assert [res.served_count, res.rejected_count, res.generated_count, records] == counts
+    assert [res.served_count, res.rejected_count, res.generated_count, len(res.records)] == counts
     assert res.mean == pytest.approx(mean, rel=1e-12)
     assert res.latency_samples[0] == pytest.approx(first, rel=1e-12)
     assert res.latency_samples[-1] == pytest.approx(last, rel=1e-12)
+    assert _records_digest(res.records) == _PINNED_RECORDS[name, mode]
+    # Collecting records draws nothing.
+    lean = run(config, 4000, seed=2026, confirmation_mode=mode)
+    assert np.array_equal(lean.latency_samples, res.latency_samples)
 
 
 def test_argument_validation():
