@@ -14,6 +14,8 @@ passed, or else queues; only then does the earliest departure become an
 event, which serves the head of the queue.  A departure with nobody
 waiting draws nothing, so it never enters the event list.  A chain holds
 at most one pool event and one departure event, so no event is stale.
+The loop is one function with no closures, so each name it reads on an
+event is a fast local, and service starts at one site in it.
 
 Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
 independent exponential block intervals to each request's inclusion time
@@ -23,21 +25,16 @@ the ``N - 1``-th block after it is mined, which can stall when the pending
 pool goes quiet; the mode exists to quantify that approximation gap.
 
 The recorded latency of a request is ``service_start - submitted``: the
-request's own service time is excluded.
-
-In the hierarchical composition the secondary chain hands each end-user
-request to its ``downstream`` chain, the primary, the moment its secondary
-service starts; a single chain is the same run with nothing downstream.
-Latency is sampled when a request's last service starts, end to end from
-the submission that a handed-over request carries as
-``origin_submitted_at``.  The primary's own background Poisson traffic is
-served but not sampled.
+request's own service time is excluded.  In the hierarchical composition
+the secondary chain hands each end-user request to its ``downstream``
+chain, the primary, as its secondary service starts, and latency is
+sampled end to end when the primary's starts; a single chain is the same
+run with nothing downstream.
 
 Requests are plain lists; ``RequestRecord`` objects, numbered in creation
 order, are built from them only when records are asked for.  A run is
-strictly single-threaded and bitwise reproducible for a fixed seed;
-replications with distinct seeds can run concurrently and be merged by
-the caller.
+single-threaded and bitwise reproducible for a fixed seed; replications
+with distinct seeds can run concurrently and be merged by the caller.
 """
 
 from __future__ import annotations
@@ -121,15 +118,13 @@ def _stats(samples: list[float] | np.ndarray) -> LatencyStats:
     if n >= 2 * _CI_BATCHES:
         batch = n // _CI_BATCHES
         means = arr[: batch * _CI_BATCHES].reshape(_CI_BATCHES, batch).mean(axis=1)
-        center = float(means.mean())
+        center, dof = float(means.mean()), _CI_BATCHES - 1
         spread = float(means.std(ddof=1)) / math.sqrt(_CI_BATCHES)
-        tcrit = float(stdtrit(_CI_BATCHES - 1, 0.975))
-        half = tcrit * spread
-        return LatencyStats(mean, variance, (center - half, center + half))
-    spread = math.sqrt(variance / n) if n > 1 else 0.0
-    tcrit = float(stdtrit(max(n - 1, 1), 0.975))
-    half = tcrit * spread
-    return LatencyStats(mean, variance, (mean - half, mean + half))
+    else:
+        center, dof = mean, max(n - 1, 1)
+        spread = math.sqrt(variance / n) if n > 1 else 0.0
+    half = float(stdtrit(dof, 0.975)) * spread
+    return LatencyStats(mean, variance, (center - half, center + half))
 
 
 class _Chain:
@@ -149,7 +144,7 @@ class _Chain:
         "ready_queue", "free", "generated", "rejected", "downstream",
     )
 
-    def __init__(self, label: str, config: ChainConfig, mode: str):
+    def __init__(self, label: str, config: ChainConfig, mode: str, downstream: _Chain | None = None):
         self.label = label
         self.arrival_rate = config.arrival_rate
         self.mining_rate = config.mining_rate
@@ -167,7 +162,25 @@ class _Chain:
         self.free: list[float] = []
         self.generated = 0
         self.rejected = 0
-        self.downstream: _Chain | None = None
+        self.downstream = downstream
+
+
+def _enqueue(
+    chain: _Chain, t: float, origin: float | None, max_pending: int, requests: list | None
+) -> bool:
+    """Submit a request to ``chain``'s pending pool at ``t``; True if it must arm the pool clock."""
+    req = [chain.label, t, None, None, None, "in-flight", origin]
+    if requests is not None:
+        requests.append(req)
+    chain.generated += 1
+    pending = chain.pending
+    pending.append(req)
+    if len(pending) > max_pending:
+        raise SimulationUnstableError(
+            f"chain {chain.label!r}: pending pool exceeded {max_pending} requests "
+            f"at t={t:.3f}; the configuration cannot drain its arrivals"
+        )
+    return len(pending) == 1
 
 
 def _run(
@@ -175,11 +188,16 @@ def _run(
 ) -> tuple[list[float], list[float], list[float], int]:
     """Run until ``target`` end-user requests, arriving at ``chains[0]``, start their last service.
 
-    A request is a list with ``RequestRecord``'s fields after the id, and is
-    appended to ``requests`` unless that is ``None``.  Each exponential draw
-    is ``random.expovariate``'s own ``-log(1 - U) / rate``, so the variates
-    are that method's.  Returns the end-to-end latencies, the two legs of
-    handed-over requests and how many of them were rejected downstream.
+    Each exponential draw is ``random.expovariate``'s own ``-log(1 - U) /
+    rate``, so the variates are that method's.  Returns the end-to-end
+    latencies, the two legs of handed-over requests and how many of them
+    were rejected downstream.  Every request is appended to ``requests``
+    unless that is ``None``.
+
+    No closure: a name a nested function reads is a cell of this frame, read
+    through the cell on every event.  So requests join a pool through
+    :func:`_enqueue` and the caller arms the pool clock, keeping ``seq`` a fast
+    local.  Service starts at one site, to which a departure passes its head.
     """
     entry = chains[0]
     uniform = random.Random(seed).random
@@ -188,115 +206,104 @@ def _run(
     heap: list = []
     seq = 0  # push counter: orders events with equal times, never compares chains
     e2e, first_leg, last_leg = [], [], []
-    rejected_downstream = 0
-
-    def submit(chain: _Chain, t: float, origin: float | None) -> None:
-        nonlocal seq
-        req = [chain.label, t, None, None, None, "in-flight", origin]
-        if requests is not None:
-            requests.append(req)
-        chain.generated += 1
-        pending = chain.pending
-        pending.append(req)
-        if len(pending) > max_pending:
-            raise SimulationUnstableError(
-                f"chain {chain.label!r}: pending pool exceeded {max_pending} requests "
-                f"at t={t:.3f}; the configuration cannot drain its arrivals"
-            )
-        if len(pending) == 1:
-            seq += 1
-            heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
-
-    def begin(chain: _Chain, req: list, t: float) -> None:
-        req[4] = t
-        req[5] = "served"
-        heappush(chain.free, t - log(1.0 - uniform()) / chain.service_rate)
-        if chain.downstream is not None:
-            submit(chain.downstream, t, req[1])
-        elif req[6] is not None:
-            e2e.append(t - req[6])
-            first_leg.append(req[1] - req[6])
-            last_leg.append(t - req[1])
-        elif chain is entry:
-            e2e.append(t - req[1])
+    served = rejected_downstream = 0
 
     for chain in chains:
         seq += 1
         heappush(heap, (-log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
     now = 0.0
-    while len(e2e) < target:
+    while served < target:
         t, _, kind, chain, req = heappop(heap)
         assert t >= now, "event processed out of timestamp order"
         now = t
         if kind == _ARRIVAL:
-            submit(chain, t, None)
+            if _enqueue(chain, t, None, max_pending, requests):
+                seq += 1
+                heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
             seq += 1
             heappush(heap, (t - log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
             continue
+        queue = chain.ready_queue
+        free = chain.free
         if kind == _DEPART:
             # Scheduled only while a request waits, so no release came in between.
-            done = heappop(chain.free)
+            done = heappop(free)
             assert done == t
-            queue = chain.ready_queue
-            begin(chain, queue.popleft(), t)
-            if queue:
-                seq += 1
-                heappush(heap, (chain.free[0], seq, _DEPART, chain, None))
-            continue
-        if kind == _ENTER:
+            released = (queue.popleft(),)
+        elif kind == _ENTER:
             released = (req,)
         else:  # _POOL; competing exponentials: a rejection with probability R_r / (R_m + R_r)
+            rejection = chain.reject_share > 0.0 and uniform() < chain.reject_share
+            size = chain.reject_batch if rejection else chain.capacity
+            # The oldest min(pending, size); nearly every block of a lightly loaded chain holds one.
             pending = chain.pending
-            if chain.reject_share > 0.0 and uniform() < chain.reject_share:
-                size = min(len(pending), chain.reject_batch)
-                chain.rejected += size
-                for _ in range(size):
-                    req = pending.popleft()
+            batch = [pending.popleft()]
+            while pending and len(batch) < size:
+                batch.append(pending.popleft())
+            released = ()
+            if rejection:
+                chain.rejected += len(batch)
+                for req in batch:
                     req[5] = "rejected"
                     if req[6] is not None:
                         rejected_downstream += 1
-                released = ()
+            elif chain.event_driven:
+                for req in batch:
+                    req[2] = t
+                # This block confirms the one mined N - 1 blocks before it.
+                unconfirmed = chain.unconfirmed
+                unconfirmed.append(batch)
+                released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
+                for req in released:
+                    req[3] = t
+            elif chain.extra_confs:
+                for req in batch:
+                    req[2] = t
+                    wait = 0.0  # not sum(), which compensates its rounding from Python 3.12
+                    for _ in range(chain.extra_confs):
+                        wait += -log(1.0 - uniform()) / chain.mining_rate
+                    req[3] = t + wait
+                    seq += 1
+                    heappush(heap, (req[3], seq, _ENTER, chain, req))
             else:
-                size = min(len(pending), chain.capacity)
-                batch = [pending.popleft() for _ in range(size)]
-                if chain.event_driven:
-                    for req in batch:
-                        req[2] = t
-                    # This block confirms the one mined N - 1 blocks before it.
-                    unconfirmed = chain.unconfirmed
-                    unconfirmed.append(batch)
-                    released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
-                    for req in released:
-                        req[3] = t
-                elif chain.extra_confs:
-                    rate = chain.mining_rate
-                    for req in batch:
-                        req[2] = t
-                        req[3] = t + sum(-log(1.0 - uniform()) / rate for _ in range(chain.extra_confs))
-                        seq += 1
-                        heappush(heap, (req[3], seq, _ENTER, chain, req))
-                    released = ()
-                else:
-                    for req in batch:
-                        req[2] = req[3] = t
-                    released = batch
-        queue = chain.ready_queue
-        free = chain.free
+                for req in batch:
+                    req[2] = req[3] = t
+                released = batch
         for req in released:
             assert req[1] <= req[2] <= req[3] <= t
-            # A request queues behind any that waits.  One mined block can release
-            # several requests in one event; once the run has met its target the
-            # rest stay in flight.
-            if not queue and len(e2e) < target:
+            if kind != _DEPART:  # a departure frees a link for the head of the queue
+                # A request queues behind any that waits; once the run has met its
+                # target, the rest of a mined block stays in flight.
+                if queue or served >= target:
+                    queue.append(req)
+                    continue
                 while free and free[0] <= t:
                     heappop(free)
-                if len(free) < chain.servers:
-                    begin(chain, req, t)
+                if len(free) >= chain.servers:
+                    seq += 1
+                    heappush(heap, (free[0], seq, _DEPART, chain, None))
+                    queue.append(req)
                     continue
-                seq += 1
-                heappush(heap, (free[0], seq, _DEPART, chain, None))
-            queue.append(req)
-        if kind == _POOL and chain.pending:
+            req[4] = t
+            req[5] = "served"
+            heappush(free, t - log(1.0 - uniform()) / chain.service_rate)
+            down = chain.downstream
+            if down is not None:
+                if _enqueue(down, t, req[1], max_pending, requests):
+                    seq += 1
+                    heappush(heap, (t - log(1.0 - uniform()) / down.pool_rate, seq, _POOL, down, None))
+            elif req[6] is not None:
+                served += 1
+                e2e.append(t - req[6])
+                first_leg.append(req[1] - req[6])
+                last_leg.append(t - req[1])
+            elif chain is entry:
+                served += 1
+                e2e.append(t - req[1])
+        if kind == _DEPART and queue:
+            seq += 1
+            heappush(heap, (free[0], seq, _DEPART, chain, None))
+        elif kind == _POOL and chain.pending:
             seq += 1
             heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
     return e2e, first_leg, last_leg, rejected_downstream
@@ -322,9 +329,7 @@ def _simulate(
     hierarchical = isinstance(config, HierarchicalConfig)
     if hierarchical:
         primary = _Chain("primary", config.primary, confirmation_mode)
-        secondary = _Chain("secondary", config.secondary, confirmation_mode)
-        secondary.downstream = primary
-        chains = (secondary, primary)
+        chains = (_Chain("secondary", config.secondary, confirmation_mode, primary), primary)
     else:
         chains = (_Chain("chain", config, confirmation_mode),)
     entry = chains[0]
@@ -336,7 +341,10 @@ def _simulate(
     stats = _stats(kept)
     served = len(e2e)
     rejected = entry.rejected + rejected_downstream
-    result = SimResult(
+    breakdown = None if not hierarchical else {
+        "e2e": stats, "secondary": _stats(first_leg[warmup:]), "primary": _stats(last_leg[warmup:])
+    }
+    return SimResult(
         latency_samples=kept,
         mean=stats.mean,
         variance=stats.variance,
@@ -346,15 +354,9 @@ def _simulate(
         generated_count=entry.generated,
         in_flight_count=entry.generated - served - rejected,
         warmup_discarded=warmup,
+        breakdown=breakdown,
         records=None if requests is None else [RequestRecord(i, *req) for i, req in enumerate(requests)],
     )
-    if hierarchical:
-        result.breakdown = {
-            "e2e": stats,
-            "secondary": _stats(first_leg[warmup:]),
-            "primary": _stats(last_leg[warmup:]),
-        }
-    return result
 
 
 def simulate_chain(
@@ -415,6 +417,4 @@ def write_trace_csv(records: list[RequestRecord], path) -> None:
         writer.writerow(names)
         for rec in records:
             values = (getattr(rec, name) for name in names)
-            writer.writerow(
-                "" if v is None else repr(v) if isinstance(v, float) else v for v in values
-            )
+            writer.writerow("" if v is None else repr(v) if isinstance(v, float) else v for v in values)

@@ -358,9 +358,17 @@ def _materialize(spec: ScenarioSpec, values: tuple) -> dict:
 
 
 def _path_value(path: str, owners: dict):
-    """The materialised value at ``path``, one of :func:`_paths`."""
+    """The materialised value at ``path``, one of :func:`_paths`.
+
+    Intensity is undefined without service capacity, so a chain with no
+    servers or a zero service rate echoes it as an empty cell; ``validate``
+    then refuses the point.
+    """
     owner, _, name = path.rpartition(".")
-    return intensity_of(owners[owner]) if name == "intensity" else getattr(owners[owner], name)
+    config = owners[owner]
+    if name != "intensity":
+        return getattr(config, name)
+    return intensity_of(config) if config.servers * config.service_rate else ""
 
 
 # Written only by scenarios that carry an attack section.

@@ -20,6 +20,7 @@ from branlab.config import (
     with_intensity,
 )
 import branlab
+from branlab import des
 from branlab.des import (
     RequestRecord,
     SimulationUnstableError,
@@ -296,6 +297,13 @@ def test_runs_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_event_loop_reads_no_cell_variables():
+    # A name that a nested function, or before Python 3.12 a comprehension,
+    # reads from the loop becomes a cell of its frame, and every event would
+    # read it through the cell.
+    assert des._run.__code__.co_cellvars == ()
+
+
 # Seeded outputs pinned before the event loop was rewritten for speed.  A
 # changed draw order moves a mean or a sample by far more than 1e-12
 # relative; a last-ulp libm difference between machines does not.  The
@@ -306,6 +314,8 @@ _PINNED_CHAINS = {
     "ten-links": ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3),
     "rejecting": ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
     "three-confirmations": ChainConfig(0.8, 2.5, 0.0, 1.0, block_capacity=3, confirmations=3),
+    # four summed draws per request, which sum() rounds differently from Python 3.12
+    "five-confirmations": ChainConfig(0.8, 2.5, 0.0, 1.0, block_capacity=3, confirmations=5),
     "busy-links": ChainConfig(3.6, 500.0, 0.0, 1.0, servers=4),  # requests queue for links
     "hierarchy": HierarchicalConfig(
         primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3),
@@ -327,6 +337,7 @@ _PINNED = {
     ("rejecting", "event-driven"): (4000, 2109, 6110, 6110, 2.252597672677997, 0.8305006179340353, 3.1620721088565915),
     ("three-confirmations", "additive"): (4000, 0, 4009, 4009, 4.90119895991679, 12.702707669481526, 7.827748520810019),
     ("three-confirmations", "event-driven"): (4000, 0, 4024, 4024, 7.536558157810613, 6.042700840285534, 12.442406383266643),
+    ("five-confirmations", "additive"): (4000, 0, 4006, 4006, 7.083614183845259, 3.423602182251102, 5.9856172864756445),
     ("busy-links", "additive"): (4000, 0, 4021, 4021, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
     ("busy-links", "event-driven"): (4000, 0, 4021, 4021, 1.693671683255062, 1.3772928790103975, 3.5884611477117687),
     ("hierarchy", "additive"): (4000, 647, 4648, 22806, 0.29230769189183153, 0.6462912838666739, 0.6251155163195108),
@@ -344,6 +355,7 @@ _PINNED_RECORDS = {
     ("rejecting", "event-driven"): "59434c14e8ff32db2e026f10c314b5a44edc6461d46bfd466cdc42aa1c522e1a",
     ("three-confirmations", "additive"): "7ad3e60d5294d87dff4b2647b07531ec1f27f2e398e55b51e5c63c2e2aa3f12b",
     ("three-confirmations", "event-driven"): "5a86330a6c022fba24404516ad862e0eaae18652aec4a312cd7881b6d75c7edb",
+    ("five-confirmations", "additive"): "7efaf320072fb16cc061dda8c9c2cb6f7fe2fc37c66ecdc7741559296545eebb",
     ("busy-links", "additive"): "484f08fe1276a8d1c8eaaba12451c9435048463c3f667ededde0d63fa42e5dd9",
     ("busy-links", "event-driven"): "484f08fe1276a8d1c8eaaba12451c9435048463c3f667ededde0d63fa42e5dd9",
     ("hierarchy", "additive"): "a6b1f70ac52cd4fc7bcc03d67d739ea0e63cc716b32ca49b3510c84e8fc1d910",

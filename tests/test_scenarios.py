@@ -296,6 +296,18 @@ def test_unstable_points_are_reported_not_fatal(tmp_path):
     assert float(rows[1]["arrival_rate"]) == 9.0
 
 
+@pytest.mark.parametrize("doc", [markov_doc(), sim_doc()], ids=["markov", "simulation"])
+@pytest.mark.parametrize("field", ["servers", "service_rate"])
+def test_zero_service_capacity_is_skipped(doc, field):
+    # The intensity echo divides by servers * service_rate; it used to raise
+    # ZeroDivisionError before validate could refuse the point.
+    spec = parse_scenario({**doc, "sweep": [{"path": field, "values": [0, 1]}]})
+    rows = scenarios.evaluate([spec])
+    assert [row["status"] for row in rows] == ["skipped-unstable", "ok"]
+    assert rows[0][field] == 0 and rows[0]["intensity"] == ""
+    assert rows[1]["intensity"] == 0.5
+
+
 def test_rows_echo_the_materialised_config(tmp_path):
     doc = markov_doc(
         sweep=[
