@@ -22,11 +22,14 @@ with boundaries ``P_{-1} = 1`` and ``P_{N_g} = 0``, whose solution is
 The overall success probability is the negative-binomial mixture of
 ``P_{N - n_Y}``.  Because every pre-mining count above ``N`` wins outright,
 the infinite mixture collapses to ``N + 1`` terms plus the tail mass
-``P(n_Y > N)``, the regularised incomplete beta ``I_x(N + 1, N)`` at
-``x = beta / (1 + beta)`` (Rosenfeld 2014).  Every term is nonnegative and
-none is subtracted from one, so the sum keeps its relative precision down
-to the smallest probabilities.  The paper's one-line closed form (valid
-for ``N_g > N``) subtracts from one; it is kept only as a reference.
+``P(n_Y > N)``.  Winning more than ``N`` of the first ``2N`` races is the
+same event, so the tail is the binomial tail ``P(Bin(2N, x) > N)`` at
+``x = beta / (1 + beta)`` (Rosenfeld 2014): ``N`` more positive terms
+``C(2N, j) x^j (1 - x)^{2N-j}``, ``N < j <= 2N``, each evaluated in log
+space.  Every term is nonnegative and none is subtracted from one, so the
+sum keeps its relative precision down to the smallest probabilities.  The
+paper's one-line closed form (valid for ``N_g > N``) subtracts from one;
+it is kept only as a reference.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 
 class ClosedFormRangeError(ValueError):
@@ -160,7 +162,10 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
 
     Trials run in partitions of ``2**18``, each on an independent stream
     derived from ``(seed, partition_index)``, so the merged estimate is
-    identical however the partitions are assigned to workers.
+    identical however the partitions are assigned to workers.  The walk
+    runs in the narrowest signed integers that hold ``-1 .. N_g``, and
+    ``0 <= d < N_g`` is one compare of ``d`` read as unsigned, where
+    ``-1`` is the largest value.
     """
     # bool is an int subclass, but True is not a count.
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
@@ -168,21 +173,26 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)
+    walk_type = np.min_scalar_type(-n_g - 1)
+    unsigned = np.dtype(f"u{walk_type.itemsize}")
     wins = 0
     for part, start in enumerate(range(0, trials, _DEFAULT_CHUNK)):
         size = min(_DEFAULT_CHUNK, trials - start)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(part,)))
         )
-        pre_mined = rng.negative_binomial(n_conf, p_honest, size=size)
-        deficit = n_conf - pre_mined.astype(np.int64)
+        deficit = rng.negative_binomial(n_conf, p_honest, size=size).astype(np.int64, copy=False)
+        np.subtract(n_conf, deficit, out=deficit)
         wins += int(np.count_nonzero(deficit < 0))
-        active = deficit[(deficit >= 0) & (deficit < n_g)]
+        active = deficit[deficit.view(np.uint64) < n_g].astype(walk_type)
+        del deficit
         while active.size:
             steps = rng.random(active.size) < attacker_step
-            active = active + np.where(steps, -1, 1)
+            active += 1
+            active -= steps
+            active -= steps
             wins += int(np.count_nonzero(active < 0))
-            active = active[(active >= 0) & (active < n_g)]
+            active = active[active.view(unsigned) < n_g]
     p_hat = wins / trials
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return AttackResult(
@@ -190,11 +200,30 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     )
 
 
+def _tail_terms(confirmations: int, relative_power: float) -> list[float]:
+    """The ``N`` terms of ``P(n_Y > N) = P(Bin(2N, x) > N)``, ``x = beta / (1 + beta)``.
+
+    Each ``C(2N, j) x^j (1 - x)^{2N-j}`` is evaluated in log space, so a
+    large ``N`` underflows only terms too small to matter to the sum.
+    """
+    races = 2 * confirmations
+    log_races_factorial = math.lgamma(races + 1)
+    log_honest = -math.log1p(relative_power)
+    log_attacker = math.log(relative_power) + log_honest
+    return [
+        math.exp(
+            log_races_factorial - math.lgamma(j + 1) - math.lgamma(races - j + 1)
+            + j * log_attacker + (races - j) * log_honest
+        )
+        for j in range(confirmations + 1, races + 1)
+    ]
+
+
 def attack_success(params: AttackParams) -> AttackResult:
     """Negative-binomial mixture of catch-up probabilities, summed exactly.
 
     Pre-mining counts above the confirmation depth win with certainty, so
-    their whole mass enters as the incomplete-beta tail and no term is ever
+    their whole mass enters as the binomial tail and no term is ever
     dropped or subtracted.
     """
     n_conf, beta = params.confirmations, params.relative_power
@@ -202,7 +231,7 @@ def attack_success(params: AttackParams) -> AttackResult:
         negbin_pmf(n, n_conf, beta) * catch_up_probability(n_conf - n, params)
         for n in range(n_conf + 1)
     ]
-    terms.append(betainc(n_conf + 1, n_conf, beta / (1.0 + beta)))
+    terms += _tail_terms(n_conf, beta)
     return AttackResult(probability=min(1.0, math.fsum(terms)), method="direct-sum")
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,6 +198,28 @@ def test_relative_precision_against_exact_sums():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.3, 0.9, 1.0, 3.0])
+@pytest.mark.parametrize("confs", [40, 100])
+def test_binomial_tail_against_exact_sums(confs, beta):
+    # With giveup 0 every head term of exact_success is zero, leaving the tail.
+    tail = math.fsum(attack._tail_terms(confs, beta))
+    exact = exact_success(confs, Fraction(beta), 0)
+    assert float(abs(Fraction(tail) - exact) / exact) <= 1e-12
+    got = attack_success(AttackParams(confs, beta, confs + 1)).probability
+    exact = exact_success(confs, Fraction(beta), confs + 1)
+    assert float(abs(Fraction(got) - exact) / exact) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.9, 1.0])
+def test_binomial_tail_at_large_depth(beta):
+    # x**j alone underflows at j = 5000 for x = beta / (1 + beta) <= 1/2.
+    from scipy.special import betainc
+
+    confs = 5000
+    tail = math.fsum(attack._tail_terms(confs, beta))
+    assert tail == pytest.approx(betainc(confs + 1, confs, beta / (1.0 + beta)), rel=1e-10, abs=0.0)
+
+
 def test_probability_bounds_and_monotonicity():
     grid_beta = (0.1, 0.4, 0.7, 1.0)
     grid_conf = (1, 2, 4, 6)
@@ -263,6 +286,52 @@ def test_partition_prefix_stability():
     wins_small = round(small.probability * chunk)
     wins_big = round(big.probability * 2 * chunk)
     assert 0 <= wins_big - wins_small <= chunk
+
+
+def int64_walk(params: AttackParams, trials: int, seed: int) -> float:
+    """Reference Monte Carlo walk in int64, with fresh arrays on every step.
+
+    It draws the same uniforms in the same order as the narrow-integer,
+    in-place walk, so the two estimates must be equal."""
+    n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
+    p_honest = 1.0 / (1.0 + beta)
+    attacker_step = beta / (1.0 + beta)
+    wins = 0
+    for part, start in enumerate(range(0, trials, _DEFAULT_CHUNK)):
+        size = min(_DEFAULT_CHUNK, trials - start)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(part,)))
+        )
+        pre_mined = rng.negative_binomial(n_conf, p_honest, size=size)
+        deficit = n_conf - pre_mined.astype(np.int64)
+        wins += int(np.count_nonzero(deficit < 0))
+        active = deficit[(deficit >= 0) & (deficit < n_g)]
+        while active.size:
+            steps = rng.random(active.size) < attacker_step
+            active = active + np.where(steps, -1, 1)
+            wins += int(np.count_nonzero(active < 0))
+            active = active[(active >= 0) & (active < n_g)]
+    return wins / trials
+
+
+@pytest.mark.parametrize(
+    "confs, beta, giveup, trials",
+    [
+        (2, 0.9, 1, 5_000),
+        (2, 0.9, 4, _DEFAULT_CHUNK + 3_000),  # two partitions
+        (3, 0.3, 126, 10_000),
+        (3, 0.3, 127, 10_000),  # int8 holds -1 .. 127
+        (3, 0.3, 128, 10_000),
+        (3, 0.3, 255, 10_000),
+        (3, 0.3, 256, 10_000),
+        (3, 0.3, 300, 10_000),
+    ],
+)
+def test_monte_carlo_matches_the_int64_walk(confs, beta, giveup, trials):
+    params = AttackParams(confs, beta, giveup)
+    expected = int64_walk(params, trials, seed=giveup)
+    assert 0.0 < expected < 1.0
+    assert attack_success_montecarlo(params, trials, seed=giveup).probability == expected
 
 
 def test_monte_carlo_agrees_with_direct_sum():

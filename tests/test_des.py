@@ -222,17 +222,23 @@ def test_interval_half_width_is_the_t_quantile(n):
     assert (hi - lo) / 2 == pytest.approx(stats.t.ppf(0.975, df) * spread, rel=1e-12)
 
 
+def test_batch_means_quantile_is_scipys():
+    assert des._T_BATCHES == float(stdtrit(des._CI_BATCHES - 1, 0.975))
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import; the simulator needs
-    # only one t quantile, which scipy.special provides.  scipy.optimize
-    # adds about a fifth of a second; the pending-stage root is a short
-    # Newton iteration instead.
+    # only t quantiles.  scipy.special adds about 60 ms and 3.7 MB: the
+    # quantile of every run with 32 batch means is a literal, shorter runs
+    # import stdtrit when they need it, and the attack tail is a binomial
+    # sum.  scipy.optimize adds about a fifth of a second; the
+    # pending-stage root is a short Newton iteration instead.
     code = (
         "import sys, scipy.sparse.linalg\n"
         "before = set(sys.modules)\n"
         "import branlab\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
-        "             if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+        "             if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.special'))))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(branlab.__file__).resolve().parents[1])}
     run = subprocess.run(
