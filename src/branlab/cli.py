@@ -39,10 +39,8 @@ def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> Non
         "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS") or "1",
         help="parallel sweep points (default: $BRANLAB_JOBS or 1)",
     )
-    parser.add_argument(
-        "--no-timestamp", action="store_true",
-        help="omit the generation-time header line for byte-reproducible output",
-    )
+    # A no-op: only the benchmark's preset argv still passes it.
+    parser.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,13 +72,17 @@ def _report(summary: RunSummary) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    presets = dict(list_presets())
     if args.command == "list-presets":
-        for name, description in list_presets():
+        for name, description in presets.items():
             print(f"{name}\t{description}")
         return 0
+    if args.command == "preset" and args.name not in presets:
+        # Checked before the run, so a KeyError raised while evaluating stays a fault.
+        print(f"error: unknown preset {args.name!r}; available: {', '.join(presets)}", file=sys.stderr)
+        return 2
 
-    options = dict(out_path=args.out, seed=args.seed, jobs=args.jobs,
-                   include_timestamp=not args.no_timestamp)
+    options = dict(out_path=args.out, seed=args.seed, jobs=args.jobs)
     try:
         if args.command == "run":
             spec = parse_scenario(args.scenario)
@@ -89,9 +91,6 @@ def main(argv=None) -> int:
             summary = run_preset(args.name, fmt=args.format or "csv", **options)
     except MalformedSpecError as exc:
         print(f"malformed scenario: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

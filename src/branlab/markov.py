@@ -42,6 +42,7 @@ from .config import ChainConfig, pending_root, pending_wait, served_rate, valida
 
 DEFAULT_MAX_STATES = 4_000_000
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
+_TOL = 1e-9  # frontier mass below which auto_truncate may stop
 _STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
 
 
@@ -250,28 +251,24 @@ def _solve_box(config: ChainConfig, i_max: int, j_max: int, max_states: int) -> 
     )
 
 
-def auto_truncate(
-    config: ChainConfig, tol: float = 1e-9, max_states: int = DEFAULT_MAX_STATES
-) -> TruncationResult:
+def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
     The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
-    smallest ``i`` with ``z0**i < tol / 2``, capped so that the initial box
+    smallest ``i`` with ``z0**i < _TOL / 2``, capped so that the initial box
     fits in ``max_states``.  ``j_max`` starts at the smallest ``16 * 2**m``
     covering twice the offered load ``R_a / R_s`` and doubles until the
-    frontier mass is below ``tol`` and the mean queue length moved by less
+    frontier mass is below ``_TOL`` and the mean queue length moved by less
     than 0.1 percent from the previous box; the last box solved is returned.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     validate(config)
     j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
     z0 = pending_root(config)
     i_max = 1
-    while z0**i_max >= tol / 2 and (i_max + 2) * (j_max + 1) <= max_states:
+    while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= max_states:
         i_max += 1
     tried = [(i_max, j_max)]
     current = _solve_box(config, i_max, j_max, max_states)
@@ -290,7 +287,7 @@ def auto_truncate(
         previous, current = current, _solve_box(config, i_max, j_max, max_states)
         moved = abs(current.mean_queue_length - previous.mean_queue_length)
         if (
-            current.distribution.truncation_mass_bound < tol
+            current.distribution.truncation_mass_bound < _TOL
             and moved <= _STABILITY_RTOL * max(previous.mean_queue_length, 1e-6)
         ):
             return replace(current, extents_tried=tuple(tried))

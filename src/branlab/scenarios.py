@@ -49,14 +49,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
 from collections.abc import Callable, Hashable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import attack as attack_mod
@@ -594,30 +592,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_rows(
-    specs: list[ScenarioSpec], path, fmt: str, jobs: int, include_timestamp: bool
-) -> RunSummary:
+def _write_rows(specs: list[ScenarioSpec], path, fmt: str, jobs: int) -> RunSummary:
     if fmt not in _FORMATS:
         raise ValueError(f"fmt: expected one of {_FORMATS}, got {fmt!r}")
     rows = evaluate(specs, jobs)
     header = scenario_header(specs[0])
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    buffer = io.StringIO()
-    if fmt == "csv":
-        if include_timestamp:
-            buffer.write(f"# generated {stamp}\n")
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col, "")) for col in header])
-    else:
-        if include_timestamp:
-            buffer.write(json.dumps({"meta": {"generated": stamp}}) + "\n")
-        for row in rows:
-            ordered = {col: row.get(col, "") for col in header}
-            buffer.write(json.dumps(ordered) + "\n")
     with open(path, "w", newline="") as handle:
-        handle.write(buffer.getvalue())
+        if fmt == "csv":
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_format_cell(row.get(col, "")) for col in header])
+        else:
+            for row in rows:
+                ordered = {col: row.get(col, "") for col in header}
+                handle.write(json.dumps(ordered) + "\n")
     ok = sum(1 for row in rows if row["status"] == "ok")
     return RunSummary(
         points_total=len(rows),
@@ -639,15 +628,12 @@ def run_scenario(
     fmt: str | None = None,
     seed: int | None = None,
     jobs: int = 1,
-    include_timestamp: bool = True,
 ) -> RunSummary:
     """Evaluate every sweep point of ``spec`` and persist one row per point."""
     resolved_out = out_path or spec.output_path
     if resolved_out is None:
         raise MalformedSpecError("no output path: pass out_path or set output.path")
-    return _write_rows(
-        _with_seed([spec], seed), resolved_out, fmt or spec.output_format, jobs, include_timestamp
-    )
+    return _write_rows(_with_seed([spec], seed), resolved_out, fmt or spec.output_format, jobs)
 
 
 # --------------------------------------------------------------------------
@@ -834,9 +820,6 @@ def run_preset(
     fmt: str = "csv",
     seed: int | None = None,
     jobs: int = 1,
-    include_timestamp: bool = True,
 ) -> RunSummary:
     """Run every sub-scenario of a preset into a single output file."""
-    return _write_rows(
-        _with_seed(preset_specs(name), seed), out_path, fmt, jobs, include_timestamp
-    )
+    return _write_rows(_with_seed(preset_specs(name), seed), out_path, fmt, jobs)

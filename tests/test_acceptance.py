@@ -344,7 +344,7 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
     for label, spec in (("simulation", simulation), ("attack", attack)):
         first = tmp_path / f"{label}-1.csv"
         second = tmp_path / f"{label}-2.csv"
-        run_scenario(spec, first, include_timestamp=False)
-        run_scenario(spec, second, include_timestamp=False)
+        run_scenario(spec, first)
+        run_scenario(spec, second)
         assert first.read_bytes() == second.read_bytes(), label
     report("9", "simulation and attack sweeps re-run byte-identically")

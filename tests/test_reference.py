@@ -1,6 +1,6 @@
 """Preset rows against the committed reference files in ``tests/reference``.
 
-The files are ``branlab preset <name> --no-timestamp --seed 3`` for every
+The files are ``branlab preset <name> --seed 3`` for every
 preset; regenerate them with the command in README's "Install and test"
 section, never by hand.  The five analytic presets are re-run here.  The
 two simulated ones (fig9, fig11) take seconds, so CI compares them byte
@@ -41,7 +41,7 @@ def _agree(actual: str, expected: str) -> bool:
 @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "fig10", "fig12"])
 def test_analytic_preset_matches_reference(tmp_path, name):
     out = tmp_path / f"{name}.csv"
-    run_preset(name, out, seed=3, include_timestamp=False)
+    run_preset(name, out, seed=3)
     (header, *rows), (ref_header, *ref_rows) = _read(out), _read(REFERENCE / f"{name}.csv")
     assert header == ref_header
     assert len(rows) == len(ref_rows)

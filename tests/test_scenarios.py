@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -50,9 +51,8 @@ def sim_doc(**overrides):
 
 
 def read_rows(path):
-    with open(path) as handle:
-        lines = [ln for ln in handle.read().splitlines() if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 # ------------------------------------------------------------------- schema
@@ -238,7 +238,7 @@ def test_closed_form_attack_inside_its_domain_runs(tmp_path):
     doc = attack_doc(engine="markov", giveup=8,
                      sweep=[{"path": "confirmations", "values": [1, 7]}])
     out = tmp_path / "rows.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(doc), out)
     assert summary.points_ok == 2
     rows = read_rows(out)
     assert {r["attack_method"] for r in rows} == {"direct-sum"}
@@ -277,7 +277,7 @@ def test_json_file_parsing_and_diagnostics(tmp_path):
 
 def test_intensity_path_sets_the_arrival_rate(tmp_path):
     out = tmp_path / "rows.csv"
-    run_scenario(parse_scenario(markov_doc()), out, include_timestamp=False)
+    run_scenario(parse_scenario(markov_doc()), out)
     rows = read_rows(out)
     assert [float(r["arrival_rate"]) for r in rows] == [0.2, 0.5]
     assert all(r["status"] == "ok" for r in rows)
@@ -287,7 +287,7 @@ def test_intensity_path_sets_the_arrival_rate(tmp_path):
 def test_unstable_points_are_reported_not_fatal(tmp_path):
     doc = markov_doc(sweep=[{"path": "arrival_rate", "values": [0.5, 9.0]}])
     out = tmp_path / "rows.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(doc), out)
     assert (summary.points_ok, summary.points_skipped) == (1, 1)
     rows = read_rows(out)
     assert rows[1]["status"] == "skipped-unstable"
@@ -316,7 +316,7 @@ def test_rows_echo_the_materialised_config(tmp_path):
         ]
     )
     out = tmp_path / "rows.csv"
-    run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    run_scenario(parse_scenario(doc), out)
     rows = read_rows(out)
     assert [int(r["confirmations"]) for r in rows] == [1, 3]
     assert all(float(r["intensity"]) == pytest.approx(0.4) for r in rows)
@@ -326,7 +326,7 @@ def test_rows_echo_the_materialised_config(tmp_path):
 
 def test_simulation_rows_have_nonzero_intervals(tmp_path):
     out = tmp_path / "sim.csv"
-    run_scenario(parse_scenario(sim_doc()), out, include_timestamp=False)
+    run_scenario(parse_scenario(sim_doc()), out)
     rows = read_rows(out)
     for row in rows:
         assert float(row["ci_high"]) > float(row["ci_low"])
@@ -340,7 +340,7 @@ def test_closed_form_engine_rows(tmp_path):
         {"path": "block_capacity", "values": [1, 3]},
     ]
     out = tmp_path / "cf.csv"
-    run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    run_scenario(parse_scenario(doc), out)
     rows = read_rows(out)
     for row in rows:
         parts = (
@@ -362,7 +362,7 @@ def test_attack_engine_method_dispatch(tmp_path):
         doc = attack_doc(engine=engine, relative_power=0.4, giveup=6,
                          sweep=[{"path": "confirmations", "values": [1, 2, 7]}])
         del doc["attack"]["method"]
-        run_scenario(parse_scenario(doc), out, include_timestamp=False)
+        run_scenario(parse_scenario(doc), out)
         rows = read_rows(out)
         assert [row["attack_method"] for row in rows] == ["direct-sum"] * 3
         assert all(0.0 < float(row["attack_probability"]) < 1.0 for row in rows)
@@ -373,7 +373,7 @@ def test_attack_engine_method_dispatch(tmp_path):
 
     doc["attack"]["method"] = "monte-carlo"
     doc["replication"] = {"seed": 11, "trials": 50_000}
-    run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    run_scenario(parse_scenario(doc), out)
     rows = read_rows(out)
     assert all(row["attack_method"] == "monte-carlo" for row in rows)
     assert all(float(row["std_error"]) > 0.0 for row in rows)
@@ -383,23 +383,40 @@ def test_attack_engine_method_dispatch(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     spec = parse_scenario(sim_doc())
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_scenario(spec, a, include_timestamp=False)
-    run_scenario(spec, b, include_timestamp=False)
+    run_scenario(spec, a)
+    run_scenario(spec, b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_timestamp_header_line(tmp_path):
-    out = tmp_path / "stamped.csv"
-    run_scenario(parse_scenario(markov_doc()), out)
-    first = out.read_text().splitlines()[0]
-    assert first.startswith("# generated ")
+def test_default_output_is_header_first(tmp_path):
+    # Files hold the header and the rows only, so a default run is byte-reproducible.
+    spec = parse_scenario(markov_doc())
+    header = scenario_header(spec)
+    out = tmp_path / "rows.csv"
+    run_scenario(spec, out)
+    with open(out, newline="") as handle:
+        lines = list(csv.reader(handle))
+    assert lines[0] == header
+    assert len(lines) == 1 + 2
+
+    out = tmp_path / "rows.jsonl"
+    run_scenario(spec, out, fmt="jsonl")
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 2
+    assert all(list(record) == header for record in records)
+
+    # The benchmark's preset argv still passes the hidden --no-timestamp.
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert cli_main(["preset", "fig8", "--out", str(plain)]) == 0
+    assert cli_main(["preset", "fig8", "--out", str(flagged), "--no-timestamp"]) == 0
+    assert plain.read_bytes() == flagged.read_bytes()
 
 
 def test_seed_override_changes_stochastic_rows(tmp_path):
     spec = parse_scenario(sim_doc())
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_scenario(spec, a, include_timestamp=False)
-    run_scenario(spec, b, seed=99, include_timestamp=False)
+    run_scenario(spec, a)
+    run_scenario(spec, b, seed=99)
     assert a.read_bytes() != b.read_bytes()
 
 
@@ -407,8 +424,8 @@ def test_extending_a_sweep_preserves_existing_points(tmp_path):
     short = parse_scenario(sim_doc(sweep=[{"path": "intensity", "values": [0.2, 0.5]}]))
     longer = parse_scenario(sim_doc(sweep=[{"path": "intensity", "values": [0.2, 0.5, 0.7]}]))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_scenario(short, a, include_timestamp=False)
-    run_scenario(longer, b, include_timestamp=False)
+    run_scenario(short, a)
+    run_scenario(longer, b)
     assert read_rows(b)[:2] == read_rows(a)
 
 
@@ -432,9 +449,9 @@ def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
         spec = parse_scenario(doc)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         markov._stationary_cached.cache_clear()
-        run_scenario(spec, a, jobs=1, include_timestamp=False)
+        run_scenario(spec, a, jobs=1)
         markov._stationary_cached.cache_clear()
-        run_scenario(spec, b, jobs=2, include_timestamp=False)
+        run_scenario(spec, b, jobs=2)
         assert a.read_bytes() == b.read_bytes()
 
     # Two sub-scenarios, one with rejection, through a single pool.
@@ -498,7 +515,7 @@ def test_closed_form_points_past_the_mining_rate_are_ok(tmp_path):
         sweep=[{"path": "confirmations", "values": [1, 2]}],
     )
     out = tmp_path / "cf.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(doc), out)
     assert (summary.points_ok, summary.points_skipped) == (2, 0)
     rows = read_rows(out)
     assert [r["approximate"] for r in rows] == ["true"] * 2
@@ -515,7 +532,7 @@ def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
         ],
     )
     out = tmp_path / "cf.csv"
-    run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    run_scenario(parse_scenario(doc), out)
     rows = read_rows(out)
     assert [r["status"] for r in rows] == ["ok"] * 6
     for row in rows:
@@ -552,7 +569,7 @@ def test_solver_failure_is_reported_not_fatal(tmp_path, monkeypatch, error):
     )
     spec = parse_scenario(doc)
     out = tmp_path / "rows.csv"
-    summary = run_scenario(spec, out, include_timestamp=False)
+    summary = run_scenario(spec, out)
     assert (summary.points_total, summary.points_ok) == (2, 0)
     rows = read_rows(out)
     assert list(rows[0]) == scenario_header(spec)
@@ -570,7 +587,7 @@ def test_untyped_solver_exception_propagates(tmp_path, monkeypatch):
     spec = parse_scenario(markov_doc())
     out = tmp_path / "rows.csv"
     with pytest.raises(ZeroDivisionError):
-        run_scenario(spec, out, include_timestamp=False)
+        run_scenario(spec, out)
     assert not out.exists()
 
 
@@ -629,7 +646,7 @@ def test_runaway_simulation_is_reported_not_fatal(tmp_path, monkeypatch, doc):
     monkeypatch.setattr(des, "simulate_hierarchical", runaway)
     spec = parse_scenario(doc)
     out = tmp_path / "rows.csv"
-    summary = run_scenario(spec, out, include_timestamp=False)
+    summary = run_scenario(spec, out)
     assert (summary.points_total, summary.points_ok) == (2, 0)
     rows = read_rows(out)
     assert list(rows[0]) == scenario_header(spec)
@@ -655,7 +672,7 @@ def test_overloaded_primary_is_skipped_without_simulating(tmp_path, monkeypatch)
         sweep=[{"path": "secondary.arrival_rate", "values": [0.5]}],
     )
     out = tmp_path / "rows.csv"
-    summary = run_scenario(parse_scenario(doc), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(doc), out)
     assert (summary.points_total, summary.points_skipped) == (1, 1)
     assert read_rows(out)[0]["status"] == "skipped-unstable"
 
@@ -663,7 +680,7 @@ def test_overloaded_primary_is_skipped_without_simulating(tmp_path, monkeypatch)
 def test_jsonl_output(tmp_path):
     out = tmp_path / "rows.jsonl"
     spec = parse_scenario(markov_doc())
-    run_scenario(spec, out, fmt="jsonl", include_timestamp=False)
+    run_scenario(spec, out, fmt="jsonl")
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     row = json.loads(lines[0])
@@ -697,7 +714,7 @@ def test_point_seed_is_stable():
 def test_output_section_supplies_path_and_format(tmp_path):
     out = tmp_path / "from-spec.jsonl"
     doc = markov_doc(output={"path": str(out), "format": "jsonl"})
-    summary = run_scenario(parse_scenario(doc), include_timestamp=False)
+    summary = run_scenario(parse_scenario(doc))
     assert summary.out_path == str(out)
     assert len(out.read_text().splitlines()) == 2
     with pytest.raises(MalformedSpecError, match="output path"):
@@ -706,7 +723,7 @@ def test_output_section_supplies_path_and_format(tmp_path):
 
 def test_hierarchical_sweep_paths(tmp_path):
     out = tmp_path / "hier.csv"
-    summary = run_scenario(parse_scenario(hier_doc()), out, include_timestamp=False)
+    summary = run_scenario(parse_scenario(hier_doc()), out)
     assert summary.points_ok == 2
     rows = read_rows(out)
     assert [float(r["secondary_arrival_rate"]) for r in rows] == [1.5, 3.0]
@@ -748,9 +765,9 @@ def test_unknown_preset():
 
 def test_preset_run_and_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    summary = run_preset("fig10", a, include_timestamp=False)
+    summary = run_preset("fig10", a)
     assert summary.points_ok == summary.points_total == 80
-    run_preset("fig10", b, include_timestamp=False)
+    run_preset("fig10", b)
     assert a.read_bytes() == b.read_bytes()
     rows = read_rows(a)
     assert {r["scenario"] for r in rows} == {
@@ -778,6 +795,28 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["preset", "fig10", "--out", str(missing)]) == 3
 
     assert cli_main(["preset", "fig99", "--out", str(out)]) == 2
+
+
+def test_cli_key_error_from_evaluation_propagates(tmp_path, monkeypatch, capsys):
+    # Only an unknown preset name is a usage error; a KeyError raised while
+    # evaluating is a fault, so it propagates with its traceback.
+    def broken(config, attack_section, replication, seed):
+        raise KeyError("latency")
+
+    monkeypatch.setitem(
+        scenarios._ENGINES, "markov", replace(scenarios._ENGINES["markov"], run=broken)
+    )
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(markov_doc()))
+    out = tmp_path / "out.csv"
+    with pytest.raises(KeyError, match="latency"):
+        cli_main(["run", "--scenario", str(scenario), "--out", str(out)])
+    with pytest.raises(KeyError, match="latency"):
+        cli_main(["preset", "fig6", "--out", str(out)])
+    assert not out.exists()
+
+    assert cli_main(["preset", "fig99", "--out", str(out)]) == 2
+    assert "unknown preset 'fig99'" in capsys.readouterr().err
 
 
 def test_cli_run_out_defaults_to_the_output_path(tmp_path, capsys):
