@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require_count
+
 
 class ClosedFormRangeError(ValueError):
     """Closed form evaluated outside its ``giveup_threshold > confirmations`` domain."""
@@ -53,14 +55,12 @@ class AttackParams:
     giveup_threshold: int
 
     def __post_init__(self):
-        # bool is an int subclass, but True is neither a count nor a power.
-        confs, power, giveup = self.confirmations, self.relative_power, self.giveup_threshold
-        if isinstance(confs, bool) or not isinstance(confs, int) or confs < 1:
-            raise ValueError(f"confirmations must be an integer >= 1, got {confs!r}")
+        require_count("confirmations", self.confirmations)
+        power = self.relative_power
+        # bool is an int subclass, but True is not a power.
         if isinstance(power, bool) or not (power > 0 and math.isfinite(power)):
             raise ValueError(f"relative_power must be finite and > 0, got {power!r}")
-        if isinstance(giveup, bool) or not isinstance(giveup, int) or giveup < 1:
-            raise ValueError(f"giveup_threshold must be an integer >= 1, got {giveup!r}")
+        require_count("giveup_threshold", self.giveup_threshold)
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     ``0 <= d < N_g`` is one compare of ``d`` read as unsigned, where
     ``-1`` is the largest value.
     """
-    # bool is an int subclass, but True is not a count.
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    require_count("trials", trials)
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)

@@ -70,6 +70,13 @@ class HierarchicalConfig:
     secondary: ChainConfig
 
 
+def require_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` of at least 1."""
+    # bool is an int subclass, but True is not a count.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def validate(config: ChainConfig | HierarchicalConfig) -> None:
     """Raise :class:`ConfigValidationError` on the first violated invariant.
 
@@ -90,36 +97,22 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
             raise ConfigValidationError(err.code, f"primary with handover: {err}") from None
         return
 
-    rates = {
-        "arrival_rate": config.arrival_rate,
-        "mining_rate": config.mining_rate,
-        "rejection_rate": config.rejection_rate,
-        "service_rate": config.service_rate,
-    }
-    for name, value in rates.items():
+    for name in ("arrival_rate", "mining_rate", "rejection_rate", "service_rate"):
+        value = getattr(config, name)
         # bool is an int subclass, but True is not a rate.
         if isinstance(value, bool) or not math.isfinite(value) or value < 0:
             raise ConfigValidationError(
                 "nonpositive-rate", f"{name} must be finite and nonnegative, got {value!r}"
             )
-    for name in ("arrival_rate", "mining_rate", "service_rate"):
-        if rates[name] <= 0:
+        if value == 0 and name != "rejection_rate":
             raise ConfigValidationError(
-                "nonpositive-rate", f"{name} must be strictly positive, got {rates[name]!r}"
+                "nonpositive-rate", f"{name} must be strictly positive, got {value!r}"
             )
-
-    counts = {
-        "servers": config.servers,
-        "block_capacity": config.block_capacity,
-        "rejection_batch": config.rejection_batch,
-        "confirmations": config.confirmations,
-    }
-    for name, value in counts.items():
-        # bool is an int subclass, but True is not a count.
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigValidationError(
-                "capacity-violation", f"{name} must be an integer >= 1, got {value!r}"
-            )
+    for name in ("servers", "block_capacity", "rejection_batch", "confirmations"):
+        try:
+            require_count(name, getattr(config, name))
+        except ValueError as err:
+            raise ConfigValidationError("capacity-violation", str(err)) from None
     if config.rejection_batch > config.block_capacity:
         raise ConfigValidationError(
             "capacity-violation",
@@ -187,12 +180,13 @@ def served_rate(config: ChainConfig) -> float:
 
 def intensity_of(config: ChainConfig) -> float:
     """Service-stage utilisation ``R_a / (s R_s)``; inverse of :func:`with_intensity`."""
-    return config.arrival_rate / (config.servers * config.service_rate)
+    return config.arrival_rate / config.service_capacity
 
 
 def with_intensity(config: ChainConfig, rho: float) -> ChainConfig:
     """Copy of ``config`` with arrival rate ``rho s R_s``: service-stage utilisation ``rho``."""
     if not (0.0 < rho < 1.0):
         raise ValueError(f"traffic intensity must lie in (0, 1), got {rho!r}")
+    # Not rho * service_capacity: (rho * s) * R_s rounds differently, and swept rates would move.
     return replace(config, arrival_rate=rho * config.servers * config.service_rate)
 

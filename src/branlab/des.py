@@ -49,7 +49,7 @@ from collections import deque
 
 import numpy as np
 
-from .config import ChainConfig, HierarchicalConfig, validate
+from .config import ChainConfig, HierarchicalConfig, require_count, validate
 
 _ARRIVAL, _POOL, _ENTER, _DEPART = range(4)
 
@@ -322,10 +322,8 @@ def _simulate(
     max_pending: int,
     collect_records: bool,
 ) -> SimResult:
-    for name, count in (("target_served", target_served), ("max_pending", max_pending)):
-        # bool is an int subclass, but True is not a count.
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    require_count("target_served", target_served)
+    require_count("max_pending", max_pending)
     if confirmation_mode not in CONFIRMATION_MODES:
         raise ValueError(
             f"confirmation_mode must be one of {CONFIRMATION_MODES}, got {confirmation_mode!r}"

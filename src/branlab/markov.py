@@ -240,17 +240,6 @@ class TruncationResult:
     extents_tried: tuple[tuple[int, int], ...]  # (i_max, j_max) of each box solved
 
 
-def _solve_box(config: ChainConfig, i_max: int, j_max: int, max_states: int) -> TruncationResult:
-    space = enumerate_states(i_max, j_max, max_states=max_states)
-    dist = solve_steady_state(build_generator(config, space))
-    return TruncationResult(
-        space=space,
-        distribution=dist,
-        mean_queue_length=mean_queue_length(dist),
-        extents_tried=((i_max, j_max),),
-    )
-
-
 def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
@@ -270,11 +259,21 @@ def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> 
     i_max = 1
     while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= max_states:
         i_max += 1
-    tried = [(i_max, j_max)]
-    current = _solve_box(config, i_max, j_max, max_states)
+    tried = []
+    previous_mean = None
     while True:
+        tried.append((i_max, j_max))
+        space = enumerate_states(i_max, j_max, max_states=max_states)
+        dist = solve_steady_state(build_generator(config, space))
+        mean = mean_queue_length(dist)
+        frontier = dist.truncation_mass_bound
+        if (
+            previous_mean is not None
+            and frontier < _TOL
+            and abs(mean - previous_mean) <= _STABILITY_RTOL * max(previous_mean, 1e-6)
+        ):
+            return TruncationResult(space, dist, mean, tuple(tried))
         if (i_max + 1) * (2 * j_max + 1) > max_states:
-            frontier = current.distribution.truncation_mass_bound
             raise TruncationDidNotConverge(
                 f"no convergence below {max_states} states; last box "
                 f"({i_max}, {j_max}) left frontier mass {frontier:.3e}",
@@ -283,14 +282,7 @@ def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> 
                 frontier_mass=frontier,
             )
         j_max *= 2
-        tried.append((i_max, j_max))
-        previous, current = current, _solve_box(config, i_max, j_max, max_states)
-        moved = abs(current.mean_queue_length - previous.mean_queue_length)
-        if (
-            current.distribution.truncation_mass_bound < _TOL
-            and moved <= _STABILITY_RTOL * max(previous.mean_queue_length, 1e-6)
-        ):
-            return replace(current, extents_tried=tuple(tried))
+        previous_mean = mean
 
 
 @lru_cache(maxsize=32)

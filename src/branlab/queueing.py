@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ChainConfig, pending_wait, served_rate
+from .config import ChainConfig, pending_wait, require_count, served_rate
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -35,8 +35,7 @@ def erlang_c(servers: int, offered_load: float) -> float:
     ``B(n, a) = a B(n-1, a) / (n + a B(n-1, a))`` and converts with
     ``C = B / (1 - (a/s) (1 - B))``, stable well past 500 servers.
     """
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers!r}")
+    require_count("servers", servers)
     if offered_load < 0:
         raise ValueError(f"offered load must be nonnegative, got {offered_load!r}")
     if offered_load >= servers:
@@ -73,7 +72,7 @@ def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     throughput = served_rate(config)
     delay_prob = erlang_c(config.servers, throughput / config.service_rate)
     service_stage = (
-        delay_prob / (config.servers * config.service_rate - throughput)
+        delay_prob / (config.service_capacity - throughput)
         + 1.0 / config.service_rate
     )
     confirmation_wait = (config.confirmations - 1) / config.mining_rate

@@ -63,6 +63,7 @@ from .config import (
     ChainConfig,
     HierarchicalConfig,
     intensity_of,
+    require_count,
     validate,
     with_intensity,
 )
@@ -366,7 +367,7 @@ def _path_value(path: str, owners: dict):
     config = owners[owner]
     if name != "intensity":
         return getattr(config, name)
-    return intensity_of(config) if config.servers * config.service_rate else ""
+    return intensity_of(config) if config.service_capacity else ""
 
 
 # Written only by scenarios that carry an attack section.
@@ -533,9 +534,7 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
     the task count both exceed 1, the tasks run in one process pool of
     ``min(jobs, tasks)`` workers for the whole call.
     """
-    # bool is an int subclass, but True is not a count.
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    require_count("jobs", jobs)
     rows: list[dict] = []
     groups: dict = {}
     for spec in specs:
@@ -597,7 +596,7 @@ def _write_rows(specs: list[ScenarioSpec], path, fmt: str, jobs: int) -> RunSumm
         raise ValueError(f"fmt: expected one of {_FORMATS}, got {fmt!r}")
     rows = evaluate(specs, jobs)
     header = scenario_header(specs[0])
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         if fmt == "csv":
             writer = csv.writer(handle)
             writer.writerow(header)

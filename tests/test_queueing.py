@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +46,13 @@ def test_large_server_counts_are_stable():
 def test_erlang_domain_errors(s, a):
     with pytest.raises(ValueError):
         erlang_c(s, a)
+
+
+@pytest.mark.parametrize("servers", [True, 2.5, np.int64(2)], ids=["bool", "float", "numpy"])
+def test_erlang_servers_must_be_an_int(servers):
+    # bool is an int subclass and 2.5 compares fine, but neither is a server count.
+    with pytest.raises(ValueError, match="servers must be an integer >= 1"):
+        erlang_c(servers, 0.5)
 
 
 # ------------------------------------------------------------- closed form

@@ -1,10 +1,15 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import branlab
 from branlab import des, markov, scenarios
 from branlab.attack import AttackParams, attack_success_closed
 from branlab.cli import main as cli_main
@@ -101,6 +106,9 @@ def test_round_trip_parse():
         (lambda d: d.update(sweep=["intensity"]), "sweep[0]: expected an object"),
         (lambda d: d.update(replication=7), "replication: expected an object"),
         (lambda d: d.update(output="out.csv"), "output: expected an object"),
+        (lambda d: d.update(replication={"target_served": 0}), "replication.target_served"),
+        (lambda d: d.update(replication={"trials": -1}), "replication.trials"),
+        (lambda d: d.update(replication={"trials": True}), "replication.trials"),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
@@ -795,6 +803,25 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["preset", "fig10", "--out", str(missing)]) == 3
 
     assert cli_main(["preset", "fig99", "--out", str(out)]) == 2
+
+
+def test_cli_output_is_utf8_under_an_ascii_locale(tmp_path):
+    # The CSV must not take the locale's encoding: a non-ASCII scenario name
+    # under LC_ALL=C would stop the writer half way through the file.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(markov_doc(name="\u03c1-sweep"), ensure_ascii=False), "utf-8")
+    out = tmp_path / "out.csv"
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(Path(branlab.__file__).resolve().parents[1]),
+    }
+    argv = ["run", "--scenario", str(scenario), "--out", str(out)]
+    run = subprocess.run([sys.executable, "-m", "branlab.cli", *argv], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert "\u03c1-sweep" in out.read_text(encoding="utf-8")
 
 
 def test_cli_key_error_from_evaluation_propagates(tmp_path, monkeypatch, capsys):
