@@ -23,8 +23,9 @@ class ConfigValidationError(ValueError):
     """A configuration violates a range or stability invariant.
 
     ``code`` names the first violated invariant: ``nonpositive-rate``,
-    ``capacity-violation``, ``unstable-service-queue`` or
-    ``unstable-mining-queue``.
+    ``capacity-violation``, ``rate-overflow`` (a rate product, or the
+    pending-stage root, that floating point cannot hold),
+    ``unstable-service-queue`` or ``unstable-mining-queue``.
     """
 
     def __init__(self, code: str, message: str):
@@ -81,7 +82,8 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
     """Raise :class:`ConfigValidationError` on the first violated invariant.
 
     Checks run in a fixed order: rate ranges, integer ranges, the
-    rejection-batch bound, service-stage stability, mining-stage stability.
+    rejection-batch bound, finite stage capacities, service-stage
+    stability, mining-stage stability.
     A hierarchy checks both chains, then the primary again with the
     secondary's served traffic added to its arrivals.
     Deterministic and side-effect free.
@@ -120,6 +122,10 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
             f"({config.rejection_batch} > {config.block_capacity})",
         )
 
+    for name in ("service_capacity", "mining_drain"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigValidationError("rate-overflow", f"{name} overflows to {value!r}")
     if config.arrival_rate >= config.service_capacity:
         raise ConfigValidationError(
             "unstable-service-queue",
@@ -143,7 +149,9 @@ def pending_root(config: ChainConfig) -> float:
     stationary law is geometric, ``P(i) = (1 - z0) z0**i``.  On [0, 1] ``g``
     is increasing and convex, ``g(0) = -R_a`` and ``g(1) = mining_drain -
     R_a``: the root exists exactly when :func:`validate` passes, and
-    Newton's method from ``z = 1`` decreases onto it monotonically.
+    Newton's method from ``z = 1`` decreases onto it monotonically.  A
+    slope that overflows, or no convergence in 100 steps, raises
+    :class:`ConfigValidationError` with code ``rate-overflow``.
     """
     validate(config)
     # coefficient of z**m in g, m = 1 .. k; rejection_batch <= block_capacity
@@ -152,16 +160,20 @@ def pending_root(config: ChainConfig) -> float:
         for m in range(1, config.block_capacity + 1)
     ]
     z = 1.0
-    while True:
+    for _ in range(100):
         # g(z) = z h(z) - R_a; Horner gives h and h'
         h = dh = 0.0
         for c in reversed(coeffs):
             dh = dh * z + h
             h = h * z + c
-        step = (z * h - config.arrival_rate) / (h + z * dh)
+        slope = h + z * dh
+        if not math.isfinite(slope):
+            break
+        step = (z * h - config.arrival_rate) / slope
         z -= step
         if step <= 1e-14 * z:  # quadratic convergence: the error is now rounding
             return z
+    raise ConfigValidationError("rate-overflow", f"pending_root overflows or stalls for {config}")
 
 
 def pending_wait(config: ChainConfig) -> float:

@@ -17,32 +17,35 @@ schema::
       "output": {"path": "out.csv", "format": "csv"}
     }
 
-Unknown fields and non-object sections are rejected so typos surface
-immediately, and so are attack values outside the attack model's range, in
-the section or in a sweep.  Each engine's record in ``_ENGINES`` says
-whether an attack section is required, allowed or refused and which
-methods it accepts: ``attack`` requires one, with method ``auto`` (the
-analytic direct sum) or ``monte-carlo``; ``markov`` takes an optional one,
-``auto`` only, and adds the attack columns to its rows.  Sweep paths name
-real configuration fields; the pseudo-field ``intensity`` (or
-``secondary.intensity`` etc.) sets the arrival rate to hit a service-stage
-utilisation and is applied after any other swept field of the same point,
-so it may not be swept together with the same chain's ``arrival_rate``.
+The ``base``, ``attack`` and ``replication`` sections hold the fields of
+:class:`config.ChainConfig` (all of them), :class:`AttackSection` and
+:class:`Replication`, each read as its field's annotated type.  Unknown
+fields, non-object sections and attack values outside the attack model's
+range, in the section or in a sweep, are rejected.  Each engine's record
+in ``_ENGINES`` says whether an attack section is required, allowed or
+refused and which methods it accepts: ``attack`` requires one, with method
+``auto`` (the analytic direct sum) or ``monte-carlo``; ``markov`` takes an
+optional one, ``auto`` only, and adds the attack columns to its rows.
+Sweep paths name real configuration fields; the pseudo-field
+``intensity`` (or ``secondary.intensity`` etc.) sets the arrival rate to
+hit a service-stage utilisation and is applied after any other swept
+field of the same point, so it may not be swept with that chain's
+``arrival_rate``.
 
 Rows come out in row-major grid order.  Every point goes through one
 loop, :func:`evaluate`: materialise, validate, then the ``run`` of the
-engine's record, the one place that holds what the runner knows about an
-engine.  Row statuses are set in two places.  The loop reports a point
-that is not a valid configuration (an intensity outside (0, 1), or one
-that fails :func:`config.validate`) as ``skipped-unstable``.  Engine
-evaluators raise, and :func:`_run_task` reports a pending pool that runs
-away (:class:`des.SimulationUnstableError`) as ``skipped-unstable`` and a
+engine's record, which returns the result values in the order of the
+record's ``columns``.  The loop reports a point that is not a valid
+configuration (an intensity outside (0, 1), or one that fails
+:func:`config.validate`) as ``skipped-unstable``.  :func:`_run_task`
+reports an engine's typed failure: a pending pool that runs away
+(:class:`des.SimulationUnstableError`) or a root that overflows
+(:class:`config.ConfigValidationError`) as ``skipped-unstable``, and a
 :class:`markov.SolverError` as ``solver-failed``.  Neither aborts the run,
-and both leave the result columns blank.
-Per-point seeds derive from ``sha256("<master_seed>:<point_index>")``, so
-extending a value list never perturbs existing points.  Output rows echo
-the full materialised configuration, making every row self-describing and
-re-runnable.
+and both leave the result columns blank.  Per-point seeds derive from
+``sha256("<master_seed>:<point_index>")``, so extending a value list never
+perturbs existing points.  Output rows echo the full materialised
+configuration, making every row self-describing and re-runnable.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ import json
 import math
 from collections.abc import Callable, Hashable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import attack as attack_mod
 from . import des, markov, queueing
 from .config import (
     ChainConfig,
+    ConfigValidationError,
     HierarchicalConfig,
     intensity_of,
     require_count,
@@ -72,8 +76,6 @@ SCHEMA_VERSION = 1
 _FORMATS = ("csv", "jsonl")
 
 _CHAIN_FIELDS = tuple(field.name for field in fields(ChainConfig))
-# config.py postpones annotations, so each field's type is its source text.
-_INT_FIELDS = {field.name for field in fields(ChainConfig) if field.type == "int"}
 
 
 class MalformedSpecError(ValueError):
@@ -155,30 +157,43 @@ def _as_int(value, where: str) -> int:
     raise MalformedSpecError(f"{where}: expected an integer, got {value!r}")
 
 
-def _parse_value(path: str, value, where: str):
-    """``value`` as the type of the field that ``path`` names."""
-    if path.rpartition(".")[2] in (*_INT_FIELDS, "giveup_threshold"):
-        return _as_int(value, where)
-    return _as_number(value, where)
+# A dataclass field's reader, by its annotation: the modules postpone
+# annotations, so each field's type is its source text.  A chain section
+# spells out every field, defaults included.
+_READERS = {
+    "int": _as_int,
+    "float": _as_number,
+    "str": lambda value, where: value,
+    "ChainConfig": lambda value, where: _read(ChainConfig, value, where, _CHAIN_FIELDS),
+}
 
 
-def _parse_chain(section, where: str) -> ChainConfig:
-    _require_keys(section, set(_CHAIN_FIELDS), set(_CHAIN_FIELDS), where)
-    return ChainConfig(
-        **{name: _parse_value(name, section[name], f"{where}.{name}") for name in _CHAIN_FIELDS}
-    )
+def _read(cls, section, where: str, required=None):
+    """``section`` as a ``cls``, each value read as its field's type, in field order;
+    ``required`` names the fields it must give, by default those with no default."""
+    declared = fields(cls)
+    if required is None:
+        required = [field.name for field in declared if field.default is MISSING]
+    _require_keys(section, {field.name for field in declared}, set(required), where)
+    return cls(**{
+        field.name: _READERS[field.type](section[field.name], f"{where}.{field.name}")
+        for field in declared
+        if field.name in section
+    })
 
 
-def _paths(engine: str, has_attack: bool) -> list[str]:
-    """The values a scenario may sweep, in the order its rows echo them.
+def _paths(engine: str, has_attack: bool) -> dict[str, str]:
+    """The values a scenario may sweep, each with its field's type, in the
+    order its rows echo them.
 
     Each path's echo column is the path with ``.`` replaced by ``_``.
     """
-    chain = [*_CHAIN_FIELDS, "intensity"]
+    chain = {**{field.name: field.type for field in fields(ChainConfig)}, "intensity": "float"}
     if _ENGINES[engine].hierarchical:
-        return [f"{side}.{name}" for side in ("primary", "secondary") for name in chain]
+        sides = ("primary", "secondary")
+        return {f"{side}.{name}": kind for side in sides for name, kind in chain.items()}
     if has_attack:
-        return chain + ["attack.relative_power", "attack.giveup_threshold"]
+        chain.update((f"attack.{f.name}", f.type) for f in fields(AttackSection) if f.type != "str")
     return chain
 
 
@@ -228,37 +243,20 @@ def parse_scenario(source) -> ScenarioSpec:
     entry = _ENGINES[engine]
 
     if entry.hierarchical:
-        base_doc = doc["base"]
-        _require_keys(base_doc, {"primary", "secondary"}, {"primary", "secondary"}, "base")
-        base: ChainConfig | HierarchicalConfig = HierarchicalConfig(
-            primary=_parse_chain(base_doc["primary"], "base.primary"),
-            secondary=_parse_chain(base_doc["secondary"], "base.secondary"),
-        )
+        base = _read(HierarchicalConfig, doc["base"], "base")
     else:
-        base = _parse_chain(doc["base"], "base")
+        base = _READERS["ChainConfig"](doc["base"], "base")
 
     attack_section = None
     if "attack" in doc:
         if not entry.attack_methods:
             raise MalformedSpecError(f"attack: not allowed for engine {engine!r}")
-        sec = doc["attack"]
-        _require_keys(
-            sec,
-            {"relative_power", "giveup_threshold", "method"},
-            {"relative_power", "giveup_threshold"},
-            "attack",
-        )
-        method = sec.get("method", "auto")
-        if method not in entry.attack_methods:
+        attack_section = _read(AttackSection, doc["attack"], "attack")
+        if attack_section.method not in entry.attack_methods:
             raise MalformedSpecError(
                 f"attack.method: expected one of {entry.attack_methods} for engine "
-                f"{engine!r}, got {method!r}"
+                f"{engine!r}, got {attack_section.method!r}"
             )
-        attack_section = AttackSection(
-            relative_power=_as_number(sec["relative_power"], "attack.relative_power"),
-            giveup_threshold=_as_int(sec["giveup_threshold"], "attack.giveup_threshold"),
-            method=method,
-        )
         _check_attack(attack_section, "attack")
     elif entry.attack_required:
         raise MalformedSpecError(f"attack: required for engine {engine!r}")
@@ -279,7 +277,8 @@ def parse_scenario(source) -> ScenarioSpec:
         values = item["values"]
         if not isinstance(values, list) or not values:
             raise MalformedSpecError(f"{where}.values: expected a nonempty list")
-        values = [_parse_value(path, v, f"{where}.values[{i}]") for i, v in enumerate(values)]
+        read = _READERS[allowed_paths[path]]
+        values = [read(v, f"{where}.values[{i}]") for i, v in enumerate(values)]
         if path.startswith("attack."):
             leaf = path.rpartition(".")[2]
             for i, v in enumerate(values):
@@ -293,11 +292,7 @@ def parse_scenario(source) -> ScenarioSpec:
         if rate != path and rate in paths:
             raise MalformedSpecError(f"sweep: {path!r} sets {rate!r}, so only one may be swept")
 
-    repl_doc = doc.get("replication", {})
-    _require_keys(repl_doc, {field.name for field in fields(Replication)}, set(), "replication")
-    replication = Replication(
-        **{name: _as_int(value, f"replication.{name}") for name, value in repl_doc.items()}
-    )
+    replication = _read(Replication, doc.get("replication", {}), "replication")
     if replication.target_served < 1:
         raise MalformedSpecError("replication.target_served: must be >= 1")
     if replication.trials < 1:
@@ -370,40 +365,32 @@ def _path_value(path: str, owners: dict):
     return intensity_of(config) if config.service_capacity else ""
 
 
-# Written only by scenarios that carry an attack section.
+# Result columns that several engines write; the attack ones only for a
+# scenario with an attack section.
 _ATTACK_COLUMNS = ("attack_probability", "attack_method")
+_SIM_COUNT_COLUMNS = ("served", "rejected", "generated", "in_flight", "point_seed")
 
 
-def _markov(config, attack_section, replication, seed) -> dict:
+def _markov(config, attack_section, replication, seed) -> tuple:
     solution = markov.stationary_solution(config)
-    out = {
-        "latency": markov.latency(config),
-        "mean_queue_length": solution.mean_queue_length,
-        "frontier_mass": solution.distribution.truncation_mass_bound,
-        "box_i_max": solution.space.i_max,
-        "box_j_max": solution.space.j_max,
-        "std_error": 0.0,
-    }
-    if attack_section is not None:
-        attack = _attack(config, attack_section, replication, seed)
-        out.update((col, attack[col]) for col in _ATTACK_COLUMNS)
-    return out
+    values = (
+        markov.latency(config), solution.mean_queue_length,
+        solution.distribution.truncation_mass_bound, solution.space.i_max, solution.space.j_max, 0.0,
+    )
+    if attack_section is None:  # the header drops the attack columns
+        return values
+    return values + _attack(config, attack_section, replication, seed)[:2]
 
 
-def _closed_form(config, attack_section, replication, seed) -> dict:
+def _closed_form(config, attack_section, replication, seed) -> tuple:
     breakdown = queueing.closed_form_latency(config)
-    return {
-        "latency": breakdown.total,
-        "block_wait": breakdown.block_wait,
-        "service_stage": breakdown.service_stage,
-        "confirmation_wait": breakdown.confirmation_wait,
-        "sojourn": breakdown.sojourn,
-        "approximate": breakdown.approximate,
-        "std_error": 0.0,
-    }
+    return (
+        breakdown.total, breakdown.block_wait, breakdown.service_stage,
+        breakdown.confirmation_wait, breakdown.sojourn, breakdown.approximate, 0.0,
+    )
 
 
-def _attack(config, attack_section, replication, seed) -> dict:
+def _attack(config, attack_section, replication, seed) -> tuple:
     params = attack_mod.AttackParams(
         confirmations=config.confirmations,
         relative_power=attack_section.relative_power,
@@ -413,38 +400,26 @@ def _attack(config, attack_section, replication, seed) -> dict:
         result = attack_mod.attack_success_montecarlo(params, replication.trials, seed)
     else:
         result = attack_mod.attack_success(params)
-    return {
-        "attack_probability": result.probability,
-        "attack_method": result.method,
-        "std_error": result.std_error,
-        "trials": "" if result.trials is None else result.trials,
-    }
+    trials = "" if result.trials is None else result.trials
+    return (result.probability, result.method, result.std_error, trials)
 
 
-_SIM_COUNT_COLUMNS = ("served", "rejected", "generated", "in_flight", "point_seed")
+def _sim_counts(sim: des.SimResult, seed: int) -> tuple:
+    return (sim.served_count, sim.rejected_count, sim.generated_count, sim.in_flight_count, seed)
 
 
-def _sim_counts(sim: des.SimResult, seed: int) -> dict:
-    counts = (sim.served_count, sim.rejected_count, sim.generated_count, sim.in_flight_count, seed)
-    return dict(zip(_SIM_COUNT_COLUMNS, counts))
-
-
-def _simulation(config, attack_section, replication, seed) -> dict:
+def _simulation(config, attack_section, replication, seed) -> tuple:
     sim = des.simulate_chain(config, replication.target_served, seed)
-    out = {"latency": sim.mean, "variance": sim.variance}
-    out["ci_low"], out["ci_high"] = sim.confidence_interval_95
-    return {**out, **_sim_counts(sim, seed)}
+    return (sim.mean, sim.variance, *sim.confidence_interval_95, *_sim_counts(sim, seed))
 
 
-def _hierarchical_simulation(config, attack_section, replication, seed) -> dict:
+def _hierarchical_simulation(config, attack_section, replication, seed) -> tuple:
     sim = des.simulate_hierarchical(config, replication.target_served, seed)
-    out = {}
+    values = []
     for key in ("e2e", "secondary", "primary"):
         stats = sim.breakdown[key]
-        out[f"{key}_latency"] = stats.mean
-        out[f"{key}_ci_low"], out[f"{key}_ci_high"] = stats.confidence_interval_95
-    out.update(_sim_counts(sim, seed))
-    return out
+        values += (stats.mean, *stats.confidence_interval_95)
+    return (*values, *_sim_counts(sim, seed))
 
 
 @dataclass(frozen=True)
@@ -453,12 +428,13 @@ class _Engine:
     or changing an engine edits one record of ``_ENGINES``.
 
     ``run(config, attack_section, replication, seed)`` returns the result
-    columns of one valid point and raises on a typed engine failure, which
-    :func:`_run_task` turns into the point's status.
+    values of one valid point in the order of ``columns`` and raises on a
+    typed engine failure, which :func:`_run_task` turns into the point's
+    status.
     """
 
     columns: tuple[str, ...]  # result columns, in row order
-    run: Callable[..., dict]
+    run: Callable[..., tuple]
     hierarchical: bool = False  # base is {"primary": ..., "secondary": ...}
     attack_methods: tuple[str, ...] = ()  # accepted attack.method; empty forbids the section
     attack_required: bool = False
@@ -512,11 +488,12 @@ def scenario_header(spec: ScenarioSpec) -> list[str]:
 def _run_task(engine: str, config, attack_section, replication, seed) -> dict:
     """Result columns of one valid point, or the status of its engine's typed
     failure; any other exception stops the run."""
+    entry = _ENGINES[engine]
     try:
-        return _ENGINES[engine].run(config, attack_section, replication, seed)
+        return dict(zip(entry.columns, entry.run(config, attack_section, replication, seed)))
     except markov.SolverError:
         return {"status": "solver-failed"}
-    except des.SimulationUnstableError:
+    except (des.SimulationUnstableError, ConfigValidationError):
         return {"status": "skipped-unstable"}
 
 

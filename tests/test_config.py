@@ -10,6 +10,7 @@ from branlab.config import (
     HierarchicalConfig,
     intensity_of,
     pending_root,
+    pending_wait,
     served_rate,
     validate,
     with_intensity,
@@ -59,6 +60,9 @@ def test_mining_overload_diverges_in_simulator():
         (dict(servers=0), "capacity-violation"),
         (dict(confirmations=0), "capacity-violation"),
         (dict(rejection_batch=5), "capacity-violation"),  # r > k
+        # servers * service_rate overflows to inf, which every arrival rate is below
+        (dict(arrival_rate=1e308, mining_rate=1e308, rejection_rate=0.0, service_rate=1e308,
+              block_capacity=6), "rate-overflow"),
     ],
 )
 def test_invalid_fields_carry_the_violated_invariant(kwargs, code):
@@ -155,6 +159,17 @@ def test_pending_root_of_single_request_blocks():
     with pytest.raises(ConfigValidationError) as err:
         pending_root(replace(cfg, arrival_rate=2.3))
     assert err.value.code == "unstable-mining-queue"
+
+
+def test_pending_root_refuses_an_overflowing_slope():
+    # Both stage capacities are finite, but Newton's slope h + z h' overflows
+    # at z = 1; the step would be 0 and the root 1, a zero division downstream.
+    cfg = ChainConfig(1e307, 8e307, 0.0, 1e308, block_capacity=2)
+    validate(cfg)
+    for quantity in (pending_root, pending_wait):
+        with pytest.raises(ConfigValidationError) as err:
+            quantity(cfg)
+        assert err.value.code == "rate-overflow"
 
 
 def test_intensity_conversion_examples():

@@ -4,16 +4,21 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import branlab
-from branlab import des, markov, scenarios
-from branlab.attack import AttackParams, attack_success_closed
+from branlab import des, markov, queueing, scenarios
+from branlab.attack import (
+    AttackParams,
+    attack_success,
+    attack_success_closed,
+    attack_success_montecarlo,
+)
 from branlab.cli import main as cli_main
-from branlab.config import ChainConfig
+from branlab.config import ChainConfig, HierarchicalConfig
 from branlab.scenarios import (
     MalformedSpecError,
     list_presets,
@@ -109,6 +114,24 @@ def test_round_trip_parse():
         (lambda d: d.update(replication={"target_served": 0}), "replication.target_served"),
         (lambda d: d.update(replication={"trials": -1}), "replication.trials"),
         (lambda d: d.update(replication={"trials": True}), "replication.trials"),
+        (lambda d: d.update(name=""), "name: expected a nonempty string"),
+        (lambda d: d.update(name=3), "name: expected a nonempty string"),
+        (lambda d: d.update(output={"format": "xml"}), "output.format: expected one of"),
+        (
+            lambda d: d.update(attack={"relative_power": "x", "giveup_threshold": 8}),
+            "attack.relative_power: expected a number",
+        ),
+        (
+            lambda d: d.update(attack={"relative_power": 0.3, "giveup_threshold": 2.5}),
+            "attack.giveup_threshold: expected an integer",
+        ),
+        (
+            lambda d: d.update(
+                attack={"relative_power": 0.3, "giveup_threshold": 8},
+                sweep=[{"path": "attack.giveup_threshold", "values": [2.5]}],
+            ),
+            "sweep[0].values[0]: expected an integer",
+        ),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
@@ -530,6 +553,23 @@ def test_closed_form_points_past_the_mining_rate_are_ok(tmp_path):
     assert float(rows[1]["latency"]) - float(rows[0]["latency"]) == pytest.approx(1 / 0.4)
 
 
+def test_overflowing_pending_root_is_skipped_not_fatal(tmp_path):
+    # Every rate product is finite, so the point passes validation, but the
+    # pending-stage root overflows inside the engine.
+    doc = markov_doc(
+        engine="closed-form",
+        base=chain_doc(arrival_rate=1e307, mining_rate=8e307, service_rate=1e308,
+                       block_capacity=2),
+        sweep=[{"path": "confirmations", "values": [1, 2]}],
+    )
+    out = tmp_path / "cf.csv"
+    summary = run_scenario(parse_scenario(doc), out)
+    assert (summary.points_total, summary.points_skipped) == (2, 2)
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
+    assert all(r["latency"] == "" and r["block_wait"] == "" for r in rows)
+
+
 def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
     doc = markov_doc(
         engine="closed-form",
@@ -631,8 +671,9 @@ def hier_doc(**overrides):
          "hierarchical-simulation"],
 )
 def test_engine_rows_fill_exactly_their_result_columns(make_doc):
-    # An engine's columns and its evaluator's keys are written separately,
-    # and the writer blanks a header column that no row key fills.
+    # A row pairs its engine's columns with the evaluator's values by
+    # position, and the writer blanks a header column that no row key fills,
+    # so each cell is checked against a direct call of its engine.
     spec = parse_scenario(make_doc())
     echo = [path.replace(".", "_") for path in scenarios._paths(spec.engine, spec.attack is not None)]
     prefix = {*scenarios._BASE_COLUMNS, *echo}
@@ -641,6 +682,66 @@ def test_engine_rows_fill_exactly_their_result_columns(make_doc):
     assert rows and all(row["status"] == "ok" for row in rows)
     for row in rows:
         assert set(row) - prefix == results
+        direct = direct_result(spec, row, point_seed(spec.replication.seed, row["point_index"]))
+        assert {col: row[col] for col in results} == direct
+
+
+def echoed_chain(row, prefix=""):
+    names = [field.name for field in fields(ChainConfig)]
+    return ChainConfig(**{name: row[prefix + name] for name in names})
+
+
+def direct_result(spec, row, seed):
+    """The result cells of ``row``, from a direct call of its engine."""
+    replication = spec.replication
+    if spec.engine == "hierarchical-simulation":
+        config = HierarchicalConfig(echoed_chain(row, "primary_"), echoed_chain(row, "secondary_"))
+        sim = des.simulate_hierarchical(config, replication.target_served, seed)
+        out = {}
+        for key, stats in sim.breakdown.items():
+            out[f"{key}_latency"] = stats.mean
+            out[f"{key}_ci_low"], out[f"{key}_ci_high"] = stats.confidence_interval_95
+        return {**out, **sim_counts(sim, seed)}
+    config = echoed_chain(row)
+    if spec.engine == "simulation":
+        sim = des.simulate_chain(config, replication.target_served, seed)
+        low, high = sim.confidence_interval_95
+        return {"latency": sim.mean, "variance": sim.variance, "ci_low": low, "ci_high": high,
+                **sim_counts(sim, seed)}
+    if spec.engine == "closed-form":
+        breakdown = queueing.closed_form_latency(config)
+        return {"latency": breakdown.total, "block_wait": breakdown.block_wait,
+                "service_stage": breakdown.service_stage,
+                "confirmation_wait": breakdown.confirmation_wait, "sojourn": breakdown.sojourn,
+                "approximate": breakdown.approximate, "std_error": 0.0}
+    out = {}
+    if spec.attack is not None:
+        params = AttackParams(config.confirmations, row["attack_relative_power"],
+                              row["attack_giveup_threshold"])
+        if spec.attack.method == "monte-carlo":
+            attack = attack_success_montecarlo(params, replication.trials, seed)
+        else:
+            attack = attack_success(params)
+        out = {"attack_probability": attack.probability, "attack_method": attack.method}
+        if spec.engine == "attack":
+            trials = "" if attack.trials is None else attack.trials
+            return {**out, "std_error": attack.std_error, "trials": trials}
+    solution = markov.stationary_solution(config)
+    return {
+        "latency": markov.latency(config),
+        "mean_queue_length": solution.mean_queue_length,
+        "frontier_mass": solution.distribution.truncation_mass_bound,
+        "box_i_max": solution.space.i_max,
+        "box_j_max": solution.space.j_max,
+        "std_error": 0.0,
+        **out,
+    }
+
+
+def sim_counts(sim, seed):
+    return {"served": sim.served_count, "rejected": sim.rejected_count,
+            "generated": sim.generated_count, "in_flight": sim.in_flight_count,
+            "point_seed": seed}
 
 
 @pytest.mark.parametrize("doc", [sim_doc(), hier_doc()], ids=["chain", "hierarchy"])
