@@ -7,7 +7,6 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .scenarios import (
@@ -35,10 +34,7 @@ def _add_run_options(parser: argparse.ArgumentParser, out_required: bool) -> Non
     parser.add_argument("--out", required=out_required, help="output file path")
     parser.add_argument("--format", choices=_FORMATS, default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument(
-        "--jobs", type=_jobs, default=os.environ.get("BRANLAB_JOBS") or "1",
-        help="parallel sweep points (default: $BRANLAB_JOBS or 1)",
-    )
+    parser.add_argument("--jobs", type=_jobs, default=1, help="parallel sweep points (default: 1)")
     # A no-op: only the benchmark's preset argv still passes it.
     parser.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 

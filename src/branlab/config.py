@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 class ConfigValidationError(ValueError):
     """A configuration violates a range or stability invariant.
 
-    ``code`` names the first violated invariant: ``nonpositive-rate``,
-    ``capacity-violation``, ``rate-overflow`` (a rate product, or the
-    pending-stage root, that floating point cannot hold),
-    ``unstable-service-queue`` or ``unstable-mining-queue``.
+    ``code`` names the first violated invariant: ``nonpositive-rate``, ``capacity-violation``,
+    ``rate-overflow`` (a rate product, or the pending-stage root, that floating point cannot
+    hold), ``unstable-service-queue`` (also ``R_a / R_s`` rounding up to ``servers``) or
+    ``unstable-mining-queue`` (also a pending-stage root that rounds to one).
     """
 
     def __init__(self, code: str, message: str):
@@ -81,16 +81,13 @@ def require_count(name: str, value) -> None:
 def validate(config: ChainConfig | HierarchicalConfig) -> None:
     """Raise :class:`ConfigValidationError` on the first violated invariant.
 
-    Checks run in a fixed order: rate ranges, integer ranges, the
-    rejection-batch bound, finite stage capacities, service-stage
-    stability, mining-stage stability.
-    A hierarchy checks both chains, then the primary again with the
-    secondary's served traffic added to its arrivals.
-    Deterministic and side-effect free.
+    A chain is valid exactly when :func:`pending_root` finds its root: the
+    checks and their order are that function's.  A hierarchy checks the
+    primary, the secondary (through its served traffic), then the primary
+    with that traffic added to its arrivals.  Deterministic and side-effect free.
     """
     if isinstance(config, HierarchicalConfig):
         validate(config.primary)
-        validate(config.secondary)
         # The primary also carries every request the secondary serves.
         arrivals = config.primary.arrival_rate + served_rate(config.secondary)
         try:
@@ -98,7 +95,22 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
         except ConfigValidationError as err:
             raise ConfigValidationError(err.code, f"primary with handover: {err}") from None
         return
+    pending_root(config)
 
+
+def pending_root(config: ChainConfig) -> float:
+    """Root ``z0`` in (0, 1) of ``g(z) = R_m (z + ... + z^k) + R_r (z + ... + z^r) - R_a``.
+
+    Mining and rejection never look at the access stage, so the pending count
+    alone is a bulk-service queue with batch rejections whose stationary law is
+    geometric, ``P(i) = (1 - z0) z0**i``.  Every rule of a valid chain is
+    checked first: rate and integer ranges, the rejection-batch bound, finite
+    stage capacities, service- then mining-stage stability.  Then ``g`` is
+    increasing and convex on [0, 1] with ``g(0) < 0 < g(1)``, and Newton's
+    method from ``z = 1`` decreases onto the root.  An overflowing slope, or
+    no convergence in 100 steps, raises :class:`ConfigValidationError` with
+    code ``rate-overflow``; a root that rounds to one, ``unstable-mining-queue``.
+    """
     for name in ("arrival_rate", "mining_rate", "rejection_rate", "service_rate"):
         value = getattr(config, name)
         # bool is an int subclass, but True is not a rate.
@@ -126,7 +138,8 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
         value = getattr(config, name)
         if not math.isfinite(value):
             raise ConfigValidationError("rate-overflow", f"{name} overflows to {value!r}")
-    if config.arrival_rate >= config.service_capacity:
+    load = config.arrival_rate / config.service_rate  # can round up to s although R_a < s R_s
+    if config.arrival_rate >= config.service_capacity or load >= config.servers:
         raise ConfigValidationError(
             "unstable-service-queue",
             f"arrival_rate {config.arrival_rate} must be below servers * service_rate "
@@ -139,21 +152,6 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
             f"block_capacity * mining_rate + rejection_batch * rejection_rate "
             f"= {config.mining_drain}",
         )
-
-
-def pending_root(config: ChainConfig) -> float:
-    """Root ``z0`` in (0, 1) of ``g(z) = R_m (z + ... + z^k) + R_r (z + ... + z^r) - R_a``.
-
-    Mining and rejection never look at the access stage, so the pending
-    count alone is a bulk-service queue with batch rejections whose
-    stationary law is geometric, ``P(i) = (1 - z0) z0**i``.  On [0, 1] ``g``
-    is increasing and convex, ``g(0) = -R_a`` and ``g(1) = mining_drain -
-    R_a``: the root exists exactly when :func:`validate` passes, and
-    Newton's method from ``z = 1`` decreases onto it monotonically.  A
-    slope that overflows, or no convergence in 100 steps, raises
-    :class:`ConfigValidationError` with code ``rate-overflow``.
-    """
-    validate(config)
     # coefficient of z**m in g, m = 1 .. k; rejection_batch <= block_capacity
     coeffs = [
         config.mining_rate + (config.rejection_rate if m <= config.rejection_batch else 0.0)
@@ -171,7 +169,11 @@ def pending_root(config: ChainConfig) -> float:
             break
         step = (z * h - config.arrival_rate) / slope
         z -= step
-        if step <= 1e-14 * z:  # quadratic convergence: the error is now rounding
+        if abs(step) <= 1e-14 * z:  # converged; where z h swamps R_a a step overshoots, hence abs
+            if z >= 1.0:  # the mining load is one to floating-point precision
+                raise ConfigValidationError(
+                    "unstable-mining-queue", f"pending_root rounds to {z!r} for {config}"
+                )
             return z
     raise ConfigValidationError("rate-overflow", f"pending_root overflows or stalls for {config}")
 
@@ -184,10 +186,13 @@ def pending_wait(config: ChainConfig) -> float:
 
 
 def served_rate(config: ChainConfig) -> float:
-    """Served throughput ``R_a - R_r E[min(i, r)]`` under :func:`pending_root`'s law."""
+    """Served throughput ``R_a - R_r E[min(i, r)] = R_m E[min(i, k)]`` under
+    :func:`pending_root`'s law, ``E[min(i, m)] = z0 (1 - z0**m) / (1 - z0)``."""
     z = pending_root(config)
-    removed = z * (1.0 - z**config.rejection_batch) / (1.0 - z)  # E[min(i, r)]
-    return config.arrival_rate - config.rejection_rate * removed
+    rejected = config.rejection_rate * (z * (1.0 - z**config.rejection_batch) / (1.0 - z))
+    mined = config.mining_rate * (z * (1.0 - z**config.block_capacity) / (1.0 - z))
+    # R_a - rejected cancels where rejection carries most requests; the mined flow does not.
+    return config.arrival_rate - rejected if rejected <= mined else mined
 
 
 def intensity_of(config: ChainConfig) -> float:

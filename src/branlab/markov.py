@@ -44,6 +44,7 @@ DEFAULT_MAX_STATES = 4_000_000
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
 _TOL = 1e-9  # frontier mass below which auto_truncate may stop
 _STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
+_RESIDUAL_RTOL = 1e-12  # bound on max|Q p| relative to max|diag Q|, the generator's scale
 
 
 class SolverError(Exception):
@@ -184,8 +185,8 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     """Stationary vector of ``Q``: ``Q @ p = 0``, ``sum(p) = 1``.
 
     Every box goes through one path: a sparse LU factorisation (SuperLU)
-    with one refinement step.  The result is verified to a residual of at
-    most 1e-9, and sub-1e-12 negative noise is clamped to zero.
+    with one refinement step.  The result is verified to ``max|Q p| <= 1e-12
+    max|diag Q|``, whatever the time unit, and sub-1e-12 negative noise is clamped to zero.
     """
     # Pin the anchor's probability at one and solve the remaining balance
     # equations: A @ x = -q_a with A the generator less the anchor's row and
@@ -214,9 +215,10 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     p = np.maximum(p, 0.0)
     p = p / p.sum()
     residual = float(np.max(np.abs(Q.matrix @ p)))
-    if residual > 1e-9:
+    bound = _RESIDUAL_RTOL * float(np.max(np.abs(Q.matrix.diagonal())))
+    if residual > bound:
         raise SolverConvergenceError(
-            f"stationary residual {residual:.3e} exceeds 1e-9 after normalisation"
+            f"stationary residual {residual:.3e} exceeds {bound:.3e} after normalisation"
         )
     grid = p.reshape(Q.space.i_max + 1, Q.space.j_max + 1)
     frontier = float(grid[-1].sum() + grid[:-1, -1].sum())  # row i_max, then column j_max
@@ -251,11 +253,10 @@ def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> 
     frontier mass is below ``_TOL`` and the mean queue length moved by less
     than 0.1 percent from the previous box; the last box solved is returned.
     """
-    validate(config)
+    z0 = pending_root(config)
     j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
-    z0 = pending_root(config)
     i_max = 1
     while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= max_states:
         i_max += 1

@@ -35,16 +35,15 @@ field of the same point, so it may not be swept with that chain's
 Rows come out in row-major grid order.  Every point goes through one
 loop, :func:`evaluate`: materialise, validate, then the ``run`` of the
 engine's record, which returns the result values in the order of the
-record's ``columns``.  The loop reports a point that is not a valid
-configuration (an intensity outside (0, 1), or one that fails
-:func:`config.validate`) as ``skipped-unstable``.  :func:`_run_task`
-reports an engine's typed failure: a pending pool that runs away
-(:class:`des.SimulationUnstableError`) or a root that overflows
-(:class:`config.ConfigValidationError`) as ``skipped-unstable``, and a
-:class:`markov.SolverError` as ``solver-failed``.  Neither aborts the run,
-and both leave the result columns blank.  Per-point seeds derive from
-``sha256("<master_seed>:<point_index>")``, so extending a value list never
-perturbs existing points.  Output rows echo the full materialised
+record's ``columns``.  A point that is not a valid configuration (an
+intensity outside (0, 1), or one that fails :func:`config.validate`,
+which every engine also runs) is ``skipped-unstable``, and
+:func:`_run_task` reports an engine's typed failure: a runaway pending
+pool (:class:`des.SimulationUnstableError`) as ``skipped-unstable``, a
+:class:`markov.SolverError` as ``solver-failed``.  Neither aborts the
+run, and both leave the result columns blank.  Per-point seeds derive
+from ``sha256("<master_seed>:<point_index>")``, so extending a value list
+never perturbs existing points.  Output rows echo the full materialised
 configuration, making every row self-describing and re-runnable.
 """
 
@@ -64,7 +63,6 @@ from . import attack as attack_mod
 from . import des, markov, queueing
 from .config import (
     ChainConfig,
-    ConfigValidationError,
     HierarchicalConfig,
     intensity_of,
     require_count,
@@ -486,14 +484,14 @@ def scenario_header(spec: ScenarioSpec) -> list[str]:
 
 
 def _run_task(engine: str, config, attack_section, replication, seed) -> dict:
-    """Result columns of one valid point, or the status of its engine's typed
-    failure; any other exception stops the run."""
+    """Result columns of one point that passed :func:`config.validate`, or the
+    status of its engine's typed failure; any other exception stops the run."""
     entry = _ENGINES[engine]
     try:
         return dict(zip(entry.columns, entry.run(config, attack_section, replication, seed)))
     except markov.SolverError:
         return {"status": "solver-failed"}
-    except (des.SimulationUnstableError, ConfigValidationError):
+    except des.SimulationUnstableError:
         return {"status": "skipped-unstable"}
 
 

@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from branlab import markov
 from branlab.config import (
     ChainConfig,
     ConfigValidationError,
@@ -15,6 +16,17 @@ from branlab.config import (
     validate,
     with_intensity,
 )
+from branlab.des import simulate_chain, simulate_hierarchical
+from branlab.queueing import closed_form_latency
+
+# Each passes every check before the pending-stage root: Newton's slope
+# overflows at z = 1, or the mining load is 1 - 2**-52 and the root rounds to 1.
+SLOPE_OVERFLOW = ChainConfig(1e307, 8e307, 0.0, 1e308, block_capacity=2)
+ROOT_ROUNDS_TO_ONE = ChainConfig(3.9e-05, 1e-05, 3e-06, 7.8e-05, block_capacity=3, rejection_batch=3)
+# arrival_rate is one ulp below servers * service_rate, but the offered load
+# arrival_rate / service_rate rounds up to the 17 servers.
+LOAD_ROUNDS_TO_SERVERS = ChainConfig(0.8511391883399743, 8.511391883399744, 0.0,
+                                     0.05006701107882202, servers=17)
 
 
 def test_textbook_stable_tandem_is_ok():
@@ -63,6 +75,12 @@ def test_mining_overload_diverges_in_simulator():
         # servers * service_rate overflows to inf, which every arrival rate is below
         (dict(arrival_rate=1e308, mining_rate=1e308, rejection_rate=0.0, service_rate=1e308,
               block_capacity=6), "rate-overflow"),
+        (asdict(SLOPE_OVERFLOW), "rate-overflow"),
+        (asdict(ROOT_ROUNDS_TO_ONE), "unstable-mining-queue"),
+        # one side of a hierarchy; the base chain is the other
+        (dict(primary=SLOPE_OVERFLOW), "rate-overflow"),
+        (dict(secondary=SLOPE_OVERFLOW), "rate-overflow"),
+        (asdict(LOAD_ROUNDS_TO_SERVERS), "unstable-service-queue"),
     ],
 )
 def test_invalid_fields_carry_the_violated_invariant(kwargs, code):
@@ -70,8 +88,12 @@ def test_invalid_fields_carry_the_violated_invariant(kwargs, code):
                 service_rate=1.0, servers=2, block_capacity=2,
                 rejection_batch=1, confirmations=1)
     base.update(kwargs)
+    sides = {side: base.pop(side) for side in ("primary", "secondary") if side in base}
+    config = ChainConfig(**base)
+    if sides:
+        config = HierarchicalConfig(**{"primary": config, "secondary": config, **sides})
     with pytest.raises(ConfigValidationError) as err:
-        validate(ChainConfig(**base))
+        validate(config)
     assert err.value.code == code
 
 
@@ -165,11 +187,78 @@ def test_pending_root_refuses_an_overflowing_slope():
     # Both stage capacities are finite, but Newton's slope h + z h' overflows
     # at z = 1; the step would be 0 and the root 1, a zero division downstream.
     cfg = ChainConfig(1e307, 8e307, 0.0, 1e308, block_capacity=2)
-    validate(cfg)
-    for quantity in (pending_root, pending_wait):
+    for quantity in (validate, pending_root, pending_wait):
         with pytest.raises(ConfigValidationError) as err:
             quantity(cfg)
         assert err.value.code == "rate-overflow"
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def chains(draw):
+    rate = log_uniform(1e-150, 1e150)
+    capacity = draw(st.integers(1, 1000))
+    return ChainConfig(
+        arrival_rate=draw(rate),
+        mining_rate=draw(rate),
+        rejection_rate=draw(st.just(0.0) | rate),
+        service_rate=draw(rate),
+        servers=draw(st.integers(1, 100)),
+        block_capacity=capacity,
+        rejection_batch=draw(st.integers(1, capacity)),
+        confirmations=draw(st.integers(1, 10)),
+    )
+
+
+@given(config=chains())
+@example(config=SLOPE_OVERFLOW)
+@example(config=ROOT_ROUNDS_TO_ONE)
+@example(config=LOAD_ROUNDS_TO_SERVERS)
+def test_every_engine_refuses_what_validate_refuses(config):
+    # A chain that validates has a pending-stage root and a closed form; one
+    # that does not is refused by every engine entry with validate's code.
+    try:
+        validate(config)
+    except ConfigValidationError as err:
+        code = err.code
+    else:
+        assert 0 < pending_root(config) < 1
+        closed_form_latency(config)
+        return
+    for entry in (pending_root, closed_form_latency, markov.latency,
+                  lambda c: simulate_chain(c, 100, 0)):
+        with pytest.raises(ConfigValidationError) as err:
+            entry(config)
+        assert err.value.code == code
+
+
+@pytest.mark.parametrize("side", ["primary", "secondary"])
+def test_simulator_refuses_a_hierarchy_with_an_overflowing_root(side):
+    good = ChainConfig(0.5, 2.0, 0.1, 1.0, servers=2, block_capacity=2)
+    hconfig = HierarchicalConfig(**{"primary": good, "secondary": good, side: SLOPE_OVERFLOW})
+    with pytest.raises(ConfigValidationError) as err:
+        simulate_hierarchical(hconfig, 200, 1)
+    assert err.value.code == "rate-overflow"
+
+
+def test_pending_root_recovers_from_an_overshoot():
+    # On the way down from z = 1, z h swamps R_a and a rounded Newton step
+    # lands at zero or below; the root, R_a / R_m to rounding, lies above it.
+    cfg = ChainConfig(0.1, 1e55, 0.0, 1.0, block_capacity=387)
+    assert pending_root(cfg) == pytest.approx(1e-56, rel=1e-12, abs=0)
+
+
+def test_served_rate_when_rejection_carries_almost_every_request():
+    # R_a - R_r E[min(i, r)] cancels to -1.8e-16 here, and the closed form
+    # refused that as a negative offered load; the mined flow is exact.
+    cfg = ChainConfig(10.0, 1e-16, 10.0, 10.0, servers=2, block_capacity=5, rejection_batch=5)
+    z = pending_root(cfg)
+    mined = cfg.mining_rate * sum(z**m for m in range(1, cfg.block_capacity + 1))
+    assert served_rate(cfg) == pytest.approx(mined, rel=1e-12, abs=0)
+    assert math.isfinite(closed_form_latency(cfg).total)
 
 
 def test_intensity_conversion_examples():

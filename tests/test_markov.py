@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from branlab.config import (
     ChainConfig,
@@ -295,6 +295,27 @@ def test_many_links_solve_without_losing_precision(servers, rho):
     batched = replace(base, block_capacity=3)
     assert math.isfinite(latency(batched))
     assert stationary_solution(batched).distribution.truncation_mass_bound < 1e-9
+
+
+@given(
+    cfg=st.sampled_from([
+        ChainConfig(0.8, 2.5, 0.0, 1.0),
+        ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3),
+        ChainConfig(80.0, 125.0, 0.0, 1.0, servers=100, block_capacity=6),
+        ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
+    ]),
+    scale=st.floats(-6.0, 9.0).map(lambda exponent: 10.0**exponent),
+)
+# a residual bound of 1e-9, not scaled with the rates, refuses this solve
+@example(cfg=ChainConfig(0.5, 2.5, 0.0, 1.0), scale=3e7)
+def test_latency_does_not_depend_on_the_time_unit(cfg, scale):
+    # Multiplying every rate by scale divides every time by scale.
+    rates = ("arrival_rate", "mining_rate", "rejection_rate", "service_rate")
+    fast = replace(cfg, **{name: scale * getattr(cfg, name) for name in rates})
+    assert scale * latency(fast) == pytest.approx(latency(cfg), rel=1e-9)
+    assert scale * closed_form_latency(fast).total == pytest.approx(
+        closed_form_latency(cfg).total, rel=1e-9
+    )
 
 
 # (config, served-request latency); the event simulator gives 1.279, 2.472

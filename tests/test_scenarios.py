@@ -554,8 +554,8 @@ def test_closed_form_points_past_the_mining_rate_are_ok(tmp_path):
 
 
 def test_overflowing_pending_root_is_skipped_not_fatal(tmp_path):
-    # Every rate product is finite, so the point passes validation, but the
-    # pending-stage root overflows inside the engine.
+    # Every rate product is finite, but the pending-stage root overflows, so
+    # validation refuses the point.
     doc = markov_doc(
         engine="closed-form",
         base=chain_doc(arrival_rate=1e307, mining_rate=8e307, service_rate=1e308,
@@ -568,6 +568,42 @@ def test_overflowing_pending_root_is_skipped_not_fatal(tmp_path):
     rows = read_rows(out)
     assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
     assert all(r["latency"] == "" and r["block_wait"] == "" for r in rows)
+
+
+# Chains that pass every check before the pending-stage root: Newton's slope
+# overflows, or the mining load is one to floating-point precision.
+ROOTLESS_CHAINS = {
+    "slope-overflow": chain_doc(arrival_rate=1e307, mining_rate=8e307, service_rate=1e308,
+                                block_capacity=2),
+    "root-rounds-to-one": chain_doc(arrival_rate=3.9e-05, mining_rate=1e-05,
+                                    rejection_rate=3e-06, service_rate=7.8e-05,
+                                    block_capacity=3, rejection_batch=3),
+}
+
+
+@pytest.mark.parametrize("chain", ROOTLESS_CHAINS)
+@pytest.mark.parametrize("engine, side", [
+    ("markov", None), ("closed-form", None), ("simulation", None), ("attack", None),
+    ("hierarchical-simulation", "primary"), ("hierarchical-simulation", "secondary"),
+])
+def test_a_chain_without_a_pending_root_is_skipped(tmp_path, engine, side, chain):
+    sweep = [{"path": "confirmations" if side is None else f"{side}.confirmations",
+              "values": [1, 2]}]
+    if side is not None:
+        doc = hier_doc(sweep=sweep)
+        doc["base"][side] = ROOTLESS_CHAINS[chain]
+    else:
+        doc = attack_doc(sweep=sweep) if engine == "attack" else sim_doc(engine=engine, sweep=sweep)
+        doc["base"] = ROOTLESS_CHAINS[chain]
+    spec = parse_scenario(doc)
+    out = tmp_path / "rows.csv"
+    summary = run_scenario(spec, out)
+    assert (summary.points_total, summary.points_skipped) == (2, 2)
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["skipped-unstable"] * 2
+    echo = [path.replace(".", "_") for path in scenarios._paths(engine, spec.attack is not None)]
+    results = set(scenario_header(spec)) - {*scenarios._BASE_COLUMNS, *echo}
+    assert results and all(r[c] == "" for r in rows for c in results)
 
 
 def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
@@ -990,28 +1026,3 @@ def test_cli_all_points_skipped_is_failure(tmp_path):
     scenario.write_text(json.dumps(doc))
     out = tmp_path / "out.csv"
     assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
-
-
-def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
-    seen = []
-
-    def fake_run_preset(name, jobs, **options):
-        seen.append(jobs)
-        return scenarios.RunSummary(1, 1, 0, options["out_path"])
-
-    monkeypatch.setattr("branlab.cli.run_preset", fake_run_preset)
-    argv = ["preset", "fig10", "--out", str(tmp_path / "out.csv")]
-    monkeypatch.setenv("BRANLAB_JOBS", "3")
-    assert cli_main(argv) == 0
-    monkeypatch.delenv("BRANLAB_JOBS")
-    assert cli_main(argv) == 0
-    monkeypatch.setenv("BRANLAB_JOBS", "")  # an empty value reads as unset
-    assert cli_main(argv) == 0
-    assert seen == [3, 1, 1]
-    for raw in ("junk", "0"):
-        monkeypatch.setenv("BRANLAB_JOBS", raw)
-        with pytest.raises(SystemExit) as exit_:
-            cli_main(argv)
-        assert exit_.value.code == 2
-        assert f"argument --jobs: must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-    assert seen == [3, 1, 1]
