@@ -113,6 +113,12 @@ class SimResult:
 
 def _stats(samples: list[float] | array | np.ndarray) -> LatencyStats:
     arr = np.asarray(samples, dtype=np.float64)
+    # Work on the samples times the power of two that brings their mean into
+    # [0.5, 1), so squared deviations neither underflow nor overflow whatever
+    # the time unit.  Scaling by a power of two is exact in the normal range,
+    # so there it changes no bit of the result.
+    _, exponent = math.frexp(float(arr.mean()))
+    arr = np.ldexp(arr, -exponent)
     n = arr.size
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1)) if n > 1 else 0.0
@@ -129,7 +135,11 @@ def _stats(samples: list[float] | array | np.ndarray) -> LatencyStats:
         center, quantile = mean, float(stdtrit(max(n - 1, 1), 0.975))
         spread = math.sqrt(variance / n) if n > 1 else 0.0
     half = quantile * spread
-    return LatencyStats(mean, variance, (center - half, center + half))
+    return LatencyStats(
+        math.ldexp(mean, exponent),
+        math.ldexp(variance, 2 * exponent),
+        (math.ldexp(center - half, exponent), math.ldexp(center + half, exponent)),
+    )
 
 
 class _Chain:

@@ -27,6 +27,15 @@ The generator is column-oriented: column ``n`` holds the outflows of state
 row-major, ``(i, j)`` at index ``i * (j_max + 1) + j``, so the vector reads
 ``[p00 p01 ... p0J | p10 p11 ... p1J | ...]`` and reshapes to the
 ``(i_max + 1, j_max + 1)`` grid whose row sums are the ``i``-marginal.
+
+Cut into levels along either side of the box, the chain moves one level
+down at a single scalar rate and up by at most ``k`` levels: along ``j``,
+service moves down and mining up; along ``i``, counted from ``i_max``,
+an arrival moves down and mining or rejection up.  The generator is held
+in that level form (:class:`RateMatrix`), cut along the longer side so
+that the blocks stay small, and solved by linear level reduction (Gaver,
+Jacobs & Latouche 1984; Stewart, *Introduction to the Numerical Solution
+of Markov Chains*, 1994), in numpy alone.
 """
 
 from __future__ import annotations
@@ -35,8 +44,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .config import ChainConfig, pending_root, pending_wait, served_rate, validate
 
@@ -109,66 +116,109 @@ def enumerate_states(
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Sparse generator over a state space, columns holding each state's outflows."""
+    """Truncated generator in level form.
 
-    matrix: sparse.csc_matrix
+    The box is cut into levels along its longer side, so that each level is
+    a block of ``L`` phases along the shorter one.  If ``i_max <= j_max``,
+    level ``j`` holds the phases ``i = 0 ... i_max``: service is the move one
+    level down, and mining ``m`` requests moves ``m`` levels up.  Otherwise
+    level ``l`` holds the states with ``i = i_max - l`` and phases ``j``: an
+    arrival is the move one level down, and mining or rejecting ``m``
+    requests moves ``m`` levels up.  Blocks are column-oriented like the
+    generator, ``[to, from]``.
+
+    ``within`` holds the moves inside a level, the same on every level.
+    ``up[m - 1]`` moves a level ``m`` levels up, except into the top level,
+    where ``into_top[m - 1]`` holds every move from ``m`` levels below: along
+    the pending axis a partial block of ``i < k`` requests lands on ``i = 0``.
+    Every phase of level ``l`` moves one level down at the one rate
+    ``down[l]``.  ``diagonal[l]`` holds minus the outflow of each state of
+    level ``l``; transitions that would leave the box are dropped from it.
+    """
+
+    within: np.ndarray  # (L, L), zero diagonal
+    up: np.ndarray  # (K, L, L), K the longest jump
+    into_top: np.ndarray  # (K, L, L)
+    down: np.ndarray  # (levels,), zero at level 0
+    diagonal: np.ndarray  # (levels, L)
     space: StateSpace
-    anchor: int = 0  # index of the state the solve pins; it should carry much mass
+    anchor: int = 0  # level the solve reduces toward; it should carry much mass
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size
+
+    def grid(self, levels: np.ndarray) -> np.ndarray:
+        """An array laid out by level, ``[level, phase]``, as the
+        ``(i_max + 1, j_max + 1)`` grid of the box, and the grid back."""
+        return levels[::-1] if self.space.i_max > self.space.j_max else levels.T
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        """``Q @ p`` for a vector ``p`` in the state order."""
+        box = p.reshape(self.space.i_max + 1, self.space.j_max + 1)
+        return self.grid(self._apply(self.grid(box))).ravel()
+
+    def _apply(self, P: np.ndarray) -> np.ndarray:
+        """``Q @ p`` with ``p`` and the result laid out by level."""
+        out = self.diagonal * P + P @ self.within.T
+        out[:-1] += self.down[1:, None] * P[1:]
+        top = len(P) - 1
+        for m, (block, last) in enumerate(zip(self.up, self.into_top), 1):
+            out[m:-1] += P[: -m - 1] @ block.T
+            if m <= top:
+                out[top] += last @ P[top - m]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense generator in the state order."""
+        return np.column_stack([self @ e for e in np.eye(self.dimension)])
 
 
 def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     """Assemble the truncated generator for ``config`` on ``space``."""
     validate(config)
-    n = space.count
-    ii, jj = space.pending, space.queued
-    stride = space.j_max + 1  # index step of one pending request
-    col_idx = np.arange(n, dtype=np.int64)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def emit(mask: np.ndarray, step: np.ndarray | int, rates: np.ndarray | float) -> None:
-        sources = col_idx[mask]
-        rows.append(sources + step)
-        cols.append(sources)
-        vals.append(np.broadcast_to(np.asarray(rates, dtype=np.float64), sources.shape))
-
-    mask = ii < space.i_max
-    emit(mask, stride, config.arrival_rate)
-
-    batch = np.minimum(ii, config.block_capacity)
-    mask = (ii >= 1) & (jj + batch <= space.j_max)
-    # (i - m, j + m) lies m strides back and m states on: -m * stride + m
-    emit(mask, -batch[mask] * space.j_max, config.mining_rate)
-
-    mask = jj >= 1
-    emit(mask, -1, np.minimum(jj[mask], config.servers) * config.service_rate)
-
-    if config.rejection_rate > 0:
-        drop = np.minimum(ii, config.rejection_batch)
-        mask = ii >= 1
-        emit(mask, -drop[mask] * stride, config.rejection_rate)
-
-    all_rows = np.concatenate(rows)
-    all_cols = np.concatenate(cols)
-    all_vals = np.concatenate(vals)
-
-    outflow = np.bincount(all_cols, weights=all_vals, minlength=n)
-    all_rows = np.concatenate([all_rows, col_idx])
-    all_cols = np.concatenate([all_cols, col_idx])
-    all_vals = np.concatenate([all_vals, -outflow])
-
-    matrix = sparse.coo_matrix((all_vals, (all_rows, all_cols)), shape=(n, n)).tocsc()
-    # About R_a / R_s links are busy on average, so (0, floor(R_a / R_s)) sits
-    # near the mode; (0, 0) can carry 1e-17 of the mass with many links.
-    # State (0, j) has index j.
-    busy = min(space.j_max, int(config.arrival_rate // config.service_rate))
-    return RateMatrix(matrix=matrix, space=space, anchor=busy)
+    ii, jj = np.ogrid[: space.i_max + 1, : space.j_max + 1]
+    batch = np.minimum(ii, config.block_capacity)  # mined out of i
+    served = np.minimum(jj, config.servers) * config.service_rate  # served out of j
+    outflow = (
+        config.arrival_rate * (ii < space.i_max)
+        + served
+        + (ii >= 1) * (config.rejection_rate + config.mining_rate * (jj + batch <= space.j_max))
+    )
+    if space.i_max <= space.j_max:
+        # levels j, phases i
+        pending = ii[1:, 0]
+        phases = pending.size + 1
+        within = np.zeros((phases, phases))
+        within[pending, pending - 1] = config.arrival_rate
+        within[pending - np.minimum(pending, config.rejection_batch), pending] += (
+            config.rejection_rate
+        )
+        up = np.zeros((min(config.block_capacity, space.i_max), phases, phases))
+        up[batch[1:, 0] - 1, pending - batch[1:, 0], pending] = config.mining_rate
+        # About R_a / R_s links are busy on average, so level floor(R_a / R_s)
+        # sits near the mode; level 0 can carry 1e-17 of the mass with many links.
+        busy = min(space.j_max, int(config.arrival_rate // config.service_rate))
+        return RateMatrix(within, up, up, served[0], -outflow.T.copy(), space, anchor=busy)
+    # levels i_max - i, phases j; the mode is at i = 0, the top level
+    phases = space.j_max + 1
+    within = np.diag(served[0, 1:], 1)
+    up = np.zeros((min(config.block_capacity, space.i_max), phases, phases))
+    into_top = np.zeros_like(up)
+    for m in range(1, len(up) + 1):
+        # a block of m <= k requests from (m, j) lands on (0, j + m)
+        into_top[m - 1] = config.mining_rate * np.eye(phases, k=-m)
+        if m <= config.rejection_batch:
+            into_top[m - 1] += config.rejection_rate * np.eye(phases)
+    if config.block_capacity <= space.i_max:
+        up[-1] = config.mining_rate * np.eye(phases, k=-config.block_capacity)
+    if config.rejection_batch <= space.i_max:
+        up[config.rejection_batch - 1] += config.rejection_rate * np.eye(phases)
+    arrivals = np.full(space.i_max + 1, config.arrival_rate)
+    arrivals[0] = 0.0
+    return RateMatrix(
+        within, up, into_top, arrivals, -outflow[::-1].copy(), space, anchor=space.i_max
+    )
 
 
 @dataclass(frozen=True)
@@ -181,49 +231,112 @@ class SteadyStateDistribution:
     space: StateSpace
 
 
+def _censored_null_vector(C: np.ndarray) -> np.ndarray:
+    """Unnormalised ``x`` with ``C @ x = 0`` for a small column-oriented
+    generator, by GTH elimination (Grassmann, Taqqu & Heyman 1985): it never
+    subtracts, so every entry keeps its relative precision."""
+    A = C.T.copy()  # A[from, to]
+    for n in range(len(A) - 1, 0, -1):
+        out = A[n, :n].sum()
+        if not out > 0:
+            raise ReducibleChainError(f"state {n} of the censored level cannot be left")
+        A[:n, n] /= out
+        A[:n, :n] += np.outer(A[:n, n], A[n, :n])
+    x = np.ones(len(A))
+    for n in range(1, len(A)):
+        x[n] = x[:n] @ A[:n, n]
+    return x
+
+
 def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     """Stationary vector of ``Q``: ``Q @ p = 0``, ``sum(p) = 1``.
 
-    Every box goes through one path: a sparse LU factorisation (SuperLU)
-    with one refinement step.  The result is verified to ``max|Q p| <= 1e-12
-    max|diag Q|``, whatever the time unit, and sub-1e-12 negative noise is clamped to zero.
+    Every box goes through one path, a linear level reduction toward the
+    anchor level ``a``.  From the bottom, level ``c < a`` gives
+    ``p_c = X_c p_{c+1}``; from the top, level ``c > a`` gives ``p_c`` from
+    the ``K`` levels below it.  Level ``a`` then holds a censored
+    ``L``-state generator, whose null vector is found without subtraction,
+    and the levels are filled in outward.  Every multiplier is ``-S^-1 B``
+    of a sub-generator ``S`` and a nonnegative ``B``, so it is nonnegative,
+    and probabilities shrink away from the mode instead of overflowing.
+    The result is verified to ``max|Q p| <= 1e-12 max|diag Q|``, whatever
+    the time unit, and sub-1e-12 negative noise is clamped to zero.
     """
-    # Pin the anchor's probability at one and solve the remaining balance
-    # equations: A @ x = -q_a with A the generator less the anchor's row and
-    # column, nonsingular exactly when the chain is irreducible.  Unlike
-    # appending a normalisation row, this keeps the factorisation sparse.
-    keep = np.flatnonzero(np.arange(Q.dimension) != Q.anchor)
-    without_anchor_row = Q.matrix[keep]
-    A = without_anchor_row[:, keep].tocsc()
-    b = -without_anchor_row[:, [Q.anchor]].toarray().ravel()
+    levels, phases = Q.diagonal.shape
+    top, a = levels - 1, Q.anchor
+    depth = len(Q.up)
+    width = depth * phases
     try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise ReducibleChainError(f"singular truncated generator: {exc}") from exc
-    x = lu.solve(b)
-    # One refinement step keeps the residual at rounding level on large boxes.
-    x += lu.solve(b - A @ x)
-    p = np.insert(x, Q.anchor, 1.0)
-    total = p.sum()
+        # Bottom-up: with the levels below c substituted, level c reads
+        # (S_c + F) p_c + down[c+1] p_{c+1} = 0, where S_c is its own
+        # block; H[m - 1] is what they add to level c + m through p_c.
+        X = []
+        F = np.zeros((phases, phases))
+        H = np.zeros_like(Q.up)
+        for c in range(a):
+            S = Q.within + np.diag(Q.diagonal[c]) + F
+            X.append(np.linalg.inv(S) * -Q.down[c + 1])
+            if depth:
+                jumps = Q.up
+                if c + depth >= top:
+                    jumps = Q.up.copy()
+                    jumps[top - c - 1] = Q.into_top[top - c - 1]
+                G = (H + jumps) @ X[-1]
+                F = G[0].copy()
+                H[:-1] = G[1:]
+                H[-1] = 0.0
+        # Top-down: with the levels above c substituted, level c reads
+        # A p_c + sum_m B_m p_{c-m} = 0, so p_c = -U_c [p_{c-1}; ...; p_{c-K}]
+        # with U_c = A^-1 [B_1 ... B_K]; the move down carries -down[c] U_c
+        # into level c - 1: its first block into A, the others into B.
+        Z = np.concatenate([Q.within, *Q.into_top], axis=1)
+        template = np.concatenate([Q.within, *Q.up], axis=1)
+        Z_diagonal = Z.reshape(-1)[:: Z.shape[1] + 1]
+        U = [None] * levels
+        for c in range(top, a, -1):
+            if c < top:
+                np.copyto(Z, template)
+                Z[:, :width] -= Q.down[c + 1] * U[c + 1]
+            Z_diagonal += Q.diagonal[c]
+            U[c] = np.linalg.solve(Z[:, :phases], Z[:, phases:])
+        # Level a, with both sides substituted: the censored generator.
+        C = Q.within + np.diag(Q.diagonal[a]) + F
+        if a < top:
+            reach = np.eye(phases)  # p_{a-m+1} in terms of p_a
+            for m in range(1, min(depth, a + 1) + 1):
+                C -= Q.down[a + 1] * (U[a + 1][:, (m - 1) * phases : m * phases] @ reach)
+                if m <= a:
+                    reach = X[a - m] @ reach
+    except np.linalg.LinAlgError as exc:
+        raise ReducibleChainError(f"singular level block: {exc}") from exc
+    P = np.empty((levels, phases))
+    P[a] = _censored_null_vector(C)
+    for c in range(a - 1, -1, -1):
+        P[c] = X[c] @ P[c + 1]
+    for c in range(a + 1, levels):
+        below = min(depth, c)
+        P[c] = -(U[c][:, : below * phases] @ P[c - below : c][::-1].ravel())
+    total = P.sum()
     if not np.isfinite(total) or total <= 0:
         raise ReducibleChainError("stationary solve produced no probability mass")
-    p = p / total
-    if np.min(p) < -1e-12:
+    P /= total
+    if np.min(P) < -1e-12:
         raise SolverConvergenceError(
-            f"stationary solve produced probability {np.min(p):.3e} below the clamp threshold"
+            f"stationary solve produced probability {np.min(P):.3e} below the clamp threshold"
         )
-    p = np.maximum(p, 0.0)
-    p = p / p.sum()
-    residual = float(np.max(np.abs(Q.matrix @ p)))
-    bound = _RESIDUAL_RTOL * float(np.max(np.abs(Q.matrix.diagonal())))
+    P = np.maximum(P, 0.0)
+    P /= P.sum()
+    residual = float(np.max(np.abs(Q._apply(P))))
+    bound = _RESIDUAL_RTOL * float(np.max(np.abs(Q.diagonal)))
     if residual > bound:
         raise SolverConvergenceError(
             f"stationary residual {residual:.3e} exceeds {bound:.3e} after normalisation"
         )
-    grid = p.reshape(Q.space.i_max + 1, Q.space.j_max + 1)
+    grid = Q.grid(P)
     frontier = float(grid[-1].sum() + grid[:-1, -1].sum())  # row i_max, then column j_max
     return SteadyStateDistribution(
-        probabilities=p, truncation_mass_bound=frontier, residual=residual, space=Q.space
+        probabilities=grid.ravel(), truncation_mass_bound=frontier, residual=residual,
+        space=Q.space,
     )
 
 

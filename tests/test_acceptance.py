@@ -155,7 +155,7 @@ def test_criterion_05_sparse_solver_vs_dense_oracle():
             continue
         q = build_generator(cfg, enumerate_states(i_max, j_max))
         got = solve_steady_state(q).probabilities
-        stacked = np.vstack([q.matrix.toarray(), np.ones(q.dimension)])
+        stacked = np.vstack([q.toarray(), np.ones(q.dimension)])
         rhs = np.zeros(q.dimension + 1)
         rhs[-1] = 1.0
         expected, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
@@ -228,7 +228,7 @@ def test_simulator_agrees_with_solver_under_rejection():
 def test_criterion_07_structural_invariants():
     cfg = ChainConfig(0.7, 2.0, 0.3, 1.0, servers=3, block_capacity=2)
     q = build_generator(cfg, enumerate_states(24, 24))
-    assert float(np.max(np.abs(q.matrix.sum(axis=0)))) <= 1e-12
+    assert float(np.max(np.abs(q.toarray().sum(axis=0)))) <= 1e-12
 
     dist = solve_steady_state(q)
     assert abs(float(dist.probabilities.sum()) - 1.0) <= 1e-10

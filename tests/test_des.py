@@ -2,11 +2,7 @@ import gc
 import hashlib
 import math
 from collections import Counter
-from dataclasses import astuple
-import os
-import subprocess
-import sys
-from pathlib import Path
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,7 +15,6 @@ from branlab.config import (
     served_rate,
     with_intensity,
 )
-import branlab
 from branlab import des
 from branlab.des import (
     RequestRecord,
@@ -226,25 +221,24 @@ def test_batch_means_quantile_is_scipys():
     assert des._T_BATCHES == float(stdtrit(des._CI_BATCHES - 1, 0.975))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; the simulator needs
-    # only t quantiles.  scipy.special adds about 60 ms and 3.7 MB: the
-    # quantile of every run with 32 batch means is a literal, shorter runs
-    # import stdtrit when they need it, and the attack tail is a binomial
-    # sum.  scipy.optimize adds about a fifth of a second; the
-    # pending-stage root is a short Newton iteration instead.
-    code = (
-        "import sys, scipy.sparse.linalg\n"
-        "before = set(sys.modules)\n"
-        "import branlab\n"
-        "print(sorted(m for m in set(sys.modules) - before\n"
-        "             if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.special'))))"
+def test_statistics_keep_their_precision_at_extreme_rates():
+    # Every rate times 2**-996 is the same run in a time unit 2**996 times
+    # longer: the samples scale exactly, and so must every statistic.  At
+    # latencies near 1e-300 the squared deviations underflow unless the
+    # statistics work on rescaled samples.
+    fast = ChainConfig(5e299, 2.5e300, 0.0, 1e300)
+    rates = ("arrival_rate", "mining_rate", "rejection_rate", "service_rate")
+    slow = replace(fast, **{name: math.ldexp(getattr(fast, name), -996) for name in rates})
+    extreme, moderate = simulate_chain(fast, 2000, 1), simulate_chain(slow, 2000, 1)
+    assert np.array_equal(extreme.latency_samples, np.ldexp(moderate.latency_samples, -996))
+    assert extreme.mean == math.ldexp(moderate.mean, -996)
+    assert extreme.confidence_interval_95 == tuple(
+        math.ldexp(bound, -996) for bound in moderate.confidence_interval_95
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(branlab.__file__).resolve().parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.strip() == "[]"
+    lo, hi = extreme.confidence_interval_95
+    assert lo < extreme.mean < hi
+    # about 1e-600, below the float64 range, so it rounds to zero
+    assert extreme.variance == math.ldexp(moderate.variance, -2 * 996)
 
 
 def test_two_server_delay_probability():

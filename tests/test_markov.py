@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from branlab import markov
 from branlab.config import (
     ChainConfig,
     ConfigValidationError,
@@ -86,7 +91,7 @@ def test_index_is_a_bijection(i_max, j_max):
 def test_empty_state_has_only_the_arrival_outflow():
     cfg = ChainConfig(0.7, 1.0, 0.3, 1.0, servers=1)
     sp = enumerate_states(4, 4)
-    q = build_generator(cfg, sp).matrix.toarray()
+    q = build_generator(cfg, sp).toarray()
     i00 = at(sp, 0, 0)
     assert q[i00, i00] == pytest.approx(-0.7)
     # no mining or rejection column entries out of (0, 0)
@@ -97,7 +102,7 @@ def test_empty_state_has_only_the_arrival_outflow():
 def test_state_with_one_queued_request():
     cfg = ChainConfig(0.7, 1.0, 0.3, 1.0, servers=1)
     sp = enumerate_states(4, 4)
-    q = build_generator(cfg, sp).matrix.toarray()
+    q = build_generator(cfg, sp).toarray()
     i01 = at(sp, 0, 1)
     assert q[i01, i01] == pytest.approx(-(0.7 + 1.0))
     assert q[at(sp, 0, 0), i01] == pytest.approx(1.0)
@@ -110,14 +115,16 @@ def test_partial_block_and_rejection_targets():
     cfg = ChainConfig(0.7, 1.0, 0.3, 1.0, servers=1, block_capacity=2)
     sp = enumerate_states(5, 5)
     rates = build_generator(cfg, sp)
-    q = rates.matrix.toarray()
+    q = rates.toarray()
     i20 = at(sp, 2, 0)
     assert q[at(sp, 0, 2), i20] == pytest.approx(1.0)
     assert q[at(sp, 1, 0), i20] == pytest.approx(0.3)
     assert q[i20, i20] == pytest.approx(-(0.7 + 1.0 + 0.3))
-    # the sparse entries agree with the dense matrix
-    coo = rates.matrix.tocoo()
-    assert all(q[row, col] == rate for row, col, rate in zip(coo.row, coo.col, coo.data))
+    # the level form holds the same entries: mining two requests is the
+    # second mining block, rejection stays within the level
+    assert rates.up[1][0, 2] == q[at(sp, 0, 2), i20]
+    assert rates.within[1, 2] == q[at(sp, 1, 0), i20]
+    assert rates.diagonal[0, 2] == q[i20, i20]
 
 
 def test_generator_matches_hand_built_block():
@@ -125,11 +132,13 @@ def test_generator_matches_hand_built_block():
     one server, far from the truncation frontier, against a hand-built matrix."""
     ra, rm, rr, rs = 0.7, 1.0, 0.3, 1.0
     cfg = ChainConfig(ra, rm, rr, rs, servers=1, block_capacity=2)
-    sp = enumerate_states(5, 5)
     order = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3)]
-    idx = [at(sp, i, j) for i, j in order]
-    got = build_generator(cfg, sp).matrix.toarray()[np.ix_(idx, idx)]
+    # levels along j in the square box, along i in the tall one
+    got = []
+    for sp in (enumerate_states(5, 5), enumerate_states(8, 5)):
+        idx = [at(sp, i, j) for i, j in order]
+        got.append(build_generator(cfg, sp).toarray()[np.ix_(idx, idx)])
 
     expected = np.zeros((10, 10))
     pos = {s: n for n, s in enumerate(order)}
@@ -150,7 +159,8 @@ def test_generator_matches_hand_built_block():
             expected[pos[(i, j - 1)], col] += rs
             out += rs
         expected[col, col] = -out
-    np.testing.assert_allclose(got, expected, atol=1e-14)
+    for block in got:
+        np.testing.assert_allclose(block, expected, atol=1e-14)
 
 
 @given(
@@ -171,8 +181,8 @@ def test_generator_invariants(ra, rm, rr, rs, servers, capacity, extent):
     except ConfigValidationError:
         assume(False)
     q = build_generator(cfg, enumerate_states(extent, extent))
-    assert np.max(np.abs(q.matrix.sum(axis=0))) <= 1e-12
-    dense = q.matrix.toarray()
+    dense = q.toarray()
+    assert np.max(np.abs(dense.sum(axis=0))) <= 1e-12
     off = dense - np.diag(np.diag(dense))
     assert np.all(off >= 0)
     assert np.all(np.diag(dense) <= 0)
@@ -209,21 +219,29 @@ def test_normalisation_tolerance():
 
 def test_solver_matches_brute_force_on_small_spaces():
     cfg = ChainConfig(0.6, 1.5, 0.2, 1.0, servers=2, block_capacity=2)
-    sp = enumerate_states(12, 12)  # 169 states
-    q = build_generator(cfg, sp)
-    expected = brute_force_stationary(q.matrix.toarray())
-    got = solve_steady_state(q).probabilities
-    np.testing.assert_allclose(got, expected, atol=1e-8)
+    for sp in (enumerate_states(12, 12), enumerate_states(16, 9)):  # levels along j, then i
+        q = build_generator(cfg, sp)
+        expected = brute_force_stationary(q.toarray())
+        got = solve_steady_state(q).probabilities
+        np.testing.assert_allclose(got, expected, atol=1e-8)
 
 
 def test_reducible_generator_raises():
     from branlab.markov import RateMatrix
-    from scipy import sparse
 
-    sp = enumerate_states(1, 0)
-    zero = RateMatrix(matrix=sparse.csc_matrix((2, 2)), space=sp)
-    with pytest.raises(ReducibleChainError):
-        solve_steady_state(zero)
+    # two levels of two phases: a singular block met from above or from
+    # below, or a censored level that cannot be left, is the same typed
+    # failure, not numpy's LinAlgError
+    sp = enumerate_states(1, 1)
+    blocks = np.zeros((1, 2, 2))
+    for down, diagonal, anchor in [
+        (np.zeros(2), np.zeros((2, 2)), 0),
+        (np.zeros(2), np.zeros((2, 2)), 1),
+        (np.array([0.0, 1.0]), np.array([[0.0, 0.0], [-1.0, -1.0]]), 0),
+    ]:
+        chain = RateMatrix(np.zeros((2, 2)), blocks, blocks, down, diagonal, sp, anchor=anchor)
+        with pytest.raises(ReducibleChainError):
+            solve_steady_state(chain)
 
 
 # ---------------------------------------------------------------- statistics
@@ -285,6 +303,53 @@ def test_latency_matches_closed_form_when_tandem_decouples(rho, servers):
         ChainConfig(0.1, 1.25 * servers, 0.0, 1.0, servers=servers), rho
     )
     assert latency(cfg) == pytest.approx(closed_form_latency(cfg).total, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        with_intensity(ChainConfig(0.1, 125.0, 0.0, 1.0, servers=100, block_capacity=3), 0.95),
+        with_intensity(ChainConfig(0.1, 12.5, 0.0, 1.0, servers=10, block_capacity=6), 0.8),
+        ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
+        ChainConfig(0.99, 2.5, 0.0, 1.0),
+        # a mining load of 0.96: boxes (525, 16) to (525, 128), levels along i
+        ChainConfig(2.4, 2.5, 0.0, 1.0, servers=3),
+        # P(j = 0) is about exp(-800) of the mode: a solve pinned at level 0
+        # overflows here
+        ChainConfig(800.0, 1250.0, 0.0, 1.0, servers=1000, block_capacity=3),
+    ],
+)
+def test_every_state_balances_to_its_own_precision(cfg):
+    # Each state's inflow matches its outflow q_n p_n to 1e-12 relative,
+    # however small p_n is.  Subnormal probabilities carry fewer than 53
+    # bits, so no bound relative to p_n can hold for them; they are left out.
+    result = stationary_solution(cfg)
+    q = build_generator(cfg, result.space)
+    p = result.distribution.probabilities
+    outflow = -q.grid(q.diagonal).ravel() * p
+    normal = p >= np.finfo(float).tiny
+    balance = np.abs((q @ p)[normal]) / outflow[normal]
+    assert np.max(balance) <= 1e-12
+
+
+def test_import_and_solve_load_no_scipy():
+    # The solver and the analytic presets need numpy alone; scipy stays a
+    # dependency for the t quantile of short simulations and for the tests.
+    code = (
+        "import sys, tempfile, pathlib\n"
+        "import branlab\n"
+        "from branlab import markov\n"
+        "from branlab.config import ChainConfig\n"
+        "markov.latency(ChainConfig(0.95, 2.5, 0.0, 1.0))\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    branlab.run_preset('fig6', pathlib.Path(tmp) / 'fig6.csv', seed=3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(markov.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("servers, rho", [(50, 0.8), (100, 0.5)])

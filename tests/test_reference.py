@@ -18,9 +18,9 @@ from branlab.scenarios import list_presets, run_preset
 REFERENCE = Path(__file__).parent / "reference"
 
 # Numeric cells agree to this relative tolerance; every other cell matches
-# exactly.  CI installs unpinned scipy, whose SuperLU may differ from the
-# reference machine's in the last bits, and the attack cells are sums of
-# libm's lgamma, exp and log, which may differ too.
+# exactly.  CI installs unpinned numpy, whose LAPACK and BLAS may differ
+# from the reference machine's in the last bits, and the attack cells are
+# sums of libm's lgamma, exp and log, which may differ too.
 REL_TOL = 1e-9
 
 
