@@ -72,10 +72,17 @@ class HierarchicalConfig:
 
 
 def require_count(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an ``int`` of at least 1."""
+    """Raise ``ValueError`` unless ``value`` is an ``int`` from 1 to ``2**53``.
+
+    ``2**53`` is the largest integer a float holds exactly, with every one
+    below it; counts meet float rates, so a larger one would round or overflow.
+    """
     # bool is an int subclass, but True is not a count.
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if value > 2**53:
+        # Not the value itself: repr refuses an int of more than 4300 digits.
+        raise ValueError(f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits")
 
 
 def validate(config: ChainConfig | HierarchicalConfig) -> None:

@@ -142,7 +142,12 @@ def _require_keys(section, allowed: set[str], required: set[str], where: str) ->
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedSpecError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int; not echoed, as repr refuses one of over 4300 digits
+        raise MalformedSpecError(
+            f"{where}: expected a number in float range, got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 def _as_int(value, where: str) -> int:
@@ -211,15 +216,15 @@ def parse_scenario(source) -> ScenarioSpec:
     """Parse and strictly validate a scenario from a dict or a JSON file path."""
     if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedSpecError(f"cannot read scenario file {source}: {exc}") from exc
-        try:
-            doc = json.loads(text)
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedSpecError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except (OSError, ValueError) as exc:
+            # A ValueError is undecodable UTF-8 or an integer literal of more
+            # than 4300 digits; neither message echoes the text.
+            raise MalformedSpecError(f"cannot read scenario file {source}: {exc}") from exc
     else:
         doc = source
     _require_keys(
@@ -291,10 +296,11 @@ def parse_scenario(source) -> ScenarioSpec:
             raise MalformedSpecError(f"sweep: {path!r} sets {rate!r}, so only one may be swept")
 
     replication = _read(Replication, doc.get("replication", {}), "replication")
-    if replication.target_served < 1:
-        raise MalformedSpecError("replication.target_served: must be >= 1")
-    if replication.trials < 1:
-        raise MalformedSpecError("replication.trials: must be >= 1")
+    for field in ("target_served", "trials"):
+        try:
+            require_count(field, getattr(replication, field))
+        except ValueError as exc:
+            raise MalformedSpecError(f"replication.{field}: {exc}") from exc
 
     out = doc.get("output", {})
     _require_keys(out, {"path", "format"}, set(), "output")
@@ -529,8 +535,9 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
                     owners["primary"], owners["secondary"]
                 )
                 validate(config)
-            except ValueError:
-                # An intensity outside (0, 1) or a config that fails validation.
+            except (ValueError, OverflowError):
+                # An intensity outside (0, 1), a count too large for a float
+                # (its intensity is left unechoed) or a config that fails validation.
                 row["status"] = "skipped-unstable"
                 continue
             seed = point_seed(spec.replication.seed, index)

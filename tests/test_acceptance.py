@@ -130,7 +130,7 @@ def test_criterion_04_solver_matches_closed_form():
     report("4", f"{checked} decoupled-tandem configs, worst rel dev {worst:.1e}, {elapsed:.1f}s")
 
 
-def test_criterion_05_sparse_solver_vs_dense_oracle():
+def test_criterion_05_level_solver_vs_dense_oracle():
     rng = np.random.default_rng(20240805)
     checked = 0
     worst = 0.0

@@ -81,6 +81,10 @@ def test_mining_overload_diverges_in_simulator():
         (dict(primary=SLOPE_OVERFLOW), "rate-overflow"),
         (dict(secondary=SLOPE_OVERFLOW), "rate-overflow"),
         (asdict(LOAD_ROUNDS_TO_SERVERS), "unstable-service-queue"),
+        # whole numbers past 2**53, beyond what a float holds exactly
+        (dict(servers=10**400), "capacity-violation"),
+        (dict(block_capacity=10**400), "capacity-violation"),
+        (dict(confirmations=10**400), "capacity-violation"),
     ],
 )
 def test_invalid_fields_carry_the_violated_invariant(kwargs, code):

@@ -217,8 +217,16 @@ def test_interval_half_width_is_the_t_quantile(n):
     assert (hi - lo) / 2 == pytest.approx(stats.t.ppf(0.975, df) * spread, rel=1e-12)
 
 
-def test_batch_means_quantile_is_scipys():
-    assert des._T_BATCHES == float(stdtrit(des._CI_BATCHES - 1, 0.975))
+def test_quantile_table_is_scipys():
+    # One entry for each batch count from 2 to 2 * _CI_BATCHES - 1.
+    assert len(des._T975) == 2 * des._CI_BATCHES - 2
+    assert des._T975 == tuple(float(stdtrit(dof, 0.975)) for dof in range(1, len(des._T975) + 1))
+    assert des._T975[des._CI_BATCHES - 2] == 2.039513446396408
+
+
+def test_one_sample_is_its_own_interval():
+    stats = _stats([3.7])
+    assert (stats.mean, stats.variance, stats.confidence_interval_95) == (3.7, 0.0, (3.7, 3.7))
 
 
 def test_statistics_keep_their_precision_at_extreme_rates():

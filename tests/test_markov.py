@@ -333,17 +333,26 @@ def test_every_state_balances_to_its_own_precision(cfg):
 
 
 def test_import_and_solve_load_no_scipy():
-    # The solver and the analytic presets need numpy alone; scipy stays a
-    # dependency for the t quantile of short simulations and for the tests.
+    # branlab needs numpy alone: scipy is a test dependency only.  With its
+    # import made to fail, the solver, an analytic preset and simulations
+    # both too short for 32 batch means and long enough for them still run.
     code = (
         "import sys, tempfile, pathlib\n"
+        "sys.modules['scipy'] = None\n"
         "import branlab\n"
-        "from branlab import markov\n"
-        "from branlab.config import ChainConfig\n"
+        "from branlab import des, markov\n"
+        "from branlab.config import ChainConfig, HierarchicalConfig\n"
+        "chain = ChainConfig(0.5, 2.5, 0.0, 1.0)\n"
         "markov.latency(ChainConfig(0.95, 2.5, 0.0, 1.0))\n"
+        "for served in (10, 2000):\n"
+        "    lo, hi = des.simulate_chain(chain, served, 1).confidence_interval_95\n"
+        "    assert lo < hi\n"
+        "primary = ChainConfig(0.5, 2.5, 0.0, 1.0, servers=2)\n"
+        "des.simulate_hierarchical(HierarchicalConfig(primary, chain), 50, 1)\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
         "    branlab.run_preset('fig6', pathlib.Path(tmp) / 'fig6.csv', seed=3)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m, module in sys.modules.items()\n"
+        "             if m.split('.')[0] == 'scipy' and module is not None))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(markov.__file__).resolve().parents[1])}
     run = subprocess.run(

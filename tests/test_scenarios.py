@@ -132,6 +132,31 @@ def test_round_trip_parse():
             ),
             "sweep[0].values[0]: expected an integer",
         ),
+        # Whole numbers past 2**53, or past float range, are refused without
+        # echoing them: repr refuses an int of more than 4300 digits.
+        (
+            lambda d: d.update(sweep=[{"path": "mining_rate", "values": [2.5, 10**5000]}]),
+            "sweep[0].values[1]: expected a number in float range",
+        ),
+        (
+            lambda d: d.update(attack={"relative_power": 0.3, "giveup_threshold": 10**400}),
+            "attack: giveup_threshold must be at most 2**53",
+        ),
+        (
+            lambda d: d.update(
+                attack={"relative_power": 0.3, "giveup_threshold": 8},
+                sweep=[{"path": "attack.giveup_threshold", "values": [8, 2**53 + 1]}],
+            ),
+            "sweep[0].values[1]: giveup_threshold must be at most 2**53",
+        ),
+        (
+            lambda d: d.update(replication={"target_served": 10**5000}),
+            "replication.target_served: target_served must be at most 2**53",
+        ),
+        (
+            lambda d: d.update(replication={"trials": 2**53 + 1}),
+            "replication.trials: trials must be at most 2**53",
+        ),
     ],
 )
 def test_malformed_documents_are_rejected(mutate, fragment):
@@ -301,6 +326,12 @@ def test_json_file_parsing_and_diagnostics(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(MalformedSpecError, match="scenario.json"):
         parse_scenario(path)
+    # json refuses an integer literal of more than 4300 digits; the message
+    # names the file and leaves the literal out.
+    path.write_text(json.dumps(markov_doc()).replace("2.5", "7" * 5000))
+    with pytest.raises(MalformedSpecError, match="scenario.json") as err:
+        parse_scenario(path)
+    assert "7" * 100 not in str(err.value)
 
 
 # ----------------------------------------------------------------- execution
@@ -604,6 +635,17 @@ def test_a_chain_without_a_pending_root_is_skipped(tmp_path, engine, side, chain
     echo = [path.replace(".", "_") for path in scenarios._paths(engine, spec.attack is not None)]
     results = set(scenario_header(spec)) - {*scenarios._BASE_COLUMNS, *echo}
     assert results and all(r[c] == "" for r in rows for c in results)
+
+
+@pytest.mark.parametrize("engine", ["markov", "closed-form", "simulation", "attack"])
+@pytest.mark.parametrize("field", ["servers", "block_capacity", "confirmations"])
+def test_counts_past_two_to_the_53_are_skipped(engine, field):
+    # Such counts overflow a rate product, or make a sum over confirmations
+    # endless; validate refuses them, so the rest of the sweep still runs.
+    sweep = [{"path": field, "values": [1, 2**53 + 1, 10**400]}]
+    doc = attack_doc(sweep=sweep) if engine == "attack" else sim_doc(engine=engine, sweep=sweep)
+    rows = scenarios.evaluate([parse_scenario(doc)])
+    assert [row["status"] for row in rows] == ["ok", "skipped-unstable", "skipped-unstable"]
 
 
 def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
