@@ -34,7 +34,9 @@ it is kept only as a reference.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +200,8 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     )
 
 
-def _tail_terms(confirmations: int, relative_power: float) -> list[float]:
-    """The ``N`` terms of ``P(n_Y > N) = P(Bin(2N, x) > N)``, ``x = beta / (1 + beta)``.
+def _tail_terms(confirmations: int, relative_power: float) -> Iterator[float]:
+    """Yield the ``N`` terms of ``P(n_Y > N) = P(Bin(2N, x) > N)``, ``x = beta / (1 + beta)``.
 
     Each ``C(2N, j) x^j (1 - x)^{2N-j}`` is evaluated in log space, so a
     large ``N`` underflows only terms too small to matter to the sum.
@@ -208,13 +210,11 @@ def _tail_terms(confirmations: int, relative_power: float) -> list[float]:
     log_races_factorial = math.lgamma(races + 1)
     log_honest = -math.log1p(relative_power)
     log_attacker = math.log(relative_power) + log_honest
-    return [
-        math.exp(
+    for j in range(confirmations + 1, races + 1):
+        yield math.exp(
             log_races_factorial - math.lgamma(j + 1) - math.lgamma(races - j + 1)
             + j * log_attacker + (races - j) * log_honest
         )
-        for j in range(confirmations + 1, races + 1)
-    ]
 
 
 def attack_success(params: AttackParams) -> AttackResult:
@@ -222,15 +222,16 @@ def attack_success(params: AttackParams) -> AttackResult:
 
     Pre-mining counts above the confirmation depth win with certainty, so
     their whole mass enters as the binomial tail and no term is ever
-    dropped or subtracted.
+    dropped or subtracted.  The ``2N + 1`` terms are summed as they are made,
+    so no list ``N`` long is kept.
     """
     n_conf, beta = params.confirmations, params.relative_power
-    terms = [
+    head = (
         negbin_pmf(n, n_conf, beta) * catch_up_probability(n_conf - n, params)
         for n in range(n_conf + 1)
-    ]
-    terms += _tail_terms(n_conf, beta)
-    return AttackResult(probability=min(1.0, math.fsum(terms)), method="direct-sum")
+    )
+    total = math.fsum(itertools.chain(head, _tail_terms(n_conf, beta)))
+    return AttackResult(probability=min(1.0, total), method="direct-sum")
 
 
 # Only the benchmark tracer needs this second name.

@@ -159,18 +159,17 @@ def pending_root(config: ChainConfig) -> float:
             f"block_capacity * mining_rate + rejection_batch * rejection_rate "
             f"= {config.mining_drain}",
         )
-    # coefficient of z**m in g, m = 1 .. k; rejection_batch <= block_capacity
-    coeffs = [
-        config.mining_rate + (config.rejection_rate if m <= config.rejection_batch else 0.0)
-        for m in range(1, config.block_capacity + 1)
-    ]
+    # coefficient of z**m in g: R_m + R_r for m <= r, R_m for r < m <= k;
+    # picked inline, so no list k long is built
+    mining, both = config.mining_rate, config.mining_rate + config.rejection_rate
+    r = config.rejection_batch
     z = 1.0
     for _ in range(100):
         # g(z) = z h(z) - R_a; Horner gives h and h'
         h = dh = 0.0
-        for c in reversed(coeffs):
+        for m in range(config.block_capacity, 0, -1):
             dh = dh * z + h
-            h = h * z + c
+            h = h * z + (both if m <= r else mining)
         slope = h + z * dh
         if not math.isfinite(slope):
             break

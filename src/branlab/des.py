@@ -15,7 +15,10 @@ event, which serves the head of the queue.  A departure with nobody
 waiting draws nothing, so it never enters the event list.  A chain holds
 at most one pool event and one departure event, so no event is stale.
 The loop is one function with no closures, so each name it reads on an
-event is a fast local, and service starts at one site in it.
+event is a fast local, and service starts at one site in it.  A pending
+pool that grows past ``MAX_PENDING`` requests ends the run with
+:class:`SimulationUnstableError`; the cap is a module constant, not a
+parameter of any function.
 
 Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
 independent exponential block intervals to each request's inclusion time
@@ -58,7 +61,7 @@ from .config import ChainConfig, HierarchicalConfig, require_count, validate
 _ARRIVAL, _POOL, _ENTER, _DEPART = range(4)
 
 CONFIRMATION_MODES = ("additive", "event-driven")
-DEFAULT_MAX_PENDING = 10**6
+MAX_PENDING = 10**6  # requests a pending pool may hold before a run is called unstable
 _WARMUP_FRACTION = 0.1  # share of the target discarded before statistics
 _CI_BATCHES = 32
 # _T975[dof - 1] is float(scipy.special.stdtrit(dof, 0.975)) for dof = 1 ..
@@ -219,7 +222,7 @@ def _enqueue(
 
 
 def _run(
-    chains: tuple[_Chain, ...], seed: int, max_pending: int, target: int, requests: list | None
+    chains: tuple[_Chain, ...], seed: int, target: int, requests: list | None
 ) -> tuple[array, array, array, int]:
     """Run until ``target`` end-user requests, arriving at ``chains[0]``, start their last service.
 
@@ -235,6 +238,7 @@ def _run(
     local.  Service starts at one site, to which a departure passes its head.
     """
     entry = chains[0]
+    max_pending = MAX_PENDING
     uniform = random.Random(seed).random
     log = math.log
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -349,11 +353,9 @@ def _simulate(
     target_served: int,
     seed: int,
     confirmation_mode: str,
-    max_pending: int,
     collect_records: bool,
 ) -> SimResult:
     require_count("target_served", target_served)
-    require_count("max_pending", max_pending)
     if confirmation_mode not in CONFIRMATION_MODES:
         raise ValueError(
             f"confirmation_mode must be one of {CONFIRMATION_MODES}, got {confirmation_mode!r}"
@@ -367,7 +369,7 @@ def _simulate(
         chains = (_Chain("chain", config, confirmation_mode),)
     entry = chains[0]
     requests = [] if collect_records else None
-    e2e, first_leg, last_leg, rejected_downstream = _run(chains, seed, max_pending, target_served, requests)
+    e2e, first_leg, last_leg, rejected_downstream = _run(chains, seed, target_served, requests)
 
     warmup = int(target_served * _WARMUP_FRACTION)
     kept = np.asarray(e2e[warmup:], dtype=np.float64)
@@ -398,16 +400,16 @@ def simulate_chain(
     seed: int,
     confirmation_mode: str = "additive",
     *,
-    max_pending: int = DEFAULT_MAX_PENDING,
     collect_records: bool = False,
 ) -> SimResult:
     """Simulate one chain until ``target_served`` requests start service.
 
-    ``config`` is validated first.  The first tenth of the served samples
+    ``config`` is validated first.  A pending pool above ``MAX_PENDING``
+    requests raises :class:`SimulationUnstableError`.  The first tenth of the served samples
     is discarded as warm-up before statistics are computed.  Identical
     arguments produce a bitwise identical result.
     """
-    return _simulate(config, target_served, seed, confirmation_mode, max_pending, collect_records)
+    return _simulate(config, target_served, seed, confirmation_mode, collect_records)
 
 
 def simulate_hierarchical(
@@ -416,7 +418,6 @@ def simulate_hierarchical(
     seed: int,
     confirmation_mode: str = "additive",
     *,
-    max_pending: int = DEFAULT_MAX_PENDING,
     collect_records: bool = False,
 ) -> SimResult:
     """Simulate the secondary-into-primary composition.
@@ -433,7 +434,7 @@ def simulate_hierarchical(
     sample and its secondary and primary components; the three series are
     reported in ``breakdown`` over the same retained set.
     """
-    return _simulate(hconfig, target_served, seed, confirmation_mode, max_pending, collect_records)
+    return _simulate(hconfig, target_served, seed, confirmation_mode, collect_records)
 
 
 def write_trace_csv(records: list[RequestRecord], path) -> None:

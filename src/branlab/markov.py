@@ -15,7 +15,8 @@ partial block carries all pending requests when ``i <= k``.
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
 ``0 <= j <= j_max``: ``i_max`` is read off the exact geometric law of the
 pending count and ``j_max`` is grown until the result settles (see
-``auto_truncate``).
+``auto_truncate``).  No box may hold more than ``MAX_STATES`` states, a
+module constant.
 Transitions that would leave the box are dropped and excluded from the
 diagonal, which keeps the generator a proper generator; the stationary mass
 on the box frontier is reported so the truncation bias is measured rather
@@ -47,7 +48,7 @@ import numpy as np
 
 from .config import ChainConfig, pending_root, pending_wait, served_rate, validate
 
-DEFAULT_MAX_STATES = 4_000_000
+MAX_STATES = 4_000_000  # states a truncation box may hold
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
 _TOL = 1e-9  # frontier mass below which auto_truncate may stop
 _STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
@@ -100,16 +101,15 @@ class StateSpace:
         return self.pending.size
 
 
-def enumerate_states(
-    i_max: int, j_max: int, max_states: int = DEFAULT_MAX_STATES
-) -> StateSpace:
-    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max``, row-major."""
+def enumerate_states(i_max: int, j_max: int) -> StateSpace:
+    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max``, row-major;
+    a box of more than ``MAX_STATES`` states raises :class:`StateSpaceLimitError`."""
     if i_max < 0 or j_max < 0:
         raise ValueError("truncation bounds must be nonnegative")
     count = (i_max + 1) * (j_max + 1)
-    if count > max_states:
+    if count > MAX_STATES:
         raise StateSpaceLimitError(
-            f"box ({i_max}, {j_max}) holds {count} states, above the cap of {max_states}"
+            f"box ({i_max}, {j_max}) holds {count} states, above the cap of {MAX_STATES}"
         )
     return StateSpace(i_max, j_max)
 
@@ -261,6 +261,12 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     and probabilities shrink away from the mode instead of overflowing.
     The result is verified to ``max|Q p| <= 1e-12 max|diag Q|``, whatever
     the time unit, and sub-1e-12 negative noise is clamped to zero.
+
+    The multipliers are kept until the levels are filled in: ``L x L`` for
+    each of the ``a`` levels below the anchor and ``L x KL`` for each level
+    above it, about ``L**2 (a + K (levels - 1 - a))`` floats with ``L`` the
+    shorter side of the box.  That grows faster than the state count, so
+    ``MAX_STATES`` does not bound it.
     """
     levels, phases = Q.diagonal.shape
     top, a = levels - 1, Q.anchor
@@ -355,29 +361,31 @@ class TruncationResult:
     extents_tried: tuple[tuple[int, int], ...]  # (i_max, j_max) of each box solved
 
 
-def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> TruncationResult:
+def auto_truncate(config: ChainConfig) -> TruncationResult:
     """Grow the truncation box until the result is insensitive to it.
 
     The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
     smallest ``i`` with ``z0**i < _TOL / 2``, capped so that the initial box
-    fits in ``max_states``.  ``j_max`` starts at the smallest ``16 * 2**m``
+    fits in ``MAX_STATES``.  ``j_max`` starts at the smallest ``16 * 2**m``
     covering twice the offered load ``R_a / R_s`` and doubles until the
     frontier mass is below ``_TOL`` and the mean queue length moved by less
     than 0.1 percent from the previous box; the last box solved is returned.
+    If the next box would hold more than ``MAX_STATES`` states, it raises
+    :class:`TruncationDidNotConverge` instead.
     """
     z0 = pending_root(config)
     j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
     i_max = 1
-    while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= max_states:
+    while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= MAX_STATES:
         i_max += 1
     tried = []
     previous_mean = None
     while True:
         tried.append((i_max, j_max))
-        space = enumerate_states(i_max, j_max, max_states=max_states)
+        space = enumerate_states(i_max, j_max)
         dist = solve_steady_state(build_generator(config, space))
         mean = mean_queue_length(dist)
         frontier = dist.truncation_mass_bound
@@ -387,9 +395,9 @@ def auto_truncate(config: ChainConfig, max_states: int = DEFAULT_MAX_STATES) -> 
             and abs(mean - previous_mean) <= _STABILITY_RTOL * max(previous_mean, 1e-6)
         ):
             return TruncationResult(space, dist, mean, tuple(tried))
-        if (i_max + 1) * (2 * j_max + 1) > max_states:
+        if (i_max + 1) * (2 * j_max + 1) > MAX_STATES:
             raise TruncationDidNotConverge(
-                f"no convergence below {max_states} states; last box "
+                f"no convergence below {MAX_STATES} states; last box "
                 f"({i_max}, {j_max}) left frontier mass {frontier:.3e}",
                 i_max=i_max,
                 j_max=j_max,

@@ -44,7 +44,9 @@ pool (:class:`des.SimulationUnstableError`) as ``skipped-unstable``, a
 run, and both leave the result columns blank.  Per-point seeds derive
 from ``sha256("<master_seed>:<point_index>")``, so extending a value list
 never perturbs existing points.  Output rows echo the full materialised
-configuration, making every row self-describing and re-runnable.
+configuration, making every row self-describing and re-runnable; a
+skipped row leaves empty only the cells that could not be computed, such
+as the arrival rate and intensity of a chain whose intensity was refused.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from . import attack as attack_mod
 from . import des, markov, queueing
 from .config import (
     ChainConfig,
+    ConfigValidationError,
     HierarchicalConfig,
     intensity_of,
     require_count,
@@ -340,33 +343,46 @@ def _owners(spec: ScenarioSpec) -> dict:
     return {"": spec.base, "attack": spec.attack}
 
 
-def _materialize(spec: ScenarioSpec, values: tuple) -> dict:
-    """:func:`_owners` with one grid point's ``values`` applied."""
+def _materialize(spec: ScenarioSpec, values: tuple) -> tuple[dict, set[str]]:
+    """:func:`_owners` with one grid point's ``values`` applied, and the keys
+    of the chains whose intensity was refused: outside (0, 1), or giving an
+    arrival rate a float cannot hold.  Such a chain keeps its other fields."""
     owners = _owners(spec)
-    # Intensity sets the arrival rate from the other fields, so it goes last.
+    unset = set()
+    # Intensity sets the arrival rate from the other fields, so it goes last;
+    # setting a plain field cannot raise.
     points = sorted(zip(spec.sweep, values), key=lambda pair: pair[0].path.endswith("intensity"))
     for param, value in points:
         owner, _, name = param.path.rpartition(".")
         target = owners[owner]
-        if name == "intensity":
-            owners[owner] = with_intensity(target, value)
-        else:
+        if name != "intensity":
             owners[owner] = replace(target, **{name: value})
-    return owners
+            continue
+        try:
+            owners[owner] = with_intensity(target, value)
+        except (ValueError, OverflowError):
+            unset.add(owner)
+    return owners, unset
 
 
-def _path_value(path: str, owners: dict):
-    """The materialised value at ``path``, one of :func:`_paths`.
+def _path_value(path: str, owners: dict, unset: set[str]):
+    """The materialised value at ``path``, one of :func:`_paths`, or an empty
+    cell where computing it is what failed.
 
-    Intensity is undefined without service capacity, so a chain with no
-    servers or a zero service rate echoes it as an empty cell; ``validate``
-    then refuses the point.
+    A chain in ``unset`` has no arrival rate or intensity.  Intensity is
+    also undefined without service capacity, or with a link count a float
+    cannot hold; ``validate`` refuses such a point.
     """
     owner, _, name = path.rpartition(".")
     config = owners[owner]
+    if owner in unset and name in ("arrival_rate", "intensity"):
+        return ""
     if name != "intensity":
         return getattr(config, name)
-    return intensity_of(config) if config.service_capacity else ""
+    try:
+        return intensity_of(config)
+    except (ZeroDivisionError, OverflowError):
+        return ""
 
 
 # Result columns that several engines write; the attack ones only for a
@@ -528,16 +544,17 @@ def evaluate(specs: list[ScenarioSpec], jobs: int = 1) -> list[dict]:
             for pos, (param, value) in enumerate(zip(spec.sweep, values), 1):
                 row[f"param_{pos}"], row[f"value_{pos}"] = param.path, value
             rows.append(row)
+            owners, unset = _materialize(spec, values)
+            row.update((path.replace(".", "_"), _path_value(path, owners, unset)) for path in paths)
+            if unset:  # an intensity that could not be applied
+                row["status"] = "skipped-unstable"
+                continue
+            config = owners[""] if "" in owners else HierarchicalConfig(
+                owners["primary"], owners["secondary"]
+            )
             try:
-                owners = _materialize(spec, values)
-                row.update((path.replace(".", "_"), _path_value(path, owners)) for path in paths)
-                config = owners[""] if "" in owners else HierarchicalConfig(
-                    owners["primary"], owners["secondary"]
-                )
                 validate(config)
-            except (ValueError, OverflowError):
-                # An intensity outside (0, 1), a count too large for a float
-                # (its intensity is left unechoed) or a config that fails validation.
+            except ConfigValidationError:
                 row["status"] = "skipped-unstable"
                 continue
             seed = point_seed(spec.replication.seed, index)

@@ -2,9 +2,11 @@
 imported from its module."""
 
 import importlib
+import inspect
 import types
 
 import branlab
+from branlab import des, markov
 
 API = {
     "ChainConfig", "HierarchicalConfig", "ConfigValidationError", "validate",
@@ -42,3 +44,12 @@ def test_package_exports_exactly_the_user_api():
         if not hasattr(importlib.import_module(f"branlab.{module}"), name)
     ]
     assert missing == []
+
+
+def test_caps_are_module_constants():
+    # Each cap had one value outside the tests, so no function takes it.
+    assert des.MAX_PENDING == 10**6
+    assert markov.MAX_STATES == 4_000_000
+    for entry in (des.simulate_chain, des.simulate_hierarchical,
+                  markov.enumerate_states, markov.auto_truncate):
+        assert not {"max_pending", "max_states"} & set(inspect.signature(entry).parameters)

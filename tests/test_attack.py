@@ -210,6 +210,22 @@ def test_binomial_tail_against_exact_sums(confs, beta):
     assert float(abs(Fraction(got) - exact) / exact) <= 1e-12
 
 
+@given(
+    confs=st.integers(1, 300),
+    beta=st.floats(-3.0, 1.0).map(lambda exponent: 10.0**exponent),
+    giveup=st.integers(1, 60),
+)
+def test_direct_sum_is_the_sum_of_its_listed_terms(confs, beta, giveup):
+    # The terms are summed as they are made; fsum of them listed is the reference.
+    params = AttackParams(confs, beta, giveup)
+    head = [
+        negbin_pmf(n, confs, beta) * catch_up_probability(confs - n, params)
+        for n in range(confs + 1)
+    ]
+    tail = list(attack._tail_terms(confs, beta))
+    assert attack_success(params).probability == min(1.0, math.fsum([*head, *tail]))
+
+
 @pytest.mark.parametrize("beta", [0.9, 1.0])
 def test_binomial_tail_at_large_depth(beta):
     # x**j alone underflows at j = 5000 for x = beta / (1 + beta) <= 1/2.

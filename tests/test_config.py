@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import branlab
 from branlab import markov
 from branlab.config import (
     ChainConfig,
@@ -237,6 +242,73 @@ def test_every_engine_refuses_what_validate_refuses(config):
         with pytest.raises(ConfigValidationError) as err:
             entry(config)
         assert err.value.code == code
+
+
+def list_horner_root(config):
+    """pending_root's Newton loop as it was with a list of the k coefficients:
+    the reference for the root that picks each coefficient inline."""
+    coeffs = [
+        config.mining_rate + (config.rejection_rate if m <= config.rejection_batch else 0.0)
+        for m in range(1, config.block_capacity + 1)
+    ]
+    z = 1.0
+    for _ in range(100):
+        h = dh = 0.0
+        for c in reversed(coeffs):
+            dh = dh * z + h
+            h = h * z + c
+        slope = h + z * dh
+        if not math.isfinite(slope):
+            return None
+        step = (z * h - config.arrival_rate) / slope
+        z -= step
+        if abs(step) <= 1e-14 * z:
+            return z
+    return None
+
+
+@given(config=chains())
+@example(config=ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3))
+@example(config=ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=6, rejection_batch=2))
+def test_pending_root_equals_the_list_horner_root(config):
+    try:
+        z = pending_root(config)
+    except ConfigValidationError:
+        return
+    assert z == list_horner_root(config)
+
+
+MEMORY_PROBE = """
+import sys
+from branlab.attack import AttackParams, attack_success
+from branlab.config import ChainConfig, pending_root
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+call = {
+    "pending_root": lambda: pending_root(ChainConfig(0.5, 2.5, 0.0, 1.0, block_capacity=5 * 10**5)),
+    "attack_success": lambda: attack_success(AttackParams(2 * 10**5, 0.3, 8)),
+}[sys.argv[1]]
+before = peak_kib()
+call()
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("entry", ["pending_root", "attack_success"])
+def test_a_large_count_costs_time_not_memory(entry):
+    # Each call is O(k) or O(N) in time; a list that long (19 MB and 17 MB
+    # on Linux x86-64) would raise the process's peak RSS.  That is VmHWM, not
+    # getrusage's ru_maxrss: exec keeps the larger peak of the test runner.
+    env = {**os.environ, "PYTHONPATH": str(Path(branlab.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, entry],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(run.stdout) < 4096
 
 
 @pytest.mark.parametrize("side", ["primary", "secondary"])

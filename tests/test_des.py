@@ -265,15 +265,16 @@ def test_two_server_delay_probability():
     assert abs(frac - 1 / 3) <= 3 * se + 0.01
 
 
-def test_runaway_pending_pool_raises():
+def test_runaway_pending_pool_raises(monkeypatch):
     # a valid chain whose mining stage runs at utilisation 0.99 soon holds
     # more than 20 pending requests
+    monkeypatch.setattr(des, "MAX_PENDING", 20)
     cfg = ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4)
     with pytest.raises(SimulationUnstableError):
-        simulate_chain(cfg, 10**9, seed=1, max_pending=20)
+        simulate_chain(cfg, 10**9, seed=1)
 
 
-def test_runs_leave_no_reference_cycles():
+def test_runs_leave_no_reference_cycles(monkeypatch):
     # A run's state must be freed when it returns or raises, not at the next
     # full collection: cyclic garbage made peak memory depend on GC timing.
     def des_objects_in_cyclic_garbage():
@@ -285,6 +286,7 @@ def test_runs_leave_no_reference_cycles():
             gc.garbage.clear()
             gc.set_debug(0)
 
+    monkeypatch.setattr(des, "MAX_PENDING", 20)
     gc.collect()
     gc.disable()
     try:
@@ -292,14 +294,14 @@ def test_runs_leave_no_reference_cycles():
         simulate_hierarchical(HIER, 1000, seed=1)
         simulate_hierarchical(HIER, 1000, seed=1, confirmation_mode="event-driven")
         with pytest.raises(SimulationUnstableError):
-            simulate_chain(ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4), 10**9, seed=1, max_pending=20)
+            simulate_chain(ChainConfig(0.99, 1.0, 0.0, 1.0, servers=4), 10**9, seed=1)
         # The primary's pool, near saturation, overflows on a hand-over.
         handing_over = HierarchicalConfig(
             primary=ChainConfig(0.01, 2.05, 0.0, 10.0, block_capacity=1),
             secondary=ChainConfig(2.0, 50.0, 0.0, 5.0),
         )
         with pytest.raises(SimulationUnstableError, match="chain 'primary'"):
-            simulate_hierarchical(handing_over, 10**9, seed=1, max_pending=20)
+            simulate_hierarchical(handing_over, 10**9, seed=1)
         assert des_objects_in_cyclic_garbage() == []
     finally:
         gc.enable()
@@ -408,13 +410,6 @@ def test_target_served_is_a_whole_count(target):
     # True once served one request and 10.5 served eleven.
     with pytest.raises(ValueError, match="target_served"):
         simulate_chain(BASE, target, seed=1)
-
-
-@pytest.mark.parametrize("max_pending", [0, True, 2.5])
-def test_max_pending_below_one_is_rejected(max_pending):
-    # Each used to report a stable chain as unable to drain its arrivals.
-    with pytest.raises(ValueError, match="max_pending"):
-        simulate_chain(BASE, 100, seed=1, max_pending=max_pending)
 
 
 # ------------------------------------------------------------- hierarchical

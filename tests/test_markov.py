@@ -542,11 +542,12 @@ def test_box_grows_along_the_access_axis():
     assert res.extents_tried[-1] == (res.space.i_max, res.space.j_max)
 
 
-def test_unreachable_tolerance_hits_the_cap():
+def test_unreachable_tolerance_hits_the_cap(monkeypatch):
     # At intensity 0.999 the access queue needs far more than 100k states.
+    monkeypatch.setattr(markov, "MAX_STATES", 100_000)
     cfg = ChainConfig(0.999, 2.5, 0.0, 1.0, servers=1)
     with pytest.raises(TruncationDidNotConverge) as err:
-        auto_truncate(cfg, max_states=100_000)
+        auto_truncate(cfg)
     assert err.value.i_max >= 16
     assert (err.value.i_max + 1) * (err.value.j_max + 1) <= 100_000
     assert err.value.frontier_mass >= 0.0

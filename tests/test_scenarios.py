@@ -358,6 +358,36 @@ def test_unstable_points_are_reported_not_fatal(tmp_path):
     assert float(rows[1]["arrival_rate"]) == 9.0
 
 
+def test_a_refused_intensity_echoes_the_rest_of_the_chain():
+    doc = markov_doc(engine="closed-form", sweep=[{"path": "intensity", "values": [0.5, 1.2]}])
+    ok, skipped = scenarios.evaluate([parse_scenario(doc)])
+    assert skipped["status"] == "skipped-unstable"
+    # Only the cells that the refused intensity would set are empty.
+    assert skipped["arrival_rate"] == skipped["intensity"] == ""
+    others = [field.name for field in fields(ChainConfig) if field.name != "arrival_rate"]
+    assert [skipped[name] for name in others] == [ok[name] for name in others]
+
+
+def test_a_refused_secondary_intensity_echoes_the_primary():
+    doc = hier_doc(sweep=[{"path": "secondary.intensity", "values": [1.2]}])
+    [row] = scenarios.evaluate([parse_scenario(doc)])
+    assert row["status"] == "skipped-unstable"
+    primary = [value for name, value in row.items() if name.startswith("primary_")]
+    assert len(primary) == 9 and "" not in primary
+    assert row["secondary_arrival_rate"] == row["secondary_intensity"] == ""
+    assert row["secondary_mining_rate"] == 10.0
+
+
+def test_an_overflowing_intensity_echoes_the_link_count():
+    # rho * servers overflows a float, so no arrival rate can be set.
+    doc = markov_doc(base=chain_doc(servers=10**400), sweep=[{"path": "intensity", "values": [0.5]}])
+    [row] = scenarios.evaluate([parse_scenario(doc)])
+    assert row["status"] == "skipped-unstable"
+    assert row["servers"] == 10**400
+    assert row["arrival_rate"] == row["intensity"] == ""
+    assert row["mining_rate"] == 2.5
+
+
 @pytest.mark.parametrize("doc", [markov_doc(), sim_doc()], ids=["markov", "simulation"])
 @pytest.mark.parametrize("field", ["servers", "service_rate"])
 def test_zero_service_capacity_is_skipped(doc, field):
