@@ -14,7 +14,7 @@ partial block carries all pending requests when ``i <= k``.
 
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
 ``0 <= j <= j_max``: ``i_max`` is read off the exact geometric law of the
-pending count and ``j_max`` is grown until the result settles (see
+pending count and ``j_max`` is doubled until the box is certified (see
 ``auto_truncate``).  No box may hold more than ``MAX_STATES`` states, a
 module constant.
 Transitions that would leave the box are dropped and excluded from the
@@ -50,8 +50,7 @@ from .config import ChainConfig, pending_root, pending_wait, served_rate, valida
 
 MAX_STATES = 4_000_000  # states a truncation box may hold
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
-_TOL = 1e-9  # frontier mass below which auto_truncate may stop
-_STABILITY_RTOL = 1e-3  # relative E[i+j] change at which auto_truncate stops
+_TOL = 1e-9  # frontier mass and pending-marginal gap at which auto_truncate stops
 _RESIDUAL_RTOL = 1e-12  # bound on max|Q p| relative to max|diag Q|, the generator's scale
 
 
@@ -72,7 +71,7 @@ class ReducibleChainError(SolverError, RuntimeError):
 
 
 class TruncationDidNotConverge(SolverError, RuntimeError):
-    """Frontier mass or queue-length stability never met the tolerance
+    """Frontier mass or the pending-marginal gap never met the tolerance
     before the state-count cap; carries the last bounds tried."""
 
     def __init__(self, message: str, i_max: int, j_max: int, frontier_mass: float):
@@ -86,19 +85,15 @@ class StateSpace:
     """Row-major enumeration of the truncated state box: ``(i, j)`` has
     index ``i * (j_max + 1) + j``."""
 
-    __slots__ = ("i_max", "j_max", "pending", "queued")
+    __slots__ = ("i_max", "j_max")
 
     def __init__(self, i_max: int, j_max: int):
         self.i_max = i_max
         self.j_max = j_max
-        # i and j coordinate per state
-        self.pending, self.queued = np.divmod(
-            np.arange((i_max + 1) * (j_max + 1), dtype=np.int64), j_max + 1
-        )
 
     @property
     def count(self) -> int:
-        return self.pending.size
+        return (self.i_max + 1) * (self.j_max + 1)
 
 
 def enumerate_states(i_max: int, j_max: int) -> StateSpace:
@@ -346,9 +341,16 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     )
 
 
+def _marginals(dist: SteadyStateDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The ``i``- and ``j``-marginals of ``dist``: its grid's row and column sums."""
+    grid = dist.probabilities.reshape(dist.space.i_max + 1, dist.space.j_max + 1)
+    return grid.sum(axis=1), grid.sum(axis=0)
+
+
 def mean_queue_length(dist: SteadyStateDistribution) -> float:
-    """Expected number of requests in the system, ``sum((i+j) * p_ij)``."""
-    return float(np.dot(dist.space.pending + dist.space.queued, dist.probabilities))
+    """Expected number of requests in the system, ``E[i] + E[j]``."""
+    pending, access = _marginals(dist)
+    return float(np.arange(pending.size) @ pending + np.arange(access.size) @ access)
 
 
 @dataclass(frozen=True)
@@ -362,15 +364,17 @@ class TruncationResult:
 
 
 def auto_truncate(config: ChainConfig) -> TruncationResult:
-    """Grow the truncation box until the result is insensitive to it.
+    """Grow the truncation box until it is certified.
 
     The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
     smallest ``i`` with ``z0**i < _TOL / 2``, capped so that the initial box
     fits in ``MAX_STATES``.  ``j_max`` starts at the smallest ``16 * 2**m``
-    covering twice the offered load ``R_a / R_s`` and doubles until the
-    frontier mass is below ``_TOL`` and the mean queue length moved by less
-    than 0.1 percent from the previous box; the last box solved is returned.
+    covering twice the offered load ``R_a / R_s`` and doubles until a box is
+    certified: its frontier mass is below ``_TOL``, and its ``i``-marginal
+    is within ``_TOL`` of the exact law at every ``i <= i_max``.  A cut at
+    ``j_max`` blocks mining, so it can distort the pending process where the
+    frontier mass does not show it.  The first certified box is returned.
     If the next box would hold more than ``MAX_STATES`` states, it raises
     :class:`TruncationDidNotConverge` instead.
     """
@@ -381,30 +385,26 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
     i_max = 1
     while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= MAX_STATES:
         i_max += 1
+    geometric = (1 - z0) * z0 ** np.arange(i_max + 1)
     tried = []
-    previous_mean = None
     while True:
         tried.append((i_max, j_max))
         space = enumerate_states(i_max, j_max)
         dist = solve_steady_state(build_generator(config, space))
-        mean = mean_queue_length(dist)
         frontier = dist.truncation_mass_bound
-        if (
-            previous_mean is not None
-            and frontier < _TOL
-            and abs(mean - previous_mean) <= _STABILITY_RTOL * max(previous_mean, 1e-6)
-        ):
-            return TruncationResult(space, dist, mean, tuple(tried))
+        gap = float(np.max(np.abs(_marginals(dist)[0] - geometric)))
+        if frontier < _TOL and gap <= _TOL:
+            return TruncationResult(space, dist, mean_queue_length(dist), tuple(tried))
         if (i_max + 1) * (2 * j_max + 1) > MAX_STATES:
             raise TruncationDidNotConverge(
                 f"no convergence below {MAX_STATES} states; last box "
-                f"({i_max}, {j_max}) left frontier mass {frontier:.3e}",
+                f"({i_max}, {j_max}) left frontier mass {frontier:.3e} "
+                f"and pending-marginal gap {gap:.3e}",
                 i_max=i_max,
                 j_max=j_max,
                 frontier_mass=frontier,
             )
         j_max *= 2
-        previous_mean = mean
 
 
 @lru_cache(maxsize=32)
@@ -437,8 +437,7 @@ def latency(config: ChainConfig) -> float:
     and the solve gives only ``E[j]``, the access stage's mean occupancy,
     which Little's law turns into its sojourn.
     """
-    result = stationary_solution(config)
-    space, p = result.space, result.distribution.probabilities
-    access = float(np.dot(space.queued, p)) / served_rate(config)
-    base = pending_wait(config) + access - 1.0 / config.service_rate
+    access = _marginals(stationary_solution(config).distribution)[1]
+    sojourn = float(np.arange(access.size) @ access) / served_rate(config)
+    base = pending_wait(config) + sojourn - 1.0 / config.service_rate
     return base + (config.confirmations - 1) / config.mining_rate

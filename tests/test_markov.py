@@ -55,7 +55,8 @@ def at(sp, i, j):
 
 
 def states(sp):
-    return list(zip(sp.pending.tolist(), sp.queued.tolist()))
+    pending, queued = np.divmod(np.arange(sp.count), sp.j_max + 1)
+    return list(zip(pending.tolist(), queued.tolist()))
 
 
 # ---------------------------------------------------------------- state space
@@ -205,7 +206,7 @@ def test_degenerate_chain_recovers_single_queue_law():
     cfg = mm1_tandem_config(rho)
     sp = enumerate_states(4, 40)
     dist = solve_steady_state(build_generator(cfg, sp))
-    marginal = np.bincount(sp.queued, weights=dist.probabilities, minlength=41)
+    marginal = dist.probabilities.reshape(5, 41).sum(axis=0)
     expected = (1 - rho) * rho ** np.arange(41)
     np.testing.assert_allclose(marginal[:20], expected[:20], atol=2e-3)
 
@@ -405,10 +406,12 @@ def solver_pending_stage(cfg):
     """``E[i]`` and the served throughput ``R_a - R_r E[min(i, r)]`` under the
     solved law, with the solve itself."""
     result = stationary_solution(cfg)
-    space, p = result.space, result.distribution.probabilities
+    space = result.space
+    marginal = result.distribution.probabilities.reshape(space.i_max + 1, -1).sum(axis=1)
+    pending = np.arange(space.i_max + 1)
     # a rejection event removes min(i, r) pending requests
-    removed = float(np.dot(np.minimum(space.pending, cfg.rejection_batch), p))
-    return float(np.dot(space.pending, p)), cfg.arrival_rate - cfg.rejection_rate * removed, result
+    removed = float(np.minimum(pending, cfg.rejection_batch) @ marginal)
+    return float(pending @ marginal), cfg.arrival_rate - cfg.rejection_rate * removed, result
 
 
 @pytest.mark.parametrize("cfg, expected", REJECTING_CHAINS)
@@ -491,15 +494,94 @@ def test_unstable_config_is_refused():
 # ------------------------------------------------------------ auto truncation
 
 
+def certificate(cfg, dist):
+    """Frontier mass of a solved box, and the largest gap between its
+    ``i``-marginal and the exact law ``(1 - z0) z0**i``."""
+    space = dist.space
+    grid = dist.probabilities.reshape(space.i_max + 1, space.j_max + 1)
+    z = pending_root(cfg)
+    geometric = (1 - z) * z ** np.arange(space.i_max + 1)
+    frontier = grid[-1].sum() + grid[:-1, -1].sum()
+    return float(frontier), float(np.max(np.abs(grid.sum(axis=1) - geometric)))
+
+
+def solve_box(cfg, i_max, j_max):
+    return solve_steady_state(build_generator(cfg, enumerate_states(i_max, j_max)))
+
+
+def access_sojourn(cfg, dist):
+    """``E[j] / lambda``, the only term of the latency that the box moves."""
+    access = dist.probabilities.reshape(dist.space.i_max + 1, -1).sum(axis=0)
+    return float(np.arange(access.size) @ access) / served_rate(cfg)
+
+
 def test_light_traffic_converges_at_the_initial_box():
     # z0 = R_a / R_m = 0.1, and 0.1**10 is the first power below tol / 2; the
-    # least access extent already meets the tolerance, so one doubling
-    # confirms it and the confirming box is returned.
+    # least access extent already meets the tolerance, so it is returned.
     cfg = ChainConfig(0.1, 1.0, 0.0, 1.0, servers=1)
     res = auto_truncate(cfg)
-    assert res.extents_tried == ((10, 16), (10, 32))
-    assert (res.space.i_max, res.space.j_max) == (10, 32)
+    assert res.extents_tried == ((10, 16),)
+    assert (res.space.i_max, res.space.j_max) == (10, 16)
     assert res.distribution.truncation_mass_bound < 1e-9
+
+
+# Chains of the two tests below, fixed before their first run: every
+# rejection shape, loads from light to heavy, and up to 50 links.  After
+# that run, k = 1 without rejection at rho = 0.95 was left out, as in the
+# bulk-service test: it passed both, but cost more than the rest together.
+CERTIFIED_GRID = [
+    with_intensity(
+        ChainConfig(0.1, 1.25 * servers, share * 1.25 * servers, 1.0, servers=servers,
+                    block_capacity=k, rejection_batch=r),
+        rho,
+    )
+    for servers in (1, 10, 50)
+    for k in (1, 6)
+    for share, r in [(0.0, 1)] + [(0.25, r) for r in sorted({1, k})]
+    for rho in (0.3, 0.8, 0.95)
+    if not (k == 1 and share == 0.0 and rho == 0.95)
+]
+
+
+@pytest.fixture(scope="module")
+def certified_grid():
+    return [(cfg, auto_truncate(cfg)) for cfg in CERTIFIED_GRID]
+
+
+def test_accepted_box_is_the_first_certified_one(certified_grid):
+    # A box is certified when its frontier mass is below 1e-9 and its
+    # i-marginal is within 1e-9 of the exact law at every i <= i_max.  The
+    # accepted box is, and the box solved before it is not.
+    tol, failed = 1e-9, {"frontier": 0, "marginal": 0}
+    for cfg, res in certified_grid:
+        assert res.extents_tried[-1] == (res.space.i_max, res.space.j_max)
+        frontier, gap = certificate(cfg, res.distribution)
+        assert frontier < tol and gap <= tol, (cfg, frontier, gap)
+        if len(res.extents_tried) > 1:
+            frontier, gap = certificate(cfg, solve_box(cfg, *res.extents_tried[-2]))
+            assert not (frontier < tol and gap <= tol), (cfg, frontier, gap)
+            failed["frontier"] += frontier >= tol
+            failed["marginal"] += frontier < tol
+    assert len(CERTIFIED_GRID) == 42
+    print(f"first certified box: {len(CERTIFIED_GRID)} chains, previous box failed on {failed}")
+
+
+def test_doubling_the_accepted_box_barely_moves_latency(certified_grid):
+    # Only E[j] / lambda depends on the box.  The bound, stated before the
+    # first run, is the frontier mass moved by at most i_max + j_max
+    # requests, over the served rate.  It is a heuristic, not a proof: on
+    # (70, 12.5, 0, 1, s=100, k=6), too large a solve for this suite, the
+    # move is 1.5 of it.  On this grid the worst ratio is 0.59.
+    worst = 0.0
+    for cfg, res in certified_grid:
+        space = res.space
+        doubled = solve_box(cfg, space.i_max, 2 * space.j_max)
+        move = abs(access_sojourn(cfg, doubled) - access_sojourn(cfg, res.distribution))
+        bound = (res.distribution.truncation_mass_bound * (space.i_max + space.j_max)
+                 / served_rate(cfg))
+        assert move <= bound, (cfg, move, bound)
+        worst = max(worst, move / bound)
+    print(f"doubled box: {len(CERTIFIED_GRID)} chains, worst latency move {worst:.2f} of its bound")
 
 
 def test_pending_extent_comes_from_the_exact_law():
@@ -551,3 +633,7 @@ def test_unreachable_tolerance_hits_the_cap(monkeypatch):
     assert err.value.i_max >= 16
     assert (err.value.i_max + 1) * (err.value.j_max + 1) <= 100_000
     assert err.value.frontier_mass >= 0.0
+    # the message says which check failed: both numbers of the last box
+    _, gap = certificate(cfg, solve_box(cfg, err.value.i_max, err.value.j_max))
+    assert f"frontier mass {err.value.frontier_mass:.3e}" in str(err.value)
+    assert f"pending-marginal gap {gap:.3e}" in str(err.value)
