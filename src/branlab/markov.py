@@ -15,8 +15,7 @@ partial block carries all pending requests when ``i <= k``.
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
 ``0 <= j <= j_max``: ``i_max`` is read off the exact geometric law of the
 pending count and ``j_max`` is doubled until the box is certified (see
-``auto_truncate``).  No box may hold more than ``MAX_STATES`` states, a
-module constant.
+``auto_truncate``); the solve of a box may keep at most ``MAX_SOLVE_BYTES``.
 Transitions that would leave the box are dropped and excluded from the
 diagonal, which keeps the generator a proper generator; the stationary mass
 on the box frontier is reported so the truncation bias is measured rather
@@ -48,7 +47,7 @@ import numpy as np
 
 from .config import ChainConfig, pending_root, pending_wait, served_rate, validate
 
-MAX_STATES = 4_000_000  # states a truncation box may hold
+MAX_SOLVE_BYTES = 2**30  # predicted bytes one box's stationary solve may keep
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
 _TOL = 1e-9  # frontier mass and pending-marginal gap at which auto_truncate stops
 _RESIDUAL_RTOL = 1e-12  # bound on max|Q p| relative to max|diag Q|, the generator's scale
@@ -59,7 +58,7 @@ class SolverError(Exception):
 
 
 class StateSpaceLimitError(SolverError, ValueError):
-    """Requested truncation box exceeds the configured state-count cap."""
+    """A truncation box whose solve would keep more than ``MAX_SOLVE_BYTES``."""
 
 
 class SolverConvergenceError(SolverError, RuntimeError):
@@ -71,8 +70,8 @@ class ReducibleChainError(SolverError, RuntimeError):
 
 
 class TruncationDidNotConverge(SolverError, RuntimeError):
-    """Frontier mass or the pending-marginal gap never met the tolerance
-    before the state-count cap; carries the last bounds tried."""
+    """Frontier mass or the pending-marginal gap never met the tolerance on a
+    box within ``MAX_SOLVE_BYTES``; carries the last box solved."""
 
     def __init__(self, message: str, i_max: int, j_max: int, frontier_mass: float):
         super().__init__(message)
@@ -81,15 +80,13 @@ class TruncationDidNotConverge(SolverError, RuntimeError):
         self.frontier_mass = frontier_mass
 
 
+@dataclass(frozen=True)
 class StateSpace:
     """Row-major enumeration of the truncated state box: ``(i, j)`` has
     index ``i * (j_max + 1) + j``."""
 
-    __slots__ = ("i_max", "j_max")
-
-    def __init__(self, i_max: int, j_max: int):
-        self.i_max = i_max
-        self.j_max = j_max
+    i_max: int
+    j_max: int
 
     @property
     def count(self) -> int:
@@ -97,15 +94,9 @@ class StateSpace:
 
 
 def enumerate_states(i_max: int, j_max: int) -> StateSpace:
-    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max``, row-major;
-    a box of more than ``MAX_STATES`` states raises :class:`StateSpaceLimitError`."""
+    """All ``(i, j)`` with ``0 <= i <= i_max``, ``0 <= j <= j_max``, row-major."""
     if i_max < 0 or j_max < 0:
         raise ValueError("truncation bounds must be nonnegative")
-    count = (i_max + 1) * (j_max + 1)
-    if count > MAX_STATES:
-        raise StateSpaceLimitError(
-            f"box ({i_max}, {j_max}) holds {count} states, above the cap of {MAX_STATES}"
-        )
     return StateSpace(i_max, j_max)
 
 
@@ -170,8 +161,21 @@ class RateMatrix:
 
 
 def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
-    """Assemble the truncated generator for ``config`` on ``space``."""
+    """Assemble the truncated generator for ``config`` on ``space``; a box whose
+    solve would keep more than ``MAX_SOLVE_BYTES`` (see :func:`solve_steady_state`)
+    raises :class:`StateSpaceLimitError` before anything of its size is allocated."""
     validate(config)
+    along_j = space.i_max <= space.j_max
+    levels, phases = sorted((space.i_max + 1, space.j_max + 1), reverse=True)
+    depth = min(config.block_capacity, space.i_max)
+    # The solve reduces toward the mode: along i, i = 0, the top level; along j, level
+    # floor(R_a / R_s) of busy links, as level 0 can hold 1e-17 of the mass with many links.
+    anchor = min(levels - 1, int(config.arrival_rate // config.service_rate) if along_j else levels)
+    solve_bytes = 8 * (phases**2 * (anchor + depth * (levels - 1 - anchor) + 16 * depth + 16)
+                       + 16 * levels + 8 * levels * phases)
+    if solve_bytes > MAX_SOLVE_BYTES:
+        raise StateSpaceLimitError(f"box ({space.i_max}, {space.j_max}) would keep "
+                                   f"{solve_bytes} bytes in its solve, above {MAX_SOLVE_BYTES}")
     ii, jj = np.ogrid[: space.i_max + 1, : space.j_max + 1]
     batch = np.minimum(ii, config.block_capacity)  # mined out of i
     served = np.minimum(jj, config.servers) * config.service_rate  # served out of j
@@ -180,25 +184,20 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
         + served
         + (ii >= 1) * (config.rejection_rate + config.mining_rate * (jj + batch <= space.j_max))
     )
-    if space.i_max <= space.j_max:
+    if along_j:
         # levels j, phases i
         pending = ii[1:, 0]
-        phases = pending.size + 1
         within = np.zeros((phases, phases))
         within[pending, pending - 1] = config.arrival_rate
         within[pending - np.minimum(pending, config.rejection_batch), pending] += (
             config.rejection_rate
         )
-        up = np.zeros((min(config.block_capacity, space.i_max), phases, phases))
+        up = np.zeros((depth, phases, phases))
         up[batch[1:, 0] - 1, pending - batch[1:, 0], pending] = config.mining_rate
-        # About R_a / R_s links are busy on average, so level floor(R_a / R_s)
-        # sits near the mode; level 0 can carry 1e-17 of the mass with many links.
-        busy = min(space.j_max, int(config.arrival_rate // config.service_rate))
-        return RateMatrix(within, up, up, served[0], -outflow.T.copy(), space, anchor=busy)
-    # levels i_max - i, phases j; the mode is at i = 0, the top level
-    phases = space.j_max + 1
+        return RateMatrix(within, up, up, served[0], -outflow.T.copy(), space, anchor)
+    # levels i_max - i, phases j
     within = np.diag(served[0, 1:], 1)
-    up = np.zeros((min(config.block_capacity, space.i_max), phases, phases))
+    up = np.zeros((depth, phases, phases))
     into_top = np.zeros_like(up)
     for m in range(1, len(up) + 1):
         # a block of m <= k requests from (m, j) lands on (0, j + m)
@@ -211,9 +210,7 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
         up[config.rejection_batch - 1] += config.rejection_rate * np.eye(phases)
     arrivals = np.full(space.i_max + 1, config.arrival_rate)
     arrivals[0] = 0.0
-    return RateMatrix(
-        within, up, into_top, arrivals, -outflow[::-1].copy(), space, anchor=space.i_max
-    )
+    return RateMatrix(within, up, into_top, arrivals, -outflow[::-1].copy(), space, anchor)
 
 
 @dataclass(frozen=True)
@@ -260,8 +257,8 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     The multipliers are kept until the levels are filled in: ``L x L`` for
     each of the ``a`` levels below the anchor and ``L x KL`` for each level
     above it, about ``L**2 (a + K (levels - 1 - a))`` floats with ``L`` the
-    shorter side of the box.  That grows faster than the state count, so
-    ``MAX_STATES`` does not bound it.
+    shorter side of the box.  Working blocks add about ``16 (K + 1) L**2``
+    floats, array headers 16 a level and arrays of the box's size 8 a state.
     """
     levels, phases = Q.diagonal.shape
     top, a = levels - 1, Q.anchor
@@ -361,6 +358,13 @@ class TruncationResult:
     distribution: SteadyStateDistribution
     mean_queue_length: float
     extents_tried: tuple[tuple[int, int], ...]  # (i_max, j_max) of each box solved
+    pending_gap: float  # largest gap between the i-marginal and the exact law
+
+
+def _pending_extent(z0: float) -> int:
+    """The smallest ``i >= 1`` with ``z0**i < _TOL / 2``; logarithms can round it one off."""
+    i = int(np.log(_TOL / 2) / np.log(z0)) + 1 if z0 >= _TOL / 2 else 1
+    return i + (z0**i >= _TOL / 2) - (z0 ** (i - 1) < _TOL / 2)
 
 
 def auto_truncate(config: ChainConfig) -> TruncationResult:
@@ -368,42 +372,38 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
 
     The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
-    smallest ``i`` with ``z0**i < _TOL / 2``, capped so that the initial box
-    fits in ``MAX_STATES``.  ``j_max`` starts at the smallest ``16 * 2**m``
-    covering twice the offered load ``R_a / R_s`` and doubles until a box is
-    certified: its frontier mass is below ``_TOL``, and its ``i``-marginal
-    is within ``_TOL`` of the exact law at every ``i <= i_max``.  A cut at
-    ``j_max`` blocks mining, so it can distort the pending process where the
-    frontier mass does not show it.  The first certified box is returned.
-    If the next box would hold more than ``MAX_STATES`` states, it raises
-    :class:`TruncationDidNotConverge` instead.
+    smallest ``i`` with ``z0**i < _TOL / 2``.  ``j_max`` starts at the
+    smallest ``16 * 2**m`` covering twice the offered load ``R_a / R_s`` and
+    doubles until a box is certified: its frontier mass is below ``_TOL``,
+    and its ``i``-marginal is within ``_TOL`` of the exact law at every
+    ``i <= i_max``.  A cut at ``j_max`` blocks mining, so it can distort the
+    pending process where the frontier mass does not show it.  The first
+    certified box is returned.  A box over ``MAX_SOLVE_BYTES`` raises
+    :class:`StateSpaceLimitError` from :func:`build_generator` if it is the
+    first, and :class:`TruncationDidNotConverge` otherwise.
     """
     z0 = pending_root(config)
     j_max = _INITIAL_EXTENT
     while j_max < 2 * config.arrival_rate / config.service_rate:
         j_max *= 2
-    i_max = 1
-    while z0**i_max >= _TOL / 2 and (i_max + 2) * (j_max + 1) <= MAX_STATES:
-        i_max += 1
-    geometric = (1 - z0) * z0 ** np.arange(i_max + 1)
+    i_max = _pending_extent(z0)
     tried = []
     while True:
-        tried.append((i_max, j_max))
         space = enumerate_states(i_max, j_max)
-        dist = solve_steady_state(build_generator(config, space))
-        frontier = dist.truncation_mass_bound
-        gap = float(np.max(np.abs(_marginals(dist)[0] - geometric)))
-        if frontier < _TOL and gap <= _TOL:
-            return TruncationResult(space, dist, mean_queue_length(dist), tuple(tried))
-        if (i_max + 1) * (2 * j_max + 1) > MAX_STATES:
+        try:
+            dist = solve_steady_state(build_generator(config, space))
+        except StateSpaceLimitError as exc:
+            if not tried:
+                raise
             raise TruncationDidNotConverge(
-                f"no convergence below {MAX_STATES} states; last box "
-                f"({i_max}, {j_max}) left frontier mass {frontier:.3e} "
-                f"and pending-marginal gap {gap:.3e}",
-                i_max=i_max,
-                j_max=j_max,
-                frontier_mass=frontier,
-            )
+                f"no convergence: {exc}; last box ({i_max}, {j_max // 2}) left frontier "
+                f"mass {frontier:.3e} and pending-marginal gap {gap:.3e}", i_max, j_max // 2,
+                frontier) from exc
+        tried.append((i_max, j_max))
+        frontier = dist.truncation_mass_bound
+        gap = float(np.max(np.abs(_marginals(dist)[0] - (1 - z0) * z0 ** np.arange(i_max + 1))))
+        if frontier < _TOL and gap <= _TOL:
+            return TruncationResult(space, dist, mean_queue_length(dist), tuple(tried), gap)
         j_max *= 2
 
 

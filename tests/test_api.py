@@ -49,7 +49,8 @@ def test_package_exports_exactly_the_user_api():
 def test_caps_are_module_constants():
     # Each cap had one value outside the tests, so no function takes it.
     assert des.MAX_PENDING == 10**6
-    assert markov.MAX_STATES == 4_000_000
-    for entry in (des.simulate_chain, des.simulate_hierarchical,
-                  markov.enumerate_states, markov.auto_truncate):
-        assert not {"max_pending", "max_states"} & set(inspect.signature(entry).parameters)
+    assert markov.MAX_SOLVE_BYTES == 2**30
+    for entry in (des.simulate_chain, des.simulate_hierarchical, markov.enumerate_states,
+                  markov.build_generator, markov.auto_truncate):
+        caps = {"max_pending", "max_states", "max_solve_bytes"}
+        assert not caps & set(inspect.signature(entry).parameters)

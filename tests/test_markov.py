@@ -1,7 +1,10 @@
+import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,9 +74,73 @@ def test_row_major_enumeration():
     assert all(i == 0 for i, _ in states(sp05))
 
 
-def test_state_count_cap():
-    with pytest.raises(StateSpaceLimitError):
-        enumerate_states(4000, 4000)
+def test_oversized_box_is_refused_before_allocation():
+    # Each box keeps about 1.4 GB of multipliers, 9 x 9 floats on each of its
+    # 2**21 levels, but holds only 19M states: its arrays would fit in memory,
+    # so the refusal, not a failed allocation, keeps the traced peak small.
+    cfg = ChainConfig(0.5, 2.5, 0.0, 1.0)
+    for i_max, j_max in [(8, 2**21), (2**21, 8)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceLimitError) as err:
+                build_generator(cfg, enumerate_states(i_max, j_max))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        solve_bytes = int(re.search(rf"box \({i_max}, {j_max}\) would keep (\d+) bytes",
+                                    str(err.value))[1])
+        assert solve_bytes > 8 * 81 * 2**21 > markov.MAX_SOLVE_BYTES
+        assert peak < 2**20, peak
+
+
+SOLVE_GROWTH_PROBE = """
+import json, re, sys
+from branlab import markov
+from branlab.config import ChainConfig
+
+def peak_rss():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM"))
+
+args, kwargs, box = json.loads(sys.argv[1])
+config, space = ChainConfig(*args, **kwargs), markov.enumerate_states(*box)
+cap, markov.MAX_SOLVE_BYTES = markov.MAX_SOLVE_BYTES, 0  # the refusal names the prediction
+try:
+    markov.build_generator(config, space)
+except markov.StateSpaceLimitError as exc:
+    predicted = int(re.search(r"keep (\\d+) bytes", str(exc))[1])
+markov.MAX_SOLVE_BYTES = cap
+warm = ChainConfig(0.5, 2.5, 0.0, 1.0, block_capacity=3)
+for small in [(3, 9), (9, 3)]:  # both level forms, so first-call buffers are not counted
+    markov.solve_steady_state(markov.build_generator(warm, markov.enumerate_states(*small)))
+before = peak_rss()
+markov.solve_steady_state(markov.build_generator(config, space))
+print(json.dumps([predicted, peak_rss() - before]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
+@pytest.mark.parametrize(
+    "args, kwargs, box",
+    [
+        ((70.0, 12.5, 0.0, 1.0), {"servers": 100, "block_capacity": 6}, (400, 128)),
+        ((0.9, 2.5, 0.0, 1.0), {}, (24, 8192)),
+        ((40.0, 62.5, 0.0, 1.0), {"servers": 50, "block_capacity": 6}, (23, 2048)),
+    ],
+    ids=["i-levels-k6", "j-levels-one-link", "j-levels-50-links"],
+)
+def test_predicted_solve_bytes_bound_the_peak_rss_growth(args, kwargs, box):
+    # Each box is solved in a fresh interpreter, so the growth of its peak RSS
+    # is the solve's own: 50-60 MiB and under two seconds a box on a 2-core
+    # machine.  The prediction was 1.03-1.14x the growth here, and 1.02-1.20x
+    # on eleven boxes of either level form up to 400 MiB.
+    env = {**os.environ, "PYTHONPATH": str(Path(markov.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", SOLVE_GROWTH_PROBE, json.dumps([args, kwargs, box])],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    predicted, growth = json.loads(run.stdout)
+    assert growth <= predicted <= 1.5 * growth, (predicted, growth)
 
 
 @given(i_max=st.integers(0, 12), j_max=st.integers(0, 12))
@@ -557,6 +624,7 @@ def test_accepted_box_is_the_first_certified_one(certified_grid):
         assert res.extents_tried[-1] == (res.space.i_max, res.space.j_max)
         frontier, gap = certificate(cfg, res.distribution)
         assert frontier < tol and gap <= tol, (cfg, frontier, gap)
+        assert res.pending_gap == gap
         if len(res.extents_tried) > 1:
             frontier, gap = certificate(cfg, solve_box(cfg, *res.extents_tried[-2]))
             assert not (frontier < tol and gap <= tol), (cfg, frontier, gap)
@@ -608,6 +676,24 @@ def test_pending_extent_comes_from_the_exact_law():
     assert checked == 48
 
 
+@given(st.floats(0.0, 1 - 1e-12, exclude_min=True))
+@example(2.2360679774997894e-05)  # (5e-10)**(1/3): the logarithms round i_max one high
+@example(5e-324)
+def test_pending_extent_is_the_first_power_below_half_the_tolerance(z0):
+    i_max = markov._pending_extent(z0)
+    assert z0**i_max < markov._TOL / 2 <= z0 ** (i_max - 1)
+
+
+def test_near_unit_pending_load_is_refused_before_any_solve(monkeypatch):
+    # z0 = 1 - 1e-9 puts i_max near 2.1e10: the first box is refused as it is.
+    def never(q):
+        raise AssertionError("a box was solved")
+
+    monkeypatch.setattr(markov, "solve_steady_state", never)
+    with pytest.raises(StateSpaceLimitError, match=r"box \(2\d{10}, 16\) would keep"):
+        auto_truncate(ChainConfig(1.0, 1.0 + 1e-9, 0.0, 10.0))
+
+
 def test_heavier_traffic_needs_larger_boxes():
     # load lengthens the access queue, so it drives the j axis
     light = auto_truncate(with_intensity(ChainConfig(0.1, 2.5, 0.0, 1.0), 0.3))
@@ -625,14 +711,18 @@ def test_box_grows_along_the_access_axis():
 
 
 def test_unreachable_tolerance_hits_the_cap(monkeypatch):
-    # At intensity 0.999 the access queue needs far more than 100k states.
-    monkeypatch.setattr(markov, "MAX_STATES", 100_000)
+    # At intensity 0.999 the access queue needs far more than a 20 MiB solve.
+    monkeypatch.setattr(markov, "MAX_SOLVE_BYTES", 20 * 2**20)
     cfg = ChainConfig(0.999, 2.5, 0.0, 1.0, servers=1)
     with pytest.raises(TruncationDidNotConverge) as err:
         auto_truncate(cfg)
     assert err.value.i_max >= 16
-    assert (err.value.i_max + 1) * (err.value.j_max + 1) <= 100_000
     assert err.value.frontier_mass >= 0.0
+    # the last box solved fits the cap, and the next one is refused
+    build_generator(cfg, enumerate_states(err.value.i_max, err.value.j_max))
+    with pytest.raises(StateSpaceLimitError) as refused:
+        build_generator(cfg, enumerate_states(err.value.i_max, 2 * err.value.j_max))
+    assert str(refused.value) in str(err.value)
     # the message says which check failed: both numbers of the last box
     _, gap = certificate(cfg, solve_box(cfg, err.value.i_max, err.value.j_max))
     assert f"frontier mass {err.value.frontier_mass:.3e}" in str(err.value)

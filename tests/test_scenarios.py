@@ -707,7 +707,8 @@ def test_single_request_blocks_match_the_solver_with_rejection(tmp_path):
         markov.SolverConvergenceError("stationary residual 1e-6 exceeds 1e-9"),
         markov.TruncationDidNotConverge("no convergence", i_max=40, j_max=512,
                                         frontier_mass=1e-3),
-        markov.StateSpaceLimitError("box (40, 512) holds 20553 states"),
+        markov.StateSpaceLimitError("box (40, 512) would keep 1394089984 bytes in its solve, "
+                                    "above 1073741824"),
     ],
     ids=lambda error: type(error).__name__,
 )
