@@ -172,7 +172,7 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     # floor(R_a / R_s) of busy links, as level 0 can hold 1e-17 of the mass with many links.
     anchor = min(levels - 1, int(config.arrival_rate // config.service_rate) if along_j else levels)
     solve_bytes = 8 * (phases**2 * (anchor + depth * (levels - 1 - anchor) + 16 * depth + 16)
-                       + 16 * levels + 8 * levels * phases)
+                       + 8 * levels * phases)
     if solve_bytes > MAX_SOLVE_BYTES:
         raise StateSpaceLimitError(f"box ({space.i_max}, {space.j_max}) would keep "
                                    f"{solve_bytes} bytes in its solve, above {MAX_SOLVE_BYTES}")
@@ -208,8 +208,7 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
         up[-1] = config.mining_rate * np.eye(phases, k=-config.block_capacity)
     if config.rejection_batch <= space.i_max:
         up[config.rejection_batch - 1] += config.rejection_rate * np.eye(phases)
-    arrivals = np.full(space.i_max + 1, config.arrival_rate)
-    arrivals[0] = 0.0
+    arrivals = config.arrival_rate * (np.arange(levels) > 0)  # no arrival leaves i = i_max
     return RateMatrix(within, up, into_top, arrivals, -outflow[::-1].copy(), space, anchor)
 
 
@@ -254,11 +253,11 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
     The result is verified to ``max|Q p| <= 1e-12 max|diag Q|``, whatever
     the time unit, and sub-1e-12 negative noise is clamped to zero.
 
-    The multipliers are kept until the levels are filled in: ``L x L`` for
-    each of the ``a`` levels below the anchor and ``L x KL`` for each level
-    above it, about ``L**2 (a + K (levels - 1 - a))`` floats with ``L`` the
-    shorter side of the box.  Working blocks add about ``16 (K + 1) L**2``
-    floats, array headers 16 a level and arrays of the box's size 8 a state.
+    The multipliers are kept until the levels are filled in, in two arrays
+    allocated once: ``X``, ``(a, L, L)``, below the anchor and ``U``,
+    ``(levels - 1 - a, L, KL)``, above it, with ``L`` the shorter side of
+    the box.  Working blocks add about ``16 (K + 1) L**2`` floats and arrays
+    of the box's size 8 a state.
     """
     levels, phases = Q.diagonal.shape
     top, a = levels - 1, Q.anchor
@@ -268,41 +267,41 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
         # Bottom-up: with the levels below c substituted, level c reads
         # (S_c + F) p_c + down[c+1] p_{c+1} = 0, where S_c is its own
         # block; H[m - 1] is what they add to level c + m through p_c.
-        X = []
+        X = np.empty((a, phases, phases))
         F = np.zeros((phases, phases))
         H = np.zeros_like(Q.up)
         for c in range(a):
             S = Q.within + np.diag(Q.diagonal[c]) + F
-            X.append(np.linalg.inv(S) * -Q.down[c + 1])
+            X[c] = np.linalg.inv(S) * -Q.down[c + 1]
             if depth:
                 jumps = Q.up
                 if c + depth >= top:
                     jumps = Q.up.copy()
                     jumps[top - c - 1] = Q.into_top[top - c - 1]
-                G = (H + jumps) @ X[-1]
+                G = (H + jumps) @ X[c]
                 F = G[0].copy()
                 H[:-1] = G[1:]
                 H[-1] = 0.0
         # Top-down: with the levels above c substituted, level c reads
         # A p_c + sum_m B_m p_{c-m} = 0, so p_c = -U_c [p_{c-1}; ...; p_{c-K}]
-        # with U_c = A^-1 [B_1 ... B_K]; the move down carries -down[c] U_c
-        # into level c - 1: its first block into A, the others into B.
+        # with U_c = A^-1 [B_1 ... B_K] at U[c - a - 1]; the move down carries
+        # -down[c] U_c into level c - 1: its first block into A, the others into B.
         Z = np.concatenate([Q.within, *Q.into_top], axis=1)
         template = np.concatenate([Q.within, *Q.up], axis=1)
         Z_diagonal = Z.reshape(-1)[:: Z.shape[1] + 1]
-        U = [None] * levels
+        U = np.empty((top - a, phases, width))
         for c in range(top, a, -1):
             if c < top:
                 np.copyto(Z, template)
-                Z[:, :width] -= Q.down[c + 1] * U[c + 1]
+                Z[:, :width] -= Q.down[c + 1] * U[c - a]
             Z_diagonal += Q.diagonal[c]
-            U[c] = np.linalg.solve(Z[:, :phases], Z[:, phases:])
+            U[c - a - 1] = np.linalg.solve(Z[:, :phases], Z[:, phases:])
         # Level a, with both sides substituted: the censored generator.
         C = Q.within + np.diag(Q.diagonal[a]) + F
         if a < top:
             reach = np.eye(phases)  # p_{a-m+1} in terms of p_a
             for m in range(1, min(depth, a + 1) + 1):
-                C -= Q.down[a + 1] * (U[a + 1][:, (m - 1) * phases : m * phases] @ reach)
+                C -= Q.down[a + 1] * (U[0][:, (m - 1) * phases : m * phases] @ reach)
                 if m <= a:
                     reach = X[a - m] @ reach
     except np.linalg.LinAlgError as exc:
@@ -313,7 +312,7 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
         P[c] = X[c] @ P[c + 1]
     for c in range(a + 1, levels):
         below = min(depth, c)
-        P[c] = -(U[c][:, : below * phases] @ P[c - below : c][::-1].ravel())
+        P[c] = -(U[c - a - 1][:, : below * phases] @ P[c - below : c][::-1].ravel())
     total = P.sum()
     if not np.isfinite(total) or total <= 0:
         raise ReducibleChainError("stationary solve produced no probability mass")
@@ -332,10 +331,8 @@ def solve_steady_state(Q: RateMatrix) -> SteadyStateDistribution:
         )
     grid = Q.grid(P)
     frontier = float(grid[-1].sum() + grid[:-1, -1].sum())  # row i_max, then column j_max
-    return SteadyStateDistribution(
-        probabilities=grid.ravel(), truncation_mass_bound=frontier, residual=residual,
-        space=Q.space,
-    )
+    return SteadyStateDistribution(probabilities=grid.ravel(), truncation_mass_bound=frontier,
+                                   residual=residual, space=Q.space)
 
 
 def _marginals(dist: SteadyStateDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +371,7 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
     smallest ``i`` with ``z0**i < _TOL / 2``.  ``j_max`` starts at the
     smallest ``16 * 2**m`` covering twice the offered load ``R_a / R_s`` and
+    the largest batch ``min(k, i_max)``, so that no state is absorbing, and
     doubles until a box is certified: its frontier mass is below ``_TOL``,
     and its ``i``-marginal is within ``_TOL`` of the exact law at every
     ``i <= i_max``.  A cut at ``j_max`` blocks mining, so it can distort the
@@ -383,10 +381,11 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
     first, and :class:`TruncationDidNotConverge` otherwise.
     """
     z0 = pending_root(config)
-    j_max = _INITIAL_EXTENT
-    while j_max < 2 * config.arrival_rate / config.service_rate:
-        j_max *= 2
     i_max = _pending_extent(z0)
+    j_max = _INITIAL_EXTENT
+    while j_max < max(2 * config.arrival_rate / config.service_rate,
+                      min(config.block_capacity, i_max)):
+        j_max *= 2
     tried = []
     while True:
         space = enumerate_states(i_max, j_max)
