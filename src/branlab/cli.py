@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import require_count
 from .scenarios import (
     _FORMATS,
     MalformedSpecError,
@@ -23,10 +24,9 @@ from .scenarios import (
 def _jobs(text: str) -> int:
     try:
         jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        require_count("jobs", jobs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return jobs
 
 

@@ -184,13 +184,6 @@ def pending_root(config: ChainConfig) -> float:
     raise ConfigValidationError("rate-overflow", f"pending_root overflows or stalls for {config}")
 
 
-def pending_wait(config: ChainConfig) -> float:
-    """Mean pool time ``E[i]/R_a = z0/(R_a (1 - z0))`` under :func:`pending_root`'s law;
-    mined or rejected later, a request waits the same, so a served one does too."""
-    z = pending_root(config)
-    return z / (config.arrival_rate * (1.0 - z))
-
-
 def served_rate(config: ChainConfig) -> float:
     """Served throughput ``R_a - R_r E[min(i, r)] = R_m E[min(i, k)]`` under
     :func:`pending_root`'s law, ``E[min(i, m)] = z0 (1 - z0**m) / (1 - z0)``."""

@@ -45,7 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ChainConfig, pending_root, pending_wait, served_rate, validate
+from .config import ChainConfig, pending_root, served_rate, validate
+from .queueing import LatencyBreakdown
 
 MAX_SOLVE_BYTES = 2**30  # predicted bytes one box's stationary solve may keep
 _INITIAL_EXTENT = 16  # auto_truncate's least j_max
@@ -427,16 +428,13 @@ def stationary_solution(config: ChainConfig) -> TruncationResult:
 
 
 def latency(config: ChainConfig) -> float:
-    """Mean latency of a served request, submission to service start:
-    ``z0/(R_a (1 - z0)) + E[j]/lambda - 1/R_s + (N - 1)/R_m``.
+    """Mean latency of a served request, submission to service start, as
+    :meth:`~branlab.queueing.LatencyBreakdown.of` sums it.
 
-    Rejected requests are not counted.  The pending stage is exact: its
-    wait and the served throughput ``lambda`` come from the pending law
-    (:func:`~branlab.config.pending_wait`, :func:`~branlab.config.served_rate`),
-    and the solve gives only ``E[j]``, the access stage's mean occupancy,
-    which Little's law turns into its sojourn.
+    Rejected requests are not counted.  The solve gives only ``E[j]``, the
+    access stage's mean occupancy, which Little's law at the served
+    throughput (:func:`~branlab.config.served_rate`) turns into its sojourn.
     """
     access = _marginals(stationary_solution(config).distribution)[1]
     sojourn = float(np.arange(access.size) @ access) / served_rate(config)
-    base = pending_wait(config) + sojourn - 1.0 / config.service_rate
-    return base + (config.confirmations - 1) / config.mining_rate
+    return LatencyBreakdown.of(config, sojourn).total

@@ -1,20 +1,14 @@
-"""Closed-form latency of the decoupled tandem.
+"""Closed-form latency of the decoupled tandem, and the one latency sum.
 
-The pending count alone is a bulk-service queue with batch rejections whose
-stationary law is geometric, ``P(i) = (1 - z0) z0**i`` with ``z0`` from
-:func:`~branlab.config.pending_root`.  A request's time in the pool does
-not depend on whether it is later mined or rejected, so Little's law gives
-a served request's pending wait, and the access stage is an s-server
-memoryless queue fed by the served throughput ``lambda``:
+Every analytic latency, this module's and the stationary solver's, is
+built by :meth:`LatencyBreakdown.of` from the exact pending law and an
+access-stage sojourn.  The closed form takes that sojourn from an s-server
+memoryless queue fed by the served throughput ``lambda``
+(:func:`~branlab.config.served_rate`):
 
-    block_wait        = z0 / (R_a (1 - z0))
-    lambda            = R_a - R_r E[min(i, r)]
-    service_stage     = C(s, lambda / R_s) / (s * R_s - lambda) + 1 / R_s
-    confirmation_wait = (N - 1) / R_m
+    service_stage = C(s, lambda / R_s) / (s * R_s - lambda) + 1 / R_s
 
-with ``C`` the Erlang C delay probability.  The sojourn is their sum and
-the reported latency excludes the request's own service time, so
-``total = sojourn - 1 / R_s``.
+with ``C`` the Erlang C delay probability.
 
 With single-request blocks the mined stream thins a memoryless departure
 stream, Poisson by Burke (1956), so the tandem is exact, with or without
@@ -25,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ChainConfig, pending_wait, require_count, served_rate
+from .config import ChainConfig, pending_root, require_count, served_rate
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -60,6 +54,25 @@ class LatencyBreakdown:
     total: float
     approximate: bool = False
 
+    @classmethod
+    def of(cls, config: ChainConfig, service_stage: float, approximate: bool = False) -> LatencyBreakdown:
+        """The latency of a served request of ``config`` whose access-stage
+        sojourn, its own service included, is ``service_stage``.
+
+        A request's pool time does not depend on whether it is later mined or
+        rejected, so Little's law under :func:`~branlab.config.pending_root`'s
+        law gives a served one's wait, ``block_wait = z0 / (R_a (1 - z0))``;
+        then it waits ``confirmation_wait = (N - 1) / R_m`` for further blocks.
+        ``sojourn`` sums the three, and ``total`` is ``sojourn - 1 / R_s`` with
+        the confirmation term added last, to the part a sweep over ``N`` shares.
+        """
+        z0 = pending_root(config)
+        block_wait = z0 / (config.arrival_rate * (1.0 - z0))
+        confirmation_wait = (config.confirmations - 1) / config.mining_rate
+        base = block_wait + service_stage
+        return cls(block_wait, service_stage, confirmation_wait, base + confirmation_wait,
+                   (base - 1.0 / config.service_rate) + confirmation_wait, approximate)
+
 
 def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     """Tandem closed form for ``config``.
@@ -68,20 +81,10 @@ def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     :class:`~branlab.config.ConfigValidationError` propagates.  Exact for
     ``block_capacity == 1``; otherwise the result is labelled approximate.
     """
-    block_wait = pending_wait(config)
     throughput = served_rate(config)
     delay_prob = erlang_c(config.servers, throughput / config.service_rate)
     service_stage = (
         delay_prob / (config.service_capacity - throughput)
         + 1.0 / config.service_rate
     )
-    confirmation_wait = (config.confirmations - 1) / config.mining_rate
-    sojourn = block_wait + service_stage + confirmation_wait
-    return LatencyBreakdown(
-        block_wait=block_wait,
-        service_stage=service_stage,
-        confirmation_wait=confirmation_wait,
-        sojourn=sojourn,
-        total=sojourn - 1.0 / config.service_rate,
-        approximate=config.block_capacity > 1,
-    )
+    return LatencyBreakdown.of(config, service_stage, approximate=config.block_capacity > 1)

@@ -16,7 +16,6 @@ from branlab.config import (
     HierarchicalConfig,
     intensity_of,
     pending_root,
-    pending_wait,
     served_rate,
     validate,
     with_intensity,
@@ -196,7 +195,7 @@ def test_pending_root_refuses_an_overflowing_slope():
     # Both stage capacities are finite, but Newton's slope h + z h' overflows
     # at z = 1; the step would be 0 and the root 1, a zero division downstream.
     cfg = ChainConfig(1e307, 8e307, 0.0, 1e308, block_capacity=2)
-    for quantity in (validate, pending_root, pending_wait):
+    for quantity in (validate, pending_root, closed_form_latency):
         with pytest.raises(ConfigValidationError) as err:
             quantity(cfg)
         assert err.value.code == "rate-overflow"

@@ -249,6 +249,27 @@ def test_statistics_keep_their_precision_at_extreme_rates():
     assert extreme.variance == math.ldexp(moderate.variance, -2 * 996)
 
 
+@pytest.mark.parametrize("mode", des.CONFIRMATION_MODES)
+def test_mean_latency_scales_with_the_time_unit(mode):
+    # Every rate times a is the same run in a time unit 1/a long.  Event
+    # times are absolute sums, so single samples lose digits to rounding
+    # (1.5e-6 at a = 3 and 1e5 served), but the counts and the mean keep them.
+    chains = (
+        ChainConfig(0.5, 2.5, 0.0, 1.0),
+        ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
+        ChainConfig(8.0, 12.5, 0.0, 1.0, servers=10, block_capacity=3, confirmations=4),
+    )
+    rates = ("arrival_rate", "mining_rate", "rejection_rate", "service_rate")
+    counts = ("served_count", "rejected_count", "generated_count")
+    for config in chains:
+        base = simulate_chain(config, 2000, 5, mode)
+        for a in (3.0, 1e-3, 7e5, 1 / 3):
+            scaled = replace(config, **{name: a * getattr(config, name) for name in rates})
+            result = simulate_chain(scaled, 2000, 5, mode)
+            assert [getattr(result, name) for name in counts] == [getattr(base, name) for name in counts]
+            assert a * result.mean == pytest.approx(base.mean, rel=1e-9, abs=0)
+
+
 def test_two_server_delay_probability():
     # transparent mining in front of two links at one erlang offered load:
     # the fraction of requests finding both links busy is the delay

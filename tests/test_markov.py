@@ -366,9 +366,10 @@ def test_worked_latency_example():
 
 def test_confirmation_additivity():
     base = ChainConfig(0.5, 2.0, 0.1, 1.0, servers=2, block_capacity=2)
-    one = latency(base)
-    four = latency(replace(base, confirmations=4))
-    assert four - one == pytest.approx(3 / base.mining_rate, rel=1e-13, abs=1e-13)
+    for engine in (latency, lambda config: closed_form_latency(config).total):
+        one = engine(base)
+        four = engine(replace(base, confirmations=4))
+        assert four - one == pytest.approx(3 / base.mining_rate, rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.8])

@@ -1073,7 +1073,7 @@ def test_cli_run_out_defaults_to_the_output_path(tmp_path, capsys):
     assert exit_.value.code == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("jobs", ["0", "-2", str(2**53 + 1)])
 def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(markov_doc()))
