@@ -90,17 +90,20 @@ def validate(config: ChainConfig | HierarchicalConfig) -> None:
 
     A chain is valid exactly when :func:`pending_root` finds its root: the
     checks and their order are that function's.  A hierarchy checks the
-    primary, the secondary (through its served traffic), then the primary
-    with that traffic added to its arrivals.  Deterministic and side-effect free.
+    primary, the secondary, then the primary with the secondary's served
+    traffic added; a message names the chain.  Deterministic and side-effect free.
     """
     if isinstance(config, HierarchicalConfig):
-        validate(config.primary)
-        # The primary also carries every request the secondary serves.
-        arrivals = config.primary.arrival_rate + served_rate(config.secondary)
+        roots = []  # one per chain checked, so their count names the chain that failed
         try:
-            validate(replace(config.primary, arrival_rate=arrivals))
+            roots.append(pending_root(config.primary))
+            roots.append(pending_root(config.secondary))
+            # The primary also carries every request the secondary serves.
+            arrivals = config.primary.arrival_rate + served_rate(config.secondary, roots[1])
+            pending_root(replace(config.primary, arrival_rate=arrivals))
         except ConfigValidationError as err:
-            raise ConfigValidationError(err.code, f"primary with handover: {err}") from None
+            label = ("primary", "secondary", "primary with handover")[len(roots)]
+            raise ConfigValidationError(err.code, f"{label}: {err}") from None
         return
     pending_root(config)
 
@@ -184,10 +187,9 @@ def pending_root(config: ChainConfig) -> float:
     raise ConfigValidationError("rate-overflow", f"pending_root overflows or stalls for {config}")
 
 
-def served_rate(config: ChainConfig) -> float:
-    """Served throughput ``R_a - R_r E[min(i, r)] = R_m E[min(i, k)]`` under
-    :func:`pending_root`'s law, ``E[min(i, m)] = z0 (1 - z0**m) / (1 - z0)``."""
-    z = pending_root(config)
+def served_rate(config: ChainConfig, z: float) -> float:
+    """Served throughput ``R_a - R_r E[min(i, r)] = R_m E[min(i, k)]`` under the law of
+    ``config``'s root ``z`` (:func:`pending_root`), ``E[min(i, m)] = z (1 - z**m) / (1 - z)``."""
     rejected = config.rejection_rate * (z * (1.0 - z**config.rejection_batch) / (1.0 - z))
     mined = config.mining_rate * (z * (1.0 - z**config.block_capacity) / (1.0 - z))
     # R_a - rejected cancels where rejection carries most requests; the mined flow does not.

@@ -162,10 +162,10 @@ class RateMatrix:
 
 
 def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
-    """Assemble the truncated generator for ``config`` on ``space``; a box whose
-    solve would keep more than ``MAX_SOLVE_BYTES`` (see :func:`solve_steady_state`)
-    raises :class:`StateSpaceLimitError` before anything of its size is allocated."""
-    validate(config)
+    """Assemble the truncated generator for ``config``, which must have passed
+    :func:`~branlab.config.validate`, on ``space``; a box whose solve would keep more
+    than ``MAX_SOLVE_BYTES`` (see :func:`solve_steady_state`) raises
+    :class:`StateSpaceLimitError` before anything of its size is allocated."""
     along_j = space.i_max <= space.j_max
     levels, phases = sorted((space.i_max + 1, space.j_max + 1), reverse=True)
     depth = min(config.block_capacity, space.i_max)
@@ -357,6 +357,7 @@ class TruncationResult:
     mean_queue_length: float
     extents_tried: tuple[tuple[int, int], ...]  # (i_max, j_max) of each box solved
     pending_gap: float  # largest gap between the i-marginal and the exact law
+    z0: float  # pending_root of the config solved; the confirmation depth does not enter it
 
 
 def _pending_extent(z0: float) -> int:
@@ -403,7 +404,7 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
         frontier = dist.truncation_mass_bound
         gap = float(np.max(np.abs(_marginals(dist)[0] - (1 - z0) * z0 ** np.arange(i_max + 1))))
         if frontier < _TOL and gap <= _TOL:
-            return TruncationResult(space, dist, mean_queue_length(dist), tuple(tried), gap)
+            return TruncationResult(space, dist, mean_queue_length(dist), tuple(tried), gap, z0)
         j_max *= 2
 
 
@@ -432,9 +433,10 @@ def latency(config: ChainConfig) -> float:
     :meth:`~branlab.queueing.LatencyBreakdown.of` sums it.
 
     Rejected requests are not counted.  The solve gives only ``E[j]``, the
-    access stage's mean occupancy, which Little's law at the served
-    throughput (:func:`~branlab.config.served_rate`) turns into its sojourn.
+    access stage's mean occupancy, which Little's law at the served throughput
+    (:func:`~branlab.config.served_rate` at the cached solve's root) turns into its sojourn.
     """
-    access = _marginals(stationary_solution(config).distribution)[1]
-    sojourn = float(np.arange(access.size) @ access) / served_rate(config)
-    return LatencyBreakdown.of(config, sojourn).total
+    solution = stationary_solution(config)
+    access = _marginals(solution.distribution)[1]
+    sojourn = float(np.arange(access.size) @ access) / served_rate(config, solution.z0)
+    return LatencyBreakdown.of(config, solution.z0, sojourn).total

@@ -1,10 +1,10 @@
 """Closed-form latency of the decoupled tandem, and the one latency sum.
 
 Every analytic latency, this module's and the stationary solver's, is
-built by :meth:`LatencyBreakdown.of` from the exact pending law and an
-access-stage sojourn.  The closed form takes that sojourn from an s-server
-memoryless queue fed by the served throughput ``lambda``
-(:func:`~branlab.config.served_rate`):
+built by :meth:`LatencyBreakdown.of` from the pending root ``z0``, found
+once per call, and an access-stage sojourn.  The closed form takes that
+sojourn from an s-server memoryless queue fed by the served throughput
+``lambda`` (:func:`~branlab.config.served_rate` at ``z0``):
 
     service_stage = C(s, lambda / R_s) / (s * R_s - lambda) + 1 / R_s
 
@@ -55,9 +55,9 @@ class LatencyBreakdown:
     approximate: bool = False
 
     @classmethod
-    def of(cls, config: ChainConfig, service_stage: float, approximate: bool = False) -> LatencyBreakdown:
-        """The latency of a served request of ``config`` whose access-stage
-        sojourn, its own service included, is ``service_stage``.
+    def of(cls, config: ChainConfig, z0: float, service_stage: float, approximate: bool = False) -> LatencyBreakdown:
+        """The latency of a served request of ``config``, with pending root ``z0``,
+        whose access-stage sojourn, its own service included, is ``service_stage``.
 
         A request's pool time does not depend on whether it is later mined or
         rejected, so Little's law under :func:`~branlab.config.pending_root`'s
@@ -66,7 +66,6 @@ class LatencyBreakdown:
         ``sojourn`` sums the three, and ``total`` is ``sojourn - 1 / R_s`` with
         the confirmation term added last, to the part a sweep over ``N`` shares.
         """
-        z0 = pending_root(config)
         block_wait = z0 / (config.arrival_rate * (1.0 - z0))
         confirmation_wait = (config.confirmations - 1) / config.mining_rate
         base = block_wait + service_stage
@@ -81,10 +80,11 @@ def closed_form_latency(config: ChainConfig) -> LatencyBreakdown:
     :class:`~branlab.config.ConfigValidationError` propagates.  Exact for
     ``block_capacity == 1``; otherwise the result is labelled approximate.
     """
-    throughput = served_rate(config)
+    z0 = pending_root(config)
+    throughput = served_rate(config, z0)
     delay_prob = erlang_c(config.servers, throughput / config.service_rate)
     service_stage = (
         delay_prob / (config.service_capacity - throughput)
         + 1.0 / config.service_rate
     )
-    return LatencyBreakdown.of(config, service_stage, approximate=config.block_capacity > 1)
+    return LatencyBreakdown.of(config, z0, service_stage, approximate=config.block_capacity > 1)

@@ -129,8 +129,13 @@ def test_hierarchical_validates_both_members():
     # two links, as the primary also serves the 0.5 the secondary hands over
     primary = replace(good, servers=2)
     validate(HierarchicalConfig(primary=primary, secondary=good))
-    with pytest.raises(ConfigValidationError):
-        validate(HierarchicalConfig(primary=primary, secondary=bad))
+    # Either chain alone is refused with its own code, and the message names it.
+    for label, hierarchy in [("primary", HierarchicalConfig(primary=bad, secondary=good)),
+                             ("secondary", HierarchicalConfig(primary=primary, secondary=bad))]:
+        with pytest.raises(ConfigValidationError) as err:
+            validate(hierarchy)
+        assert err.value.code == "unstable-service-queue"
+        assert str(err.value) == f"{label}: arrival_rate 2.0 must be below servers * service_rate = 1.0"
 
 
 def test_hierarchy_counts_the_traffic_the_secondary_hands_over():
@@ -153,7 +158,7 @@ def test_hierarchy_counts_served_not_submitted_traffic():
     # a primary mining load of 0.985; all 0.5 would overload it.
     primary = ChainConfig(0.6, 1.0, 0.0, 1.0, servers=4)
     secondary = ChainConfig(0.5, 1.0, 0.3, 1.0)
-    assert served_rate(secondary) == pytest.approx(0.5 / 1.3, rel=1e-12)
+    assert served_rate(secondary, pending_root(secondary)) == pytest.approx(0.5 / 1.3, rel=1e-12)
     validate(HierarchicalConfig(primary=primary, secondary=secondary))
     with pytest.raises(ConfigValidationError):
         validate(replace(primary, arrival_rate=0.6 + 0.5))
@@ -332,7 +337,7 @@ def test_served_rate_when_rejection_carries_almost_every_request():
     cfg = ChainConfig(10.0, 1e-16, 10.0, 10.0, servers=2, block_capacity=5, rejection_batch=5)
     z = pending_root(cfg)
     mined = cfg.mining_rate * sum(z**m for m in range(1, cfg.block_capacity + 1))
-    assert served_rate(cfg) == pytest.approx(mined, rel=1e-12, abs=0)
+    assert served_rate(cfg, z) == pytest.approx(mined, rel=1e-12, abs=0)
     assert math.isfinite(closed_form_latency(cfg).total)
 
 

@@ -194,7 +194,7 @@ def test_pending_pool_follows_its_exact_law():
         z0 = pending_root(cfg)
         exact = {
             "pool time": (pool_times, z0 / (cfg.arrival_rate * (1.0 - z0))),
-            "rejected share": (rejected, 1.0 - served_rate(cfg) / cfg.arrival_rate),
+            "rejected share": (rejected, 1.0 - served_rate(cfg, z0) / cfg.arrival_rate),
         }
         for name, (samples, reference) in exact.items():
             stats = _stats(samples)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from branlab import markov
+from branlab import config as config_module, markov, queueing
 from branlab.config import (
     ChainConfig,
     ConfigValidationError,
+    HierarchicalConfig,
     pending_root,
     served_rate,
     validate,
@@ -492,7 +493,7 @@ def solver_pending_stage(cfg):
 @pytest.mark.parametrize("cfg, expected", REJECTING_CHAINS)
 def test_latency_counts_served_requests_only(cfg, expected):
     _, throughput, _ = solver_pending_stage(cfg)
-    assert throughput == pytest.approx(served_rate(cfg), rel=0, abs=1e-9)
+    assert throughput == pytest.approx(served_rate(cfg, pending_root(cfg)), rel=0, abs=1e-9)
     assert throughput < cfg.arrival_rate
     assert latency(cfg) == pytest.approx(expected, rel=1e-3)
 
@@ -530,7 +531,7 @@ def test_pending_marginal_is_the_bulk_service_law():
                     block_wait = z / (cfg.arrival_rate * (1 - z))
                     deviation = abs(block_wait - mean_pending / cfg.arrival_rate)
                     assert deviation <= bound, (cfg, deviation, bound)
-                    assert served_rate(cfg) == pytest.approx(throughput, rel=1e-9, abs=0)
+                    assert served_rate(cfg, z) == pytest.approx(throughput, rel=1e-9, abs=0)
                     checked += 1
                     worst_gap = max(worst_gap, gap)
                     worst_ratio = max(worst_ratio, deviation / bound)
@@ -566,6 +567,47 @@ def test_unstable_config_is_refused():
         latency(ChainConfig(2.0, 1.0, 0.0, 1.0, servers=1))
 
 
+def test_a_bool_rate_never_reaches_the_solve_cache():
+    # ChainConfig(True, ...) equals and hashes like ChainConfig(1.0, ...), and
+    # latency reads the root from the cached solve: only the validate before
+    # the cache lookup keeps the bool from being served the float's entry.
+    latency(ChainConfig(1.0, 2.5, 0.0, 1.5))
+    before = markov._stationary_cached.cache_info()
+    for entry in (stationary_solution, latency):
+        with pytest.raises(ConfigValidationError) as err:
+            entry(ChainConfig(True, 2.5, 0.0, 1.5))
+        assert err.value.code == "nonpositive-rate"
+    after = markov._stationary_cached.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_pending_root_newton_solves_per_entry(monkeypatch):
+    # A cold latency finds the root in validate and in auto_truncate, and the
+    # latency sum takes the cached solve's; a warm one only validates.  The
+    # closed form finds it once; a hierarchy once per chain it checks.
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return pending_root(config)
+
+    for module in (config_module, markov, queueing):
+        monkeypatch.setattr(module, "pending_root", counting)
+    cfg = ChainConfig(0.5, 2.5, 0.0, 1.0, block_capacity=3)
+    hierarchy = HierarchicalConfig(replace(cfg, servers=2, block_capacity=1), cfg)
+    markov._stationary_cached.cache_clear()
+    counts = {}
+    for name, entry, argument in [("cold latency", latency, cfg), ("warm latency", latency, cfg),
+                                  ("closed form", closed_form_latency, cfg),
+                                  ("hierarchy", validate, hierarchy)]:
+        calls.clear()
+        entry(argument)
+        counts[name] = len(calls)
+    assert stationary_solution(cfg).extents_tried == ((12, 16), (12, 32))
+    assert counts == {"cold latency": 2, "warm latency": 1, "closed form": 1, "hierarchy": 3}
+
+
 # ------------------------------------------------------------ auto truncation
 
 
@@ -587,7 +629,7 @@ def solve_box(cfg, i_max, j_max):
 def access_sojourn(cfg, dist):
     """``E[j] / lambda``, the only term of the latency that the box moves."""
     access = dist.probabilities.reshape(dist.space.i_max + 1, -1).sum(axis=0)
-    return float(np.arange(access.size) @ access) / served_rate(cfg)
+    return float(np.arange(access.size) @ access) / served_rate(cfg, pending_root(cfg))
 
 
 def test_light_traffic_converges_at_the_initial_box():
@@ -654,7 +696,7 @@ def test_doubling_the_accepted_box_barely_moves_latency(certified_grid):
         doubled = solve_box(cfg, space.i_max, 2 * space.j_max)
         move = abs(access_sojourn(cfg, doubled) - access_sojourn(cfg, res.distribution))
         bound = (res.distribution.truncation_mass_bound * (space.i_max + space.j_max)
-                 / served_rate(cfg))
+                 / served_rate(cfg, pending_root(cfg)))
         assert move <= bound, (cfg, move, bound)
         worst = max(worst, move / bound)
     print(f"doubled box: {len(CERTIFIED_GRID)} chains, worst latency move {worst:.2f} of its bound")
