@@ -167,10 +167,17 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     identical however the partitions are assigned to workers.  The walk
     runs in the narrowest signed integers that hold ``-1 .. N_g``, and
     ``0 <= d < N_g`` is one compare of ``d`` read as unsigned, where
-    ``-1`` is the largest value.
+    ``-1`` is the largest value.  From ``N beta = 2**56`` up every trial
+    wins, and none is drawn.
     """
     require_count("trials", trials)
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
+    if n_conf * beta >= 2**56:
+        # numpy refuses the negative-binomial draw from about N beta = 1e18.
+        # Here a pre-mining count <= N, the only kind that does not win
+        # outright, has probability at most C(2N, N) p^N <= (4p)^N < 6e-17 a
+        # trial at p = 1 / (1 + beta), so every trial counts as won undrawn.
+        return AttackResult(probability=1.0, method="monte-carlo", std_error=0.0, trials=trials)
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)
     walk_type = np.min_scalar_type(-n_g - 1)

@@ -23,9 +23,9 @@ class ConfigValidationError(ValueError):
     """A configuration violates a range or stability invariant.
 
     ``code`` names the first violated invariant: ``nonpositive-rate``, ``capacity-violation``,
-    ``rate-overflow`` (a rate product, or the pending-stage root, that floating point cannot
-    hold), ``unstable-service-queue`` (also ``R_a / R_s`` rounding up to ``servers``) or
-    ``unstable-mining-queue`` (also a pending-stage root that rounds to one).
+    ``rate-overflow`` (a rate product, the pending-stage root, or ``R_a (1 - z0)``, that
+    floating point cannot hold), ``unstable-service-queue`` (also ``R_a / R_s`` rounding up
+    to ``servers``) or ``unstable-mining-queue`` (also a pending-stage root that rounds to one).
     """
 
     def __init__(self, code: str, message: str):
@@ -117,9 +117,10 @@ def pending_root(config: ChainConfig) -> float:
     checked first: rate and integer ranges, the rejection-batch bound, finite
     stage capacities, service- then mining-stage stability.  Then ``g`` is
     increasing and convex on [0, 1] with ``g(0) < 0 < g(1)``, and Newton's
-    method from ``z = 1`` decreases onto the root.  An overflowing slope, or
-    no convergence in 100 steps, raises :class:`ConfigValidationError` with
-    code ``rate-overflow``; a root that rounds to one, ``unstable-mining-queue``.
+    method from ``z = 1`` decreases onto the root.  An overflowing slope, no
+    convergence in 100 steps, or ``R_a (1 - z0)`` rounding to zero raises
+    :class:`ConfigValidationError` with code ``rate-overflow``; a root that
+    rounds to one, ``unstable-mining-queue``.
     """
     for name in ("arrival_rate", "mining_rate", "rejection_rate", "service_rate"):
         value = getattr(config, name)
@@ -182,6 +183,10 @@ def pending_root(config: ChainConfig) -> float:
             if z >= 1.0:  # the mining load is one to floating-point precision
                 raise ConfigValidationError(
                     "unstable-mining-queue", f"pending_root rounds to {z!r} for {config}"
+                )
+            if not config.arrival_rate * (1.0 - z) > 0:  # the block wait's divisor, at subnormal rates
+                raise ConfigValidationError(
+                    "rate-overflow", f"arrival_rate * (1 - pending_root) rounds to 0 for {config}"
                 )
             return z
     raise ConfigValidationError("rate-overflow", f"pending_root overflows or stalls for {config}")

@@ -20,12 +20,12 @@ pool that grows past ``MAX_PENDING`` requests ends the run with
 :class:`SimulationUnstableError`; the cap is a module constant, not a
 parameter of any function.
 
-Confirmations are handled in one of two modes.  ``additive`` adds ``N - 1``
-independent exponential block intervals to each request's inclusion time
-before it may join the service queue.  ``event-driven`` instead queues the
-chain's last ``N - 1`` mined blocks and releases a block's requests when
-the ``N - 1``-th block after it is mined, which can stall when the pending
-pool goes quiet; the mode exists to quantify that approximation gap.
+Mined requests join the service queue by one rule: each chain queues its
+mined blocks and releases one when the ``N - 1``-th block after it is
+mined, at ``N = 1`` itself, which can stall when the pending pool goes
+quiet.  The one exception, ``additive`` mode at ``N > 1``, instead adds
+``N - 1`` independent exponential block intervals to each request's
+inclusion time; ``event-driven`` mode quantifies that approximation gap.
 
 The 95% interval has one rule: 32 batch means from 64 kept samples up,
 one sample a batch below that, and the t quantile of ``batches - 1``
@@ -158,9 +158,11 @@ def _stats(samples: list[float] | array | np.ndarray) -> LatencyStats:
     if batches > 1:
         spread = float(means.std(ddof=1)) / math.sqrt(batches)
         half = _T975[batches - 2] * spread
+    with np.errstate(over="ignore"):  # a variance past the float64 range reads inf, below it 0.0
+        variance = float(np.ldexp(variance, 2 * exponent))
     return LatencyStats(
         math.ldexp(mean, exponent),
-        math.ldexp(variance, 2 * exponent),
+        variance,
         (math.ldexp(center - half, exponent), math.ldexp(center + half, exponent)),
     )
 
@@ -169,16 +171,16 @@ class _Chain:
     """Mutable per-chain simulation state.
 
     ``free`` is a heap of link departure times; times already passed belong
-    to idle links.  ``unconfirmed`` queues the batches of the last ``N - 1``
-    mined blocks, oldest first, in ``event-driven`` mode.  ``downstream`` is
-    the chain that each request starting service here is handed to, or
-    ``None`` on the chain where requests are sampled.
+    to idle links.  ``unconfirmed`` queues mined batches not yet released,
+    oldest first, unless the chain is ``additive`` and draws their waits.
+    ``downstream`` is the chain that each request starting service here is
+    handed to, or ``None`` on the chain where requests are sampled.
     """
 
     __slots__ = (
         "label", "arrival_rate", "mining_rate", "pool_rate", "reject_share",
         "service_rate", "servers", "capacity", "reject_batch",
-        "extra_confs", "event_driven", "pending", "unconfirmed",
+        "extra_confs", "additive", "pending", "unconfirmed",
         "ready_queue", "free", "generated", "rejected", "downstream",
     )
 
@@ -193,7 +195,7 @@ class _Chain:
         self.capacity = config.block_capacity
         self.reject_batch = config.rejection_batch
         self.extra_confs = config.confirmations - 1
-        self.event_driven = mode == "event-driven"
+        self.additive = mode == "additive" and config.confirmations > 1
         self.pending: deque[list] = deque()
         self.unconfirmed: deque[list[list]] = deque()
         self.ready_queue: deque[list] = deque()
@@ -286,16 +288,7 @@ def _run(
                     req[5] = "rejected"
                     if req[6] is not None:
                         rejected_downstream += 1
-            elif chain.event_driven:
-                for req in batch:
-                    req[2] = t
-                # This block confirms the one mined N - 1 blocks before it.
-                unconfirmed = chain.unconfirmed
-                unconfirmed.append(batch)
-                released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
-                for req in released:
-                    req[3] = t
-            elif chain.extra_confs:
+            elif chain.additive:
                 for req in batch:
                     req[2] = t
                     wait = 0.0  # not sum(), which compensates its rounding from Python 3.12
@@ -306,8 +299,13 @@ def _run(
                     heappush(heap, (req[3], seq, _ENTER, chain, req))
             else:
                 for req in batch:
-                    req[2] = req[3] = t
-                released = batch
+                    req[2] = t
+                # This block confirms the one mined N - 1 blocks before it, itself at N = 1.
+                unconfirmed = chain.unconfirmed
+                unconfirmed.append(batch)
+                released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
+                for req in released:
+                    req[3] = t
         for req in released:
             assert req[1] <= req[2] <= req[3] <= t
             if kind != _DEPART:  # a departure frees a link for the head of the queue

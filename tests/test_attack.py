@@ -350,6 +350,25 @@ def test_monte_carlo_matches_the_int64_walk(confs, beta, giveup, trials):
     assert attack_success_montecarlo(params, trials, seed=giveup).probability == expected
 
 
+@pytest.mark.parametrize("confs, beta", [(1, 1e19), (1, 8.5e17), (2, 6e17), (3, 2**56 / 3)])
+def test_monte_carlo_wins_every_trial_where_numpy_refuses_the_draw(confs, beta):
+    # numpy refuses a negative-binomial draw from N beta of about 1e18; from
+    # 2**56 on no trial is drawn, as each would win with probability > 1 - 6e-17.
+    res = attack_success_montecarlo(AttackParams(confs, beta, 8), 1000, seed=1)
+    assert (res.probability, res.std_error, res.trials) == (1.0, 0.0, 1000)
+    assert attack_success(AttackParams(confs, beta, 8)).probability == 1.0
+
+
+@pytest.mark.parametrize("confs", [1, 2, 100, 2**40])
+def test_numpy_draws_just_below_the_outright_win_threshold(confs):
+    # numpy refuses beta (N + 10 sqrt(N)) past about 9.2e18, and below
+    # N beta = 2**56 that product is at most 11 * 2**56, about 7.9e17.
+    beta = math.nextafter(2**56 / confs, 0.0)
+    assert confs * beta < 2**56
+    res = attack_success_montecarlo(AttackParams(confs, beta, 8), 100, seed=1)
+    assert res.probability == 1.0
+
+
 def test_monte_carlo_agrees_with_direct_sum():
     params = AttackParams(1, 0.5, 6)
     exact = attack_success(params).probability

@@ -31,6 +31,8 @@ ROOT_ROUNDS_TO_ONE = ChainConfig(3.9e-05, 1e-05, 3e-06, 7.8e-05, block_capacity=
 # arrival_rate / service_rate rounds up to the 17 servers.
 LOAD_ROUNDS_TO_SERVERS = ChainConfig(0.8511391883399743, 8.511391883399744, 0.0,
                                      0.05006701107882202, servers=17)
+# The root is one half, and R_a (1 - z0), the block wait's divisor, rounds to 0.
+SUBNORMAL_RATES = ChainConfig(5e-324, 1e-323, 0.0, 1e-323)
 
 
 def test_textbook_stable_tandem_is_ok():
@@ -206,6 +208,17 @@ def test_pending_root_refuses_an_overflowing_slope():
         assert err.value.code == "rate-overflow"
 
 
+def test_pending_root_refuses_a_block_wait_without_a_divisor():
+    # The solver raised ReducibleChainError here, the closed form
+    # ZeroDivisionError and the simulator returned nan.
+    simulate = lambda config: simulate_chain(config, 200, 1)
+    for quantity in (validate, pending_root, closed_form_latency, markov.latency, simulate):
+        with pytest.raises(ConfigValidationError) as err:
+            quantity(SUBNORMAL_RATES)
+        assert err.value.code == "rate-overflow"
+    assert pending_root(replace(SUBNORMAL_RATES, mining_rate=1.0, service_rate=1.0)) == 5e-324
+
+
 def log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(lambda exponent: 10.0**exponent)
 
@@ -230,6 +243,7 @@ def chains(draw):
 @example(config=SLOPE_OVERFLOW)
 @example(config=ROOT_ROUNDS_TO_ONE)
 @example(config=LOAD_ROUNDS_TO_SERVERS)
+@example(config=SUBNORMAL_RATES)
 def test_every_engine_refuses_what_validate_refuses(config):
     # A chain that validates has a pending-stage root and a closed form; one
     # that does not is refused by every engine entry with validate's code.

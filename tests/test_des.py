@@ -154,6 +154,41 @@ def test_additive_equals_event_driven_for_single_confirmation():
     assert np.array_equal(a.latency_samples, b.latency_samples)
 
 
+def assert_release_rule(records, confirmations):
+    """Every confirmed request of a chain is confirmed as the ``N - 1``-th
+    mined block after its own is mined; a mined one not yet confirmed is in
+    one of that chain's last ``N - 1`` blocks.  Rejections are no blocks."""
+    for label in {rec.chain for rec in records}:
+        mined = [rec for rec in records if rec.chain == label and rec.mined_at is not None]
+        blocks = sorted({rec.mined_at for rec in mined})
+        index = {t: i for i, t in enumerate(blocks)}
+        confirmed = 0
+        for rec in mined:
+            later = index[rec.mined_at] + confirmations - 1
+            if rec.confirmed_at is None:
+                assert later >= len(blocks)
+            else:
+                confirmed += 1
+                assert rec.confirmed_at == blocks[later]
+        assert confirmed > 0
+
+
+@pytest.mark.parametrize("confirmations", [1, 2, 3])
+def test_event_driven_release_waits_for_n_minus_one_mined_blocks(confirmations):
+    chain = ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=2,
+                        confirmations=confirmations)
+    res = simulate_chain(chain, 3000, seed=4, confirmation_mode="event-driven", collect_records=True)
+    assert_release_rule(res.records, confirmations)
+    hier = HierarchicalConfig(
+        primary=ChainConfig(6.0, 50.0, 2.0, 4.0, servers=4, block_capacity=3,
+                            confirmations=confirmations),
+        secondary=ChainConfig(2.0, 8.0, 1.0, 5.0, confirmations=confirmations),
+    )
+    res = simulate_hierarchical(hier, 3000, seed=4, confirmation_mode="event-driven",
+                                collect_records=True)
+    assert_release_rule(res.records, confirmations)
+
+
 def test_event_driven_mode_differs_with_more_confirmations():
     cfg = ChainConfig(0.8, 2.5, 0.0, 1.0, servers=1, block_capacity=3, confirmations=4)
     a = simulate_chain(cfg, 4000, seed=21, confirmation_mode="additive")
@@ -247,6 +282,21 @@ def test_statistics_keep_their_precision_at_extreme_rates():
     assert lo < extreme.mean < hi
     # about 1e-600, below the float64 range, so it rounds to zero
     assert extreme.variance == math.ldexp(moderate.variance, -2 * 996)
+
+
+def test_an_overflowing_variance_reads_inf():
+    # The same run at rates 2**-664, about 1e-200, of the moderate ones: its
+    # variance, about 1e400, is past the float64 range and reads inf, as one
+    # below it reads 0.0; the mean and interval scale exactly.
+    moderate = ChainConfig(0.5, 2.5, 0.0, 1.0)
+    rates = ("arrival_rate", "mining_rate", "rejection_rate", "service_rate")
+    slow = replace(moderate, **{name: math.ldexp(getattr(moderate, name), -664) for name in rates})
+    base, scaled = simulate_chain(moderate, 2000, 1), simulate_chain(slow, 2000, 1)
+    assert scaled.variance == math.inf
+    assert scaled.mean == math.ldexp(base.mean, 664)
+    assert scaled.confidence_interval_95 == tuple(
+        math.ldexp(bound, 664) for bound in base.confidence_interval_95
+    )
 
 
 @pytest.mark.parametrize("mode", des.CONFIRMATION_MODES)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -632,13 +633,16 @@ def test_overflowing_pending_root_is_skipped_not_fatal(tmp_path):
 
 
 # Chains that pass every check before the pending-stage root: Newton's slope
-# overflows, or the mining load is one to floating-point precision.
+# overflows, the mining load is one to floating-point precision, or
+# R_a (1 - z0), the divisor of the block wait, rounds to zero.
 ROOTLESS_CHAINS = {
     "slope-overflow": chain_doc(arrival_rate=1e307, mining_rate=8e307, service_rate=1e308,
                                 block_capacity=2),
     "root-rounds-to-one": chain_doc(arrival_rate=3.9e-05, mining_rate=1e-05,
                                     rejection_rate=3e-06, service_rate=7.8e-05,
                                     block_capacity=3, rejection_batch=3),
+    "block-wait-divisor-rounds-to-zero": chain_doc(arrival_rate=5e-324, mining_rate=1e-323,
+                                                   service_rate=1e-323),
 }
 
 
@@ -665,6 +669,32 @@ def test_a_chain_without_a_pending_root_is_skipped(tmp_path, engine, side, chain
     echo = [path.replace(".", "_") for path in scenarios._paths(engine, spec.attack is not None)]
     results = set(scenario_header(spec)) - {*scenarios._BASE_COLUMNS, *echo}
     assert results and all(r[c] == "" for r in rows for c in results)
+
+
+def edge_rate_sweeps():
+    """Three sweeps that once stopped with a traceback, each with the
+    statuses of its rows: a simulation whose variance passes the float64
+    range, Monte Carlo attacks numpy cannot draw, and a chain whose block
+    wait has no divisor.  CI runs the same three documents without scipy."""
+    slow = sim_doc(base=chain_doc(arrival_rate=0.5e-200, mining_rate=2.5e-200, service_rate=1e-200),
+                   sweep=[{"path": "arrival_rate", "values": [0.5e-200]}],
+                   replication={"seed": 1, "target_served": 2000})
+    strong = attack_doc(relative_power=1e19, method="monte-carlo",
+                        sweep=[{"path": "confirmations", "values": [1, 2]}])
+    strong["replication"] = {"seed": 1, "trials": 1000}
+    subnormal = markov_doc(engine="closed-form", base=chain_doc(arrival_rate=5e-324),
+                           sweep=[{"path": "mining_rate", "values": [1e-323, 1.0]}])
+    return [(slow, ["ok"]), (strong, ["ok", "ok"]), (subnormal, ["skipped-unstable", "ok"])]
+
+
+@pytest.mark.parametrize("doc, statuses", edge_rate_sweeps())
+def test_edge_rate_sweeps_write_every_row(doc, statuses):
+    rows = scenarios.evaluate([parse_scenario(doc)])
+    assert [row["status"] for row in rows] == statuses
+    if doc["engine"] == "simulation":
+        assert rows[0]["variance"] == math.inf and math.isfinite(rows[0]["latency"])
+    if doc["engine"] == "attack":
+        assert [row["attack_probability"] for row in rows] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("engine", ["markov", "closed-form", "simulation", "attack"])
