@@ -18,7 +18,8 @@ The loop is one function with no closures, so each name it reads on an
 event is a fast local, and service starts at one site in it.  A pending
 pool that grows past ``MAX_PENDING`` requests ends the run with
 :class:`SimulationUnstableError`; the cap is a module constant, not a
-parameter of any function.
+parameter of any function.  So does a clock past the float64 range, which
+event times, absolute sums, reach at rates near 1e-305.
 
 Mined requests join the service queue by one rule: each chain queues its
 mined blocks and releases one when the ``N - 1``-th block after it is
@@ -88,7 +89,8 @@ _T975 = (
 
 
 class SimulationUnstableError(RuntimeError):
-    """Pending pool exceeded the runaway threshold: the mining stage cannot drain."""
+    """Pending pool exceeded the runaway threshold, so the mining stage cannot
+    drain, or the clock overflowed before the run met its target."""
 
 
 @dataclass(slots=True)
@@ -371,6 +373,9 @@ def _simulate(
 
     warmup = int(target_served * _WARMUP_FRACTION)
     kept = np.asarray(e2e[warmup:], dtype=np.float64)
+    if not np.isfinite(kept).all():  # a difference of two finite times, unless the clock overflowed
+        raise SimulationUnstableError(f"the simulation clock passed the float64 range before "
+                                      f"{target_served} requests started service")
     stats = _stats(kept)
     served = len(e2e)
     rejected = entry.rejected + rejected_downstream
@@ -403,7 +408,8 @@ def simulate_chain(
     """Simulate one chain until ``target_served`` requests start service.
 
     ``config`` is validated first.  A pending pool above ``MAX_PENDING``
-    requests raises :class:`SimulationUnstableError`.  The first tenth of the served samples
+    requests, or a clock past the float64 range, raises
+    :class:`SimulationUnstableError`.  The first tenth of the served samples
     is discarded as warm-up before statistics are computed.  Identical
     arguments produce a bitwise identical result.
     """

@@ -14,8 +14,10 @@ partial block carries all pending requests when ``i <= k``.
 
 The infinite lattice is truncated to a box ``0 <= i <= i_max``,
 ``0 <= j <= j_max``: ``i_max`` is read off the exact geometric law of the
-pending count and ``j_max`` is doubled until the box is certified (see
-``auto_truncate``); the solve of a box may keep at most ``MAX_SOLVE_BYTES``.
+pending count, ``j_max`` starts where the M/M/s law of the access stage
+puts less than half the tolerance on ``j = j_max``, and is doubled until
+the box is certified (see ``auto_truncate``); the solve of a box may keep
+at most ``MAX_SOLVE_BYTES``.
 Transitions that would leave the box are dropped and excluded from the
 diagonal, which keeps the generator a proper generator; the stationary mass
 on the box frontier is reported so the truncation bias is measured rather
@@ -161,11 +163,9 @@ class RateMatrix:
         return np.column_stack([self @ e for e in np.eye(self.dimension)])
 
 
-def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
-    """Assemble the truncated generator for ``config``, which must have passed
-    :func:`~branlab.config.validate`, on ``space``; a box whose solve would keep more
-    than ``MAX_SOLVE_BYTES`` (see :func:`solve_steady_state`) raises
-    :class:`StateSpaceLimitError` before anything of its size is allocated."""
+def _level_form(config: ChainConfig, space: StateSpace) -> tuple[int, int, int, int, int]:
+    """Levels, phases, longest jump and anchor level of ``space``'s level form
+    (:class:`RateMatrix`), and the bytes its solve keeps (see :func:`solve_steady_state`)."""
     along_j = space.i_max <= space.j_max
     levels, phases = sorted((space.i_max + 1, space.j_max + 1), reverse=True)
     depth = min(config.block_capacity, space.i_max)
@@ -174,6 +174,16 @@ def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
     anchor = min(levels - 1, int(config.arrival_rate // config.service_rate) if along_j else levels)
     solve_bytes = 8 * (phases**2 * (anchor + depth * (levels - 1 - anchor) + 16 * depth + 16)
                        + 8 * levels * phases)
+    return levels, phases, depth, anchor, solve_bytes
+
+
+def build_generator(config: ChainConfig, space: StateSpace) -> RateMatrix:
+    """Assemble the truncated generator for ``config``, which must have passed
+    :func:`~branlab.config.validate`, on ``space``; a box whose solve would keep more
+    than ``MAX_SOLVE_BYTES`` (see :func:`solve_steady_state`) raises
+    :class:`StateSpaceLimitError` before anything of its size is allocated."""
+    along_j = space.i_max <= space.j_max
+    levels, phases, depth, anchor, solve_bytes = _level_form(config, space)
     if solve_bytes > MAX_SOLVE_BYTES:
         raise StateSpaceLimitError(f"box ({space.i_max}, {space.j_max}) would keep "
                                    f"{solve_bytes} bytes in its solve, above {MAX_SOLVE_BYTES}")
@@ -366,19 +376,49 @@ def _pending_extent(z0: float) -> int:
     return i + (z0**i >= _TOL / 2) - (z0 ** (i - 1) < _TOL / 2)
 
 
+def _access_mass(servers: int, load: float, j: int) -> float:
+    """``P(j)`` in an M/M/``servers`` queue offered ``load`` erlangs, in
+    O(min(j, servers)) steps whenever ``j >= 2 * load``."""
+    m = min(j, servers)
+    b = 1.0  # Erlang B(n, load): P(n) given at most n in the queue
+    for n in range(1, m + 1):
+        b = load * b / (n + load * b)
+    # Above m the weights, relative to P(m), fall by load / n a step up to servers;
+    # from j >= 2 * load that is at most a half, so the sum soon stops moving.
+    rho = load / servers
+    above, weight = 0.0, 1.0
+    for n in range(m + 1, servers + 1):
+        weight *= load / n
+        above += weight
+        if weight <= 2**-53 * above:
+            weight = 0.0
+            break
+    # Past servers they fall by rho a step: P(m) = b / (1 + b (above + weight rho / (1 - rho))).
+    return (1 - rho) * b / ((1 - rho) * (1 + b * above) + b * weight * rho) * rho ** (j - m)
+
+
 def auto_truncate(config: ChainConfig) -> TruncationResult:
     """Grow the truncation box until it is certified.
 
     The pending count alone has the geometric law ``(1 - z0) z0**i`` (see
     :func:`~branlab.config.pending_root`), so ``i_max`` is set once, as the
-    smallest ``i`` with ``z0**i < _TOL / 2``.  ``j_max`` starts at the
+    smallest ``i`` with ``z0**i < _TOL / 2``.  The least ``j_max`` is the
     smallest ``16 * 2**m`` covering twice the offered load ``R_a / R_s`` and
-    the largest batch ``min(k, i_max)``, so that no state is absorbing, and
-    doubles until a box is certified: its frontier mass is below ``_TOL``,
-    and its ``i``-marginal is within ``_TOL`` of the exact law at every
+    the largest batch ``min(k, i_max)``, so that no state is absorbing.
+    Without solving anything, ``j_max`` then doubles while ``P(j = j_max)``
+    is at least ``_TOL / 2`` in the M/M/s queue that the served rate
+    (:func:`~branlab.config.served_rate`) offers the ``s`` links, but never
+    past the largest box within ``MAX_SOLVE_BYTES``.  That law is the access
+    stage's own when ``k = 1`` (Burke 1956); bulk arrivals lengthen the
+    chain's tail, so for ``k > 1`` the start tends to be low.
+    A box's solve reads nothing of the boxes before it, so whenever no rung
+    below the start would be certified, the search returns the box it
+    would from the least ``j_max``.  From the start, ``j_max`` doubles until
+    a box is certified: its frontier mass is below ``_TOL``, and its
+    ``i``-marginal is within ``_TOL`` of the exact law at every
     ``i <= i_max``.  A cut at ``j_max`` blocks mining, so it can distort the
     pending process where the frontier mass does not show it.  The first
-    certified box is returned.  A box over ``MAX_SOLVE_BYTES`` raises
+    certified box from the start is returned.  A box over ``MAX_SOLVE_BYTES`` raises
     :class:`StateSpaceLimitError` from :func:`build_generator` if it is the
     first, and :class:`TruncationDidNotConverge` otherwise.
     """
@@ -387,6 +427,10 @@ def auto_truncate(config: ChainConfig) -> TruncationResult:
     j_max = _INITIAL_EXTENT
     while j_max < max(2 * config.arrival_rate / config.service_rate,
                       min(config.block_capacity, i_max)):
+        j_max *= 2
+    load = served_rate(config, z0) / config.service_rate
+    while (_access_mass(config.servers, load, j_max) >= _TOL / 2
+           and _level_form(config, StateSpace(i_max, 2 * j_max))[-1] <= MAX_SOLVE_BYTES):
         j_max *= 2
     tried = []
     while True:

@@ -345,6 +345,14 @@ def test_runaway_pending_pool_raises(monkeypatch):
         simulate_chain(cfg, 10**9, seed=1)
 
 
+def test_an_overflowing_clock_raises():
+    # At rates near 1e-305 event times pass 1.8e308 within 2000 requests, and
+    # the samples after that read inf - inf = nan; at 1e-300 the run is finite.
+    with pytest.raises(SimulationUnstableError, match="clock passed the float64 range"):
+        simulate_chain(ChainConfig(0.5e-305, 2.5e-305, 0.0, 1e-305), 2000, 1)
+    assert math.isfinite(simulate_chain(ChainConfig(0.5e-300, 2.5e-300, 0.0, 1e-300), 2000, 1).mean)
+
+
 def test_runs_leave_no_reference_cycles(monkeypatch):
     # A run's state must be freed when it returns or raises, not at the next
     # full collection: cyclic garbage made peak memory depend on GC timing.

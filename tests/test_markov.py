@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +37,7 @@ from branlab.markov import (
     stationary_solution,
 )
 from branlab.queueing import closed_form_latency
+from branlab.scenarios import evaluate, preset_specs
 
 
 def brute_force_stationary(dense_q: np.ndarray) -> np.ndarray:
@@ -604,7 +606,7 @@ def test_pending_root_newton_solves_per_entry(monkeypatch):
         calls.clear()
         entry(argument)
         counts[name] = len(calls)
-    assert stationary_solution(cfg).extents_tried == ((12, 16), (12, 32))
+    assert stationary_solution(cfg).extents_tried == ((12, 32),)
     assert counts == {"cold latency": 2, "warm latency": 1, "closed form": 1, "hierarchy": 3}
 
 
@@ -642,6 +644,47 @@ def test_light_traffic_converges_at_the_initial_box():
     assert res.distribution.truncation_mass_bound < 1e-9
 
 
+@pytest.mark.parametrize("servers, load, j", [
+    (1, 0.9, 32), (3, 0.5, 16), (10, 8.0, 16), (10, 8.0, 32), (50, 40.0, 128), (100, 3.0, 16),
+])
+def test_access_mass_is_the_mms_point_probability(servers, load, j):
+    # Against the M/M/s weights a**n / n! below s and rho a step above, summed far past j.
+    weights = np.cumprod([1.0] + [load / min(n, servers) for n in range(1, 20_000)])
+    assert markov._access_mass(servers, load, j) == pytest.approx(weights[j] / weights.sum(),
+                                                                  rel=1e-12)
+
+
+def test_single_request_blocks_solve_only_the_box_they_keep(monkeypatch):
+    # With k = 1 the access stage is exactly M/M/s at the served rate (Burke
+    # 1956), so the search starts at the accepted rung: one solve a chain.
+    solved = {}
+
+    def recording(config):
+        solved[config] = auto_truncate(config)
+        return solved[config]
+
+    monkeypatch.setattr(markov, "auto_truncate", recording)
+    markov._stationary_cached.cache_clear()
+    for name in ("fig6", "fig8", "fig12"):
+        evaluate(preset_specs(name))
+    markov._stationary_cached.cache_clear()
+    chains = {cfg: res for cfg, res in solved.items() if cfg.block_capacity == 1}
+    for arrival in (0.9, 0.95):  # the two heaviest k = 1 chains of the solver-heavy benchmark
+        cfg = ChainConfig(arrival, 2.5, 0.0, 1.0)
+        chains[cfg] = auto_truncate(cfg)
+    assert len(chains) == 12  # fig6 shares its two k = 1 chains with fig8
+    for cfg, res in chains.items():
+        assert len(res.extents_tried) == 1, (cfg, res.extents_tried)
+
+
+def test_the_start_rung_costs_steps_bounded_by_the_rung_not_the_links():
+    # s = 2**53 is valid; a prediction that walked the links would never end.
+    start = time.perf_counter()
+    res = auto_truncate(ChainConfig(0.5, 2.5, 0.0, 1.0, servers=2**53))
+    assert time.perf_counter() - start < 1.0
+    assert res.extents_tried == ((14, 16),)
+
+
 # Chains of the two tests below, fixed before their first run: every
 # rejection shape, loads from light to heavy, and up to 50 links.  After
 # that run, k = 1 without rejection at rho = 0.95 was left out, as in the
@@ -665,23 +708,39 @@ def certified_grid():
     return [(cfg, auto_truncate(cfg)) for cfg in CERTIFIED_GRID]
 
 
+def least_extent(cfg, i_max):
+    """The least ``j_max``: the smallest ``16 * 2**m`` covering ``2 R_a / R_s`` and ``min(k, i_max)``."""
+    j_max = 16
+    while j_max < max(2 * cfg.arrival_rate / cfg.service_rate, min(cfg.block_capacity, i_max)):
+        j_max *= 2
+    return j_max
+
+
 def test_accepted_box_is_the_first_certified_one(certified_grid):
     # A box is certified when its frontier mass is below 1e-9 and its
     # i-marginal is within 1e-9 of the exact law at every i <= i_max.  The
-    # accepted box is, and the box solved before it is not.
-    tol, failed = 1e-9, {"frontier": 0, "marginal": 0}
+    # accepted box is, and no rung from the least j_max up to it is, so the
+    # search, which may start above the least rung, never starts above the
+    # first certified one.  Each rung below is solved here.
+    tol, failed, started_below = 1e-9, {"frontier": 0, "marginal": 0}, 0
     for cfg, res in certified_grid:
-        assert res.extents_tried[-1] == (res.space.i_max, res.space.j_max)
+        i_max, j_max = res.space.i_max, res.space.j_max
+        assert res.extents_tried[-1] == (i_max, j_max)
         frontier, gap = certificate(cfg, res.distribution)
         assert frontier < tol and gap <= tol, (cfg, frontier, gap)
         assert res.pending_gap == gap
-        if len(res.extents_tried) > 1:
-            frontier, gap = certificate(cfg, solve_box(cfg, *res.extents_tried[-2]))
-            assert not (frontier < tol and gap <= tol), (cfg, frontier, gap)
-            failed["frontier"] += frontier >= tol
-            failed["marginal"] += frontier < tol
+        rung = least_extent(cfg, i_max)
+        while rung < j_max:
+            frontier, gap = certificate(cfg, solve_box(cfg, i_max, rung))
+            assert not (frontier < tol and gap <= tol), (cfg, rung, frontier, gap)
+            if rung == j_max // 2:
+                failed["frontier"] += frontier >= tol
+                failed["marginal"] += frontier < tol
+            rung *= 2
+        started_below += len(res.extents_tried) > 1
     assert len(CERTIFIED_GRID) == 42
-    print(f"first certified box: {len(CERTIFIED_GRID)} chains, previous box failed on {failed}")
+    print(f"first certified box: {len(CERTIFIED_GRID)} chains, the rung below failed on {failed}; "
+          f"{started_below} searches started below the accepted box")
 
 
 def test_doubling_the_accepted_box_barely_moves_latency(certified_grid):

@@ -697,6 +697,14 @@ def test_edge_rate_sweeps_write_every_row(doc, statuses):
         assert [row["attack_probability"] for row in rows] == [1.0, 1.0]
 
 
+def test_a_simulation_whose_clock_overflows_is_skipped():
+    doc = sim_doc(base=chain_doc(arrival_rate=0.5e-305, mining_rate=2.5e-305, service_rate=1e-305),
+                  sweep=[{"path": "arrival_rate", "values": [0.5e-305]}],
+                  replication={"seed": 1, "target_served": 2000})
+    rows = scenarios.evaluate([parse_scenario(doc)])
+    assert [row["status"] for row in rows] == ["skipped-unstable"]
+
+
 @pytest.mark.parametrize("engine", ["markov", "closed-form", "simulation", "attack"])
 @pytest.mark.parametrize("field", ["servers", "block_capacity", "confirmations"])
 def test_counts_past_two_to_the_53_are_skipped(engine, field):
