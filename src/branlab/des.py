@@ -1,32 +1,37 @@
-"""Event-driven simulation of one chain and of the two-chain hierarchy.
+"""Vectorised simulation of one chain and of the two-chain hierarchy.
 
-One loop over a future-event list drives every chain: Poisson request
-arrivals, one pool clock per chain and exponential service on each link.
-Mining and rejection are competing exponential transitions out of the
-same pending pool, so the pool has a single clock at rate ``R_m + R_r``:
-it is armed when the pool goes from empty to one request and re-armed by
-its own ring while requests remain.  Each ring is a rejection with
-probability ``R_r / (R_m + R_r)``, permanently removing the oldest
-``min(pending, r)`` requests, and otherwise a mined block of the oldest
-``min(pending, k)``.  Each chain keeps its busy links' departure times in
-a heap of its own.  A released request takes a link whose time has
-passed, or else queues; only then does the earliest departure become an
-event, which serves the head of the queue.  A departure with nobody
-waiting draws nothing, so it never enters the event list.  A chain holds
-at most one pool event and one departure event, so no event is stale.
-The loop is one function with no closures, so each name it reads on an
-event is a fast local, and service starts at one site in it.  A pending
-pool that grows past ``MAX_PENDING`` requests ends the run with
-:class:`SimulationUnstableError`; the cap is a module constant, not a
-parameter of any function.  So does a clock past the float64 range, which
-event times, absolute sums, reach at rates near 1e-305.
+Each chain takes its Poisson arrivals in blocks of ``_BLOCK`` and works
+through a block in numpy passes, not one event at a time:
 
-Mined requests join the service queue by one rule: each chain queues its
-mined blocks and releases one when the ``N - 1``-th block after it is
-mined, at ``N = 1`` itself, which can stall when the pending pool goes
-quiet.  The one exception, ``additive`` mode at ``N > 1``, instead adds
-``N - 1`` independent exponential block intervals to each request's
-inclusion time; ``event-driven`` mode quantifies that approximation gap.
+* Mining and rejection are competing exponential transitions out of the
+  same pending pool, so the pool has a single clock at rate ``R_m + R_r``.
+  Each ring is a rejection with probability ``R_r / (R_m + R_r)``,
+  permanently removing the oldest ``min(pending, r)`` requests, and
+  otherwise a mined block of the oldest ``min(pending, k)``.  A ring at an
+  empty pool changes nothing, and the clock is memoryless, so such rings
+  may go undrawn: each gap between arrivals draws its count of rings, and
+  only the rings that can find requests draw a type and a time.  Requests
+  leave the pool in FIFO order, so a Lindley (1952) recursion on request
+  counts, in integers, says which requests each ring takes.
+* A mined block is released when the ``N - 1``-th mined block after it is
+  mined, at ``N = 1`` at once; release can stall when the pool goes quiet.
+  The one exception, ``additive`` mode at ``N > 1``, instead releases each
+  request after its own ``Gamma(N - 1, R_m)`` delay, the sum of ``N - 1``
+  block intervals; ``event-driven`` mode quantifies that approximation gap.
+* Released requests take links first come, first served: a Lindley pass of
+  running maxima at one link, a Kiefer-Wolfowitz (1955) pass over a heap
+  of link free times at several.
+
+Between blocks a chain carries only its state: its pending requests, the
+mined ones not yet released and its links.  Each purpose (arrivals, ring
+counts, ring types, ring times, service and confirmation delays) reads its
+own numpy ``Generator``, spawned from ``SeedSequence(seed)``, in request
+order, so no array grows with the target and no output depends on the
+block size.  A pending pool that grows past ``MAX_PENDING`` requests ends
+the run with :class:`SimulationUnstableError`; the cap is a module
+constant, not a parameter of any function.  So does a clock past the
+float64 range, which event times, absolute sums, reach at rates near
+1e-305.
 
 The 95% interval has one rule: 32 batch means from 64 kept samples up,
 one sample a batch below that, and the t quantile of ``batches - 1``
@@ -34,15 +39,16 @@ degrees of freedom from one table.
 
 The recorded latency of a request is ``service_start - submitted``: the
 request's own service time is excluded.  In the hierarchical composition
-the secondary chain hands each end-user request to its ``downstream``
-chain, the primary, as its secondary service starts, and latency is
-sampled end to end when the primary's starts; a single chain is the same
-run with nothing downstream.
-
-Requests are plain lists; ``RequestRecord`` objects, numbered in creation
-order, are built from them only when records are asked for.  A run is
-single-threaded and bitwise reproducible for a fixed seed; replications
-with distinct seeds can run concurrently and be merged by the caller.
+each secondary service start hands its end-user request to the primary,
+whose arrivals are these hand-overs merged with its own background
+traffic, and latency is sampled end to end when the primary's service
+starts; a single chain is the same run with nothing downstream.  A run
+stops when its ``target_served``-th end-user request starts its last
+service: requests queued behind it stay in flight, and each
+``RequestRecord``, numbered in submission order, holds what had happened
+to its request by then.  A run is single-threaded and bitwise
+reproducible for a fixed seed; replications with distinct seeds can run
+concurrently and be merged by the caller.
 """
 
 from __future__ import annotations
@@ -50,19 +56,21 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-import random
 from array import array
 from dataclasses import dataclass, fields
-from collections import deque
 
 import numpy as np
 
 from .config import ChainConfig, HierarchicalConfig, require_count, validate
 
-_ARRIVAL, _POOL, _ENTER, _DEPART = range(4)
-
 CONFIRMATION_MODES = ("additive", "event-driven")
 MAX_PENDING = 10**6  # requests a pending pool may hold before a run is called unstable
+_BLOCK = 2**11  # arrivals a chain takes in one pass; no output depends on it
+# numpy's Poisson sampler refuses means past about 9.2e18, and a pass sums
+# its ring counts in int64.  The first rings of a gap holding 2**40 of them
+# fall within about 1e-12 of its length from its start, so a larger mean is
+# cut to that; no pool time moves by more.
+_MAX_RINGS = 2.0**40
 _WARMUP_FRACTION = 0.1  # share of the target discarded before statistics
 _CI_BATCHES = 32
 # _T975[dof - 1] is float(scipy.special.stdtrit(dof, 0.975)) for dof = 1 ..
@@ -86,6 +94,8 @@ _T975 = (
     2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
     1.999623584994939, 1.9989715170333788,
 )
+
+
 
 
 class SimulationUnstableError(RuntimeError):
@@ -169,183 +179,383 @@ def _stats(samples: list[float] | array | np.ndarray) -> LatencyStats:
     )
 
 
-class _Chain:
-    """Mutable per-chain simulation state.
+def _lindley(level: int, gain: np.ndarray) -> np.ndarray:
+    """``W_j = max(W_{j-1} + gain_j, 0)`` from ``W_{-1} = level``, in integers."""
+    total = np.cumsum(gain)
+    return total - np.minimum.accumulate(np.concatenate(([-level], total)))[1:]
 
-    ``free`` is a heap of link departure times; times already passed belong
-    to idle links.  ``unconfirmed`` queues mined batches not yet released,
-    oldest first, unless the chain is ``additive`` and draws their waits.
-    ``downstream`` is the chain that each request starting service here is
-    handed to, or ``None`` on the chain where requests are sampled.
+
+def _order_statistics(share: np.ndarray, rank: np.ndarray) -> None:
+    """Turn ``share``, Beta(1, n - m) draws at ranks m = 0, 1, ... within runs
+    of their own, into the smallest uniforms of n in place: the m-th is
+    ``u_{m-1} + (1 - u_{m-1}) * share_m``, taken one rank at a time."""
+    later = np.flatnonzero(rank)
+    step = 1
+    while later.size:
+        now = later[rank[later] == step]
+        share[now] = share[now - 1] + (1.0 - share[now - 1]) * share[now]
+        later = later[rank[later] > step]
+        step += 1
+
+
+class _Tally:
+    """Sorted event times, counted up to a stop time not yet known.
+
+    Arrays wholly at or before a lower bound of the stop are folded into
+    ``count`` as the run goes, so only the last pass or two are kept.
+    """
+
+    __slots__ = ("count", "times")
+
+    def __init__(self):
+        self.count = 0
+        self.times: list[np.ndarray] = []
+
+    def add(self, times: np.ndarray) -> None:
+        if times.size:
+            self.times.append(times)
+
+    def fold(self, bound: float) -> None:
+        self.count += sum(t.size for t in self.times if t[-1] <= bound)
+        self.times = [t for t in self.times if t[-1] > bound]
+
+    def upto(self, stop: float) -> int:
+        return self.count + sum(int(np.searchsorted(t, stop, "right")) for t in self.times)
+
+
+class _Chain:
+    """One chain's rates and random streams, and the state it carries between passes.
+
+    ``clock`` is the last arrival passed, ``pool`` the pending count and
+    ``bound`` the pending count had every ring taken one request, which
+    bounds the rings that can act.  ``waiting`` holds the submission and
+    origin times of the pending requests, oldest first; ``held`` the index,
+    submission, origin and mined times of mined requests not yet released,
+    with their release time in additive mode and their block number
+    otherwise.  An origin is NaN except on a request handed over from the
+    secondary.  ``work`` and ``lead`` carry the one-link Lindley pass and
+    ``links`` the several-link heap of free times.  ``entry`` marks the
+    chain end-user requests arrive at, whose every rejection counts; the
+    primary keeps the arrivals it has not yet passed, its own in ``ahead``
+    and the secondary's hand-overs in ``inbox``.  ``trace`` collects what
+    records are built from, or is ``None``.
     """
 
     __slots__ = (
-        "label", "arrival_rate", "mining_rate", "pool_rate", "reject_share",
-        "service_rate", "servers", "capacity", "reject_batch",
-        "extra_confs", "additive", "pending", "unconfirmed",
-        "ready_queue", "free", "generated", "rejected", "downstream",
+        "label", "entry", "arrivals", "ring_counts", "ring_types", "ring_times", "service",
+        "delays", "arrival_rate", "mining_rate", "ring_rate", "reject_share", "service_rate",
+        "capacity", "reject_batch", "extra_confs", "additive", "drawn", "exhausted", "clock",
+        "arrived", "pool", "bound", "blocks", "waiting", "held", "work", "lead", "links",
+        "overflow", "arrived_at", "rejected_at", "trace", "ahead", "inbox",
     )
 
-    def __init__(self, label: str, config: ChainConfig, mode: str, downstream: _Chain | None = None):
+    def __init__(self, label: str, config: ChainConfig, mode: str, seed: np.random.SeedSequence,
+                 entry: bool, collect_records: bool):
         self.label = label
+        self.entry = entry
+        (self.arrivals, self.ring_counts, self.ring_types, self.ring_times, self.service,
+         self.delays) = (np.random.Generator(np.random.PCG64(s)) for s in seed.spawn(6))
         self.arrival_rate = config.arrival_rate
         self.mining_rate = config.mining_rate
-        self.pool_rate = config.mining_rate + config.rejection_rate
-        self.reject_share = config.rejection_rate / self.pool_rate
+        self.ring_rate = config.mining_rate + config.rejection_rate
+        self.reject_share = config.rejection_rate / self.ring_rate
         self.service_rate = config.service_rate
-        self.servers = config.servers
         self.capacity = config.block_capacity
         self.reject_batch = config.rejection_batch
         self.extra_confs = config.confirmations - 1
         self.additive = mode == "additive" and config.confirmations > 1
-        self.pending: deque[list] = deque()
-        self.unconfirmed: deque[list[list]] = deque()
-        self.ready_queue: deque[list] = deque()
-        self.free: list[float] = []
-        self.generated = 0
-        self.rejected = 0
-        self.downstream = downstream
+        self.drawn = self.clock = 0.0
+        self.exhausted = False  # the arrival clock passed the float64 range
+        self.arrived = self.pool = self.bound = self.blocks = 0
+        self.waiting = np.empty((2, 0))
+        self.held = np.empty((5, 0))
+        self.work, self.lead = 0.0, -math.inf
+        self.links = [0.0] * config.servers
+        self.overflow: float | None = None  # first arrival to find the pool past MAX_PENDING
+        self.arrived_at, self.rejected_at = _Tally(), _Tally()
+        self.ahead = np.empty(0)  # own arrivals drawn and not yet passed
+        self.inbox = np.empty((2, 0))  # hand-over times and origins not yet passed
+        self.trace = None
+        if collect_records:
+            self.trace = {name: [np.empty((2, 0))] for name in ("arrival", "exit", "release", "start")}
 
 
-def _enqueue(
-    chain: _Chain, t: float, origin: float | None, max_pending: int, requests: list | None
-) -> bool:
-    """Submit a request to ``chain``'s pending pool at ``t``; True if it must arm the pool clock."""
-    req = [chain.label, t, None, None, None, "in-flight", origin]
-    if requests is not None:
-        requests.append(req)
-    chain.generated += 1
-    pending = chain.pending
-    pending.append(req)
-    if len(pending) > max_pending:
-        raise SimulationUnstableError(
-            f"chain {chain.label!r}: pending pool exceeded {max_pending} requests "
-            f"at t={t:.3f}; the configuration cannot drain its arrivals"
-        )
-    return len(pending) == 1
+def _arrivals(chain: _Chain) -> np.ndarray:
+    """The chain's next ``_BLOCK`` arrival times, cut before the first past the float64 range."""
+    if chain.exhausted:
+        return np.empty(0)
+    gaps = chain.arrivals.standard_exponential(_BLOCK) / chain.arrival_rate
+    times = np.cumsum(np.concatenate(([chain.drawn], gaps)))[1:]
+    finite = np.isfinite(times)
+    if not finite[-1]:  # a sum that passed the range stays past it
+        times = times[: np.argmin(finite)]
+        chain.exhausted = True
+    if times.size:
+        chain.drawn = times[-1]
+    return times
 
 
-def _run(
-    chains: tuple[_Chain, ...], seed: int, target: int, requests: list | None
-) -> tuple[array, array, array, int]:
-    """Run until ``target`` end-user requests, arriving at ``chains[0]``, start their last service.
+def _access(chain: _Chain, release: np.ndarray) -> np.ndarray:
+    """Service start times of requests released at ``release``, in queue order."""
+    service = chain.service.standard_exponential(release.size) / chain.service_rate
+    if len(chain.links) == 1:
+        # start_j = max(r_j, start_{j-1} + x_{j-1}).  With c_j the service
+        # queued before request j since the run began, start_j - c_j is the
+        # running maximum of r - c; both sums run on from the last pass.
+        work = np.cumsum(np.concatenate(([chain.work], service)))
+        lead = np.maximum.accumulate(np.concatenate(([chain.lead], release - work[:-1])))
+        chain.work, chain.lead = work[-1], lead[-1]
+        return np.maximum(release, work[:-1] + lead[1:])
+    heap, heapreplace = chain.links, heapq.heapreplace
+    starts = array("d")
+    append = starts.append
+    for at, busy in zip(memoryview(release), memoryview(service)):
+        free = heap[0]
+        if free > at:
+            at = free
+        heapreplace(heap, at + busy)
+        append(at)
+    return np.frombuffer(starts)
 
-    Each exponential draw is ``random.expovariate``'s own ``-log(1 - U) /
-    rate``, so the variates are that method's.  Returns the end-to-end
-    latencies, the two legs of handed-over requests and how many of them
-    were rejected downstream.  Every request is appended to ``requests``
-    unless that is ``None``.
 
-    No closure: a name a nested function reads is a cell of this frame, read
-    through the cell on every event.  So requests join a pool through
-    :func:`_enqueue` and the caller arms the pool clock, keeping ``seq`` a fast
-    local.  Service starts at one site, to which a departure passes its head.
+def _rings(chain: _Chain, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rings that act in the gaps before each arrival at ``times``.
+
+    Returns their times, how many requests each takes and whether it
+    rejects them, and moves the chain's pool on past the arrivals.
     """
-    entry = chains[0]
-    max_pending = MAX_PENDING
-    uniform = random.Random(seed).random
-    log = math.log
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heap: list = []
-    seq = 0  # push counter: orders events with equal times, never compares chains
-    e2e, first_leg, last_leg = array("d"), array("d"), array("d")  # 8 bytes a sample
-    served = rejected_downstream = 0
+    n = times.size
+    opened = np.concatenate(([chain.clock], times[:-1]))  # each gap's start
+    gaps = times - opened
+    rings = chain.ring_counts.poisson(np.minimum(chain.ring_rate * gaps, _MAX_RINGS))
+    # A ring that acts takes one request or more, so a gap's rings past the
+    # pool it opens with find the pool empty.  The pool, had each ring taken
+    # one, bounds it and picks the live rings, the only ones drawn further.
+    bound = _lindley(chain.bound - 1, 1 - rings) + 1
+    live = np.minimum(rings, np.concatenate(([chain.bound], bound[:-1])))
+    gap = np.repeat(np.arange(n), live)
+    first = np.cumsum(live) - live
+    rank = np.arange(gap.size) - first[gap]
+    if chain.reject_share > 0.0:
+        rejection = chain.ring_types.random(gap.size) < chain.reject_share
+    else:
+        rejection = np.zeros(gap.size, dtype=bool)
+    size = np.where(rejection, chain.reject_batch, chain.capacity)
+    offered = np.concatenate(([0], np.cumsum(size)))  # what the live rings before each can take
+    pool = _lindley(chain.pool - 1, 1 - (offered[first + live] - offered[first])) + 1
+    opening = np.concatenate(([chain.pool], pool[:-1]))
+    left = opening[gap] - (offered[:-1] - offered[first][gap])  # pending as each live ring fires
+    acts = left > 0
+    gap, rank = gap[acts], rank[acts]
+    # The acting rings are the earliest of their gap's uniformly placed
+    # rings.  Beta draws keep the arithmetic to +, - and *, which round alike
+    # on every machine, unlike numpy's vectorised log1p and expm1.
+    place = chain.ring_times.beta(1.0, rings[gap] - rank)
+    _order_statistics(place, rank)
+    over = np.flatnonzero(pool > MAX_PENDING)
+    if over.size and chain.overflow is None:
+        chain.overflow = float(times[over[0]])
+    chain.clock, chain.pool, chain.bound = float(times[-1]), int(pool[-1]), int(bound[-1])
+    return opened[gap] + gaps[gap] * place, np.minimum(left[acts], size[acts]), rejection[acts]
 
+
+def _pass(chain: _Chain, times: np.ndarray, origins: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Take ``chain`` through the rings before each arrival at ``times``, and the arrivals.
+
+    Returns the index, submission, origin and service start times of the
+    requests released meanwhile, in queue order.
+    """
+    if not times.size:
+        return (np.empty(0),) * 4
+    oldest = chain.arrived - chain.pool
+    fired, take, rejection = _rings(chain, times)
+    chain.arrived += times.size
+    leaving = int(take.sum())
+    exit_time = np.repeat(fired, take)
+    exit_rejected = np.repeat(rejection, take)
+    mining = ~rejection
+    first_block = chain.blocks
+    block_time = fired[mining]
+    block = np.repeat(first_block + np.cumsum(mining) - 1, take)
+    chain.blocks += block_time.size
+    queue = np.concatenate((chain.waiting, np.vstack((times, origins))), axis=1)
+    (submitted, origin), chain.waiting = queue[:, :leaving], queue[:, leaving:]
+
+    counted = exit_rejected if chain.entry else exit_rejected & ~np.isnan(origin)
+    chain.rejected_at.add(exit_time[counted])
+    mined = ~exit_rejected
+    mined_at = exit_time[mined]
+    if chain.additive:
+        delay = chain.delays.standard_gamma(chain.extra_confs, mined_at.size) / chain.mining_rate
+        key = mined_at + delay
+    else:
+        key = block[mined]
+    index = np.arange(oldest, oldest + leaving)[mined]
+    held = np.concatenate(
+        (chain.held, np.vstack((index, submitted[mined], origin[mined], mined_at, key))), axis=1
+    )
+    if chain.additive:
+        ready = held[4] <= chain.clock  # a request mined later is released later
+        release = held[4, ready]
+    else:
+        due = held[4] + chain.extra_confs  # the block whose mining releases it
+        ready = due < chain.blocks
+        release = block_time[(due[ready] - first_block).astype(np.intp)]
+    out, chain.held = held[:, ready], held[:, ~ready]
+    if chain.additive:
+        order = np.argsort(release, kind="stable")
+        out, release = out[:, order], release[order]
+    if chain.trace is not None:
+        chain.trace["arrival"].append(np.vstack((times, origins)))
+        chain.trace["exit"].append(np.vstack((exit_time, exit_rejected)))
+        chain.trace["release"].append(np.vstack((out[0], release)))
+    return (*out[:3], _access(chain, release))
+
+
+def _serve(sink: _Chain, passed: tuple[np.ndarray, ...], need: int, skip: int, legs: tuple[list, ...]
+           ) -> tuple[int, float | None]:
+    """Sample the first ``need`` end-user service starts among ``passed``.
+
+    Appends the end-to-end latencies of all but the first ``skip`` of them,
+    and in a hierarchy their two legs, to ``legs``.  Returns how many were
+    sampled and the time of the ``need``-th, or ``None`` while fewer start
+    here; requests queued behind it are not served.
+    """
+    index, submitted, origin, start = passed
+    hierarchical = not sink.entry
+    picked = (np.flatnonzero(~np.isnan(origin)) if hierarchical else np.arange(start.size))[:need]
+    stop, cut = None, start.size
+    if picked.size == need:
+        stop, cut = float(start[picked[-1]]), picked[-1] + 1
+    if sink.trace is not None:
+        sink.trace["start"].append(np.vstack((index[:cut], start[:cut])))
+    kept = picked[skip:]
+    begun, submitted = start[kept], submitted[kept]
+    if hierarchical:
+        origin = origin[kept]
+        legs[0].append(begun - origin)
+        legs[1].append(submitted - origin)
+        legs[2].append(begun - submitted)
+    else:
+        legs[0].append(begun - submitted)
+    return picked.size, stop
+
+
+def _primary_arrivals(sink: _Chain, horizon: float):
+    """Yield the primary's arrivals up to ``horizon`` in time order, a block at
+    a time: its own, drawn as needed, merged with the hand-overs in its inbox."""
+    while True:
+        if not sink.ahead.size:
+            sink.ahead = _arrivals(sink)
+        limit = horizon if not sink.ahead.size or sink.ahead[-1] > horizon else sink.ahead[-1]
+        mine = int(np.searchsorted(sink.ahead, limit, "right"))
+        theirs = int(np.searchsorted(sink.inbox[0], limit, "right"))
+        # A hand-over goes after the own arrivals up to its time, and after the hand-overs before it.
+        slots = np.searchsorted(sink.ahead[:mine], sink.inbox[0, :theirs], "right") + np.arange(theirs)
+        times, origins = np.empty(mine + theirs), np.full(mine + theirs, np.nan)
+        times[slots], origins[slots] = sink.inbox[:, :theirs]
+        own = np.ones(mine + theirs, dtype=bool)
+        own[slots] = False
+        times[own] = sink.ahead[:mine]
+        sink.ahead, sink.inbox = sink.ahead[mine:], sink.inbox[:, theirs:]
+        yield times, origins
+        if limit == horizon:
+            return
+
+
+def _run(entry: _Chain, sink: _Chain, target: int, warmup: int) -> tuple[tuple[list, ...], float]:
+    """Pass blocks of arrivals through the chains until ``target`` end-user
+    requests have started their last service, at the stop time, and every
+    chain has passed it.  Returns the pieces of the samples after the first
+    ``warmup`` (the end-to-end latencies, then in a hierarchy its two legs)
+    and the stop time.
+
+    End-user requests arrive at ``entry``; in a hierarchy, ``sink`` is the
+    primary, which takes each secondary service start as an arrival once
+    the secondary's clock has passed it.
+    """
+    chains = (entry,) if entry is sink else (entry, sink)
+    legs: tuple[list, ...] = ([], [], [])
+    served, stop = 0, None
+    while True:
+        times = _arrivals(entry)
+        entry.arrived_at.add(times)
+        passed = _pass(entry, times, np.full(times.size, np.nan))
+        feeds = (passed,)
+        if entry is not sink:
+            if entry.trace is not None:
+                entry.trace["start"].append(np.vstack((passed[0], passed[3])))
+            sink.inbox = np.concatenate((sink.inbox, np.vstack((passed[3], passed[1]))), axis=1)
+            # Passed one at a time, each as the primary reaches it.
+            feeds = (_pass(sink, *arrivals) for arrivals in _primary_arrivals(sink, entry.clock))
+        for passed in feeds:
+            if stop is None:
+                count, stop = _serve(sink, passed, target - served, max(warmup - served, 0), legs)
+                served += count
+        # Nothing after the stop happened; the stop comes after sink.clock until it is known.
+        limit = sink.clock if stop is None else stop
+        overflows = [(c.overflow, c.label) for c in chains if c.overflow is not None and c.overflow <= limit]
+        if overflows:
+            t, label = min(overflows)
+            raise SimulationUnstableError(
+                f"chain {label!r}: pending pool exceeded {MAX_PENDING} requests "
+                f"at t={t:.3f}; the configuration cannot drain its arrivals"
+            )
+        if stop is not None and sink.clock >= stop:
+            return legs, stop
+        if entry.exhausted or sink.exhausted:
+            raise SimulationUnstableError(f"the simulation clock passed the float64 range before "
+                                          f"{target} requests started service")
+        if stop is None:
+            for chain in chains:
+                chain.arrived_at.fold(limit)
+                chain.rejected_at.fold(limit)
+
+
+def _join(pieces: list) -> np.ndarray:
+    """The pieces as one array; the list lets them go, so they and the whole
+    are held together only while it is built."""
+    whole = np.concatenate(pieces)
+    pieces.clear()
+    return whole
+
+
+def _column(values: np.ndarray) -> list:
+    """Python floats, with NaN read as ``None``."""
+    return [None if v != v else v for v in values.tolist()]
+
+
+def _records(chains: tuple[_Chain, ...], stop: float) -> list[RequestRecord]:
+    """Every request submitted by ``stop``, with what had happened to it by then."""
+    columns = []
     for chain in chains:
-        seq += 1
-        heappush(heap, (-log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
-    now = 0.0
-    while served < target:
-        t, _, kind, chain, req = heappop(heap)
-        assert t >= now, "event processed out of timestamp order"
-        now = t
-        if kind == _ARRIVAL:
-            if _enqueue(chain, t, None, max_pending, requests):
-                seq += 1
-                heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
-            seq += 1
-            heappush(heap, (t - log(1.0 - uniform()) / chain.arrival_rate, seq, _ARRIVAL, chain, None))
-            continue
-        queue = chain.ready_queue
-        free = chain.free
-        if kind == _DEPART:
-            # Scheduled only while a request waits, so no release came in between.
-            done = heappop(free)
-            assert done == t
-            released = (queue.popleft(),)
-        elif kind == _ENTER:
-            released = (req,)
-        else:  # _POOL; competing exponentials: a rejection with probability R_r / (R_m + R_r)
-            rejection = chain.reject_share > 0.0 and uniform() < chain.reject_share
-            size = chain.reject_batch if rejection else chain.capacity
-            # The oldest min(pending, size); nearly every block of a lightly loaded chain holds one.
-            pending = chain.pending
-            batch = [pending.popleft()]
-            while pending and len(batch) < size:
-                batch.append(pending.popleft())
-            released = ()
-            if rejection:
-                chain.rejected += len(batch)
-                for req in batch:
-                    req[5] = "rejected"
-                    if req[6] is not None:
-                        rejected_downstream += 1
-            elif chain.additive:
-                for req in batch:
-                    req[2] = t
-                    wait = 0.0  # not sum(), which compensates its rounding from Python 3.12
-                    for _ in range(chain.extra_confs):
-                        wait += -log(1.0 - uniform()) / chain.mining_rate
-                    req[3] = t + wait
-                    seq += 1
-                    heappush(heap, (req[3], seq, _ENTER, chain, req))
-            else:
-                for req in batch:
-                    req[2] = t
-                # This block confirms the one mined N - 1 blocks before it, itself at N = 1.
-                unconfirmed = chain.unconfirmed
-                unconfirmed.append(batch)
-                released = unconfirmed.popleft() if len(unconfirmed) > chain.extra_confs else ()
-                for req in released:
-                    req[3] = t
-        for req in released:
-            assert req[1] <= req[2] <= req[3] <= t
-            if kind != _DEPART:  # a departure frees a link for the head of the queue
-                # A request queues behind any that waits; once the run has met its
-                # target, the rest of a mined block stays in flight.
-                if queue or served >= target:
-                    queue.append(req)
-                    continue
-                while free and free[0] <= t:
-                    heappop(free)
-                if len(free) >= chain.servers:
-                    seq += 1
-                    heappush(heap, (free[0], seq, _DEPART, chain, None))
-                    queue.append(req)
-                    continue
-            req[4] = t
-            req[5] = "served"
-            heappush(free, t - log(1.0 - uniform()) / chain.service_rate)
-            down = chain.downstream
-            if down is not None:
-                if _enqueue(down, t, req[1], max_pending, requests):
-                    seq += 1
-                    heappush(heap, (t - log(1.0 - uniform()) / down.pool_rate, seq, _POOL, down, None))
-            elif req[6] is not None:
-                served += 1
-                e2e.append(t - req[6])
-                first_leg.append(req[1] - req[6])
-                last_leg.append(t - req[1])
-            elif chain is entry:
-                served += 1
-                e2e.append(t - req[1])
-        if kind == _DEPART and queue:
-            seq += 1
-            heappush(heap, (free[0], seq, _DEPART, chain, None))
-        elif kind == _POOL and chain.pending:
-            seq += 1
-            heappush(heap, (t - log(1.0 - uniform()) / chain.pool_rate, seq, _POOL, chain, None))
-    return e2e, first_leg, last_leg, rejected_downstream
+        trace = chain.trace
+        submitted, origin = np.concatenate(trace["arrival"], axis=1)
+        n = int(np.searchsorted(submitted, stop, "right"))
+        submitted, origin = submitted[:n], origin[:n]
+        exit_time, exit_rejected = np.concatenate(trace["exit"], axis=1)[:, :n]  # in index order
+        left = exit_time <= stop
+        mined = np.full(n, np.nan)
+        mined[: left.size][left & (exit_rejected == 0)] = exit_time[left & (exit_rejected == 0)]
+        disposition = np.full(n, "in-flight", dtype=object)
+        disposition[: left.size][left & (exit_rejected == 1)] = "rejected"
+        stamps = []
+        for name in ("release", "start"):
+            index, time = np.concatenate(trace[name], axis=1)
+            happened = (time <= stop) & (index < n)
+            stamp = np.full(n, np.nan)
+            stamp[index[happened].astype(np.intp)] = time[happened]
+            stamps.append(stamp)
+        disposition[~np.isnan(stamps[1])] = "served"
+        columns.append((np.full(n, chain.label, dtype=object), submitted, mined, *stamps, disposition,
+                        origin))
+    order = np.argsort(np.concatenate([column[1] for column in columns]), kind="stable")
+    label, submitted, mined, confirmed, started, disposition, origin = (
+        np.concatenate(parts)[order] for parts in zip(*columns)
+    )
+    rows = zip(label.tolist(), _column(submitted), _column(mined), _column(confirmed),
+               _column(started), disposition.tolist(), _column(origin))
+    return [RequestRecord(i, *row) for i, row in enumerate(rows)]
 
 
 def _simulate(
@@ -362,38 +572,36 @@ def _simulate(
         )
     validate(config)
     hierarchical = isinstance(config, HierarchicalConfig)
+    seeds = np.random.SeedSequence(seed).spawn(2)
     if hierarchical:
-        primary = _Chain("primary", config.primary, confirmation_mode)
-        chains = (_Chain("secondary", config.secondary, confirmation_mode, primary), primary)
+        entry = _Chain("secondary", config.secondary, confirmation_mode, seeds[0], True, collect_records)
+        sink = _Chain("primary", config.primary, confirmation_mode, seeds[1], False, collect_records)
+        chains = (entry, sink)
     else:
-        chains = (_Chain("chain", config, confirmation_mode),)
-    entry = chains[0]
-    requests = [] if collect_records else None
-    e2e, first_leg, last_leg, rejected_downstream = _run(chains, seed, target_served, requests)
-
+        entry = sink = _Chain("chain", config, confirmation_mode, seeds[0], True, collect_records)
+        chains = (entry,)
     warmup = int(target_served * _WARMUP_FRACTION)
-    kept = np.asarray(e2e[warmup:], dtype=np.float64)
-    if not np.isfinite(kept).all():  # a difference of two finite times, unless the clock overflowed
-        raise SimulationUnstableError(f"the simulation clock passed the float64 range before "
-                                      f"{target_served} requests started service")
+    with np.errstate(over="ignore", invalid="ignore"):  # a clock past the range raises in _run
+        legs, stop = _run(entry, sink, target_served, warmup)
+    kept = _join(legs[0])
     stats = _stats(kept)
-    served = len(e2e)
-    rejected = entry.rejected + rejected_downstream
+    rejected = sum(chain.rejected_at.upto(stop) for chain in chains)
+    generated = entry.arrived_at.upto(stop)
     breakdown = None if not hierarchical else {
-        "e2e": stats, "secondary": _stats(first_leg[warmup:]), "primary": _stats(last_leg[warmup:])
+        "e2e": stats, "secondary": _stats(_join(legs[1])), "primary": _stats(_join(legs[2]))
     }
     return SimResult(
         latency_samples=kept,
         mean=stats.mean,
         variance=stats.variance,
         confidence_interval_95=stats.confidence_interval_95,
-        served_count=served,
+        served_count=target_served,
         rejected_count=rejected,
-        generated_count=entry.generated,
-        in_flight_count=entry.generated - served - rejected,
+        generated_count=generated,
+        in_flight_count=generated - target_served - rejected,
         warmup_discarded=warmup,
         breakdown=breakdown,
-        records=None if requests is None else [RequestRecord(i, *req) for i, req in enumerate(requests)],
+        records=_records(chains, stop) if collect_records else None,
     )
 
 
