@@ -9,6 +9,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ def test_criterion_01_attack_closed_form_equals_direct_sum():
 
 
 def test_criterion_02_attack_direct_sum_vs_monte_carlo():
+    # Twenty-seven points share one gate: each gets a Sidak share of a
+    # family-wise alpha of 0.01, two-sided normal, about 3.56 standard errors.
+    # Asking each of 27 honest estimates to sit within 3 would pass a fresh
+    # stream with probability 0.93.
+    z = NormalDist().inv_cdf(1.0 - (1.0 - 0.99 ** (1 / 27)) / 2)
+    assert z == pytest.approx(3.56, abs=0.005)
     start = time.perf_counter()
     master = 401
     grid = [(n, b, g) for n in (1, 3, 6) for b in (0.1, 0.5, 1.0) for g in (2, 6, 12)]
@@ -70,13 +77,14 @@ def test_criterion_02_attack_direct_sum_vs_monte_carlo():
         params = AttackParams(confs, beta, giveup)
         exact = attack_success(params).probability
         mc = attack_success_montecarlo(params, 1_000_000, seed=master * 1000 + index)
-        bound = 3 * mc.std_error if mc.std_error > 0 else 3e-6
+        bound = z * mc.std_error if mc.std_error > 0 else 3e-6
         assert abs(mc.probability - exact) <= bound, (confs, beta, giveup)
         if mc.std_error > 0:
             worst_sigma = max(worst_sigma, abs(mc.probability - exact) / mc.std_error)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    report("2", f"27 points at 1e6 trials, worst {worst_sigma:.2f} sigma, {elapsed:.1f}s")
+    report("2", f"27 points at 1e6 trials, worst {worst_sigma:.2f} of {z:.2f} sigma, "
+                f"{elapsed:.1f}s")
 
 
 def test_criterion_03_low_power_attack_datum():

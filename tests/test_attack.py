@@ -1,6 +1,8 @@
 import math
 import random
+import time
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -305,10 +307,11 @@ def test_partition_prefix_stability():
 
 
 def int64_walk(params: AttackParams, trials: int, seed: int) -> float:
-    """Reference Monte Carlo walk in int64, with fresh arrays on every step.
+    """Reference Monte Carlo walk that steps each trial on its own, in int64.
 
-    It draws the same uniforms in the same order as the narrow-integer,
-    in-place walk, so the two estimates must be equal."""
+    It draws the same pre-mining counts as :func:`attack_success_montecarlo`
+    but walks them on other draws of the same streams, so the two estimates
+    agree in law, not bit for bit."""
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)
@@ -330,13 +333,21 @@ def int64_walk(params: AttackParams, trials: int, seed: int) -> float:
     return wins / trials
 
 
+# The eight cases share one gate: each gets a Sidak share of a family-wise
+# alpha of 0.01, two-sided normal, about 3.23 combined standard errors.  Both
+# estimates start from the same pre-mining counts, which correlates them
+# positively, so the hypot of the two standard errors overstates the spread
+# of their difference and the gate errs on the lenient side of its alpha.
+_REFERENCE_Z = NormalDist().inv_cdf(1.0 - (1.0 - 0.99 ** (1 / 8)) / 2)
+
+
 @pytest.mark.parametrize(
     "confs, beta, giveup, trials",
     [
         (2, 0.9, 1, 5_000),
         (2, 0.9, 4, _DEFAULT_CHUNK + 3_000),  # two partitions
         (3, 0.3, 126, 10_000),
-        (3, 0.3, 127, 10_000),  # int8 holds -1 .. 127
+        (3, 0.3, 127, 10_000),
         (3, 0.3, 128, 10_000),
         (3, 0.3, 255, 10_000),
         (3, 0.3, 256, 10_000),
@@ -344,10 +355,13 @@ def int64_walk(params: AttackParams, trials: int, seed: int) -> float:
     ],
 )
 def test_monte_carlo_matches_the_int64_walk(confs, beta, giveup, trials):
+    assert _REFERENCE_Z == pytest.approx(3.23, abs=0.005)
     params = AttackParams(confs, beta, giveup)
     expected = int64_walk(params, trials, seed=giveup)
     assert 0.0 < expected < 1.0
-    assert attack_success_montecarlo(params, trials, seed=giveup).probability == expected
+    expected_se = math.sqrt(expected * (1.0 - expected) / trials)
+    mc = attack_success_montecarlo(params, trials, seed=giveup)
+    assert abs(mc.probability - expected) <= _REFERENCE_Z * math.hypot(mc.std_error, expected_se)
 
 
 @pytest.mark.parametrize("confs, beta", [(1, 1e19), (1, 8.5e17), (2, 6e17), (3, 2**56 / 3)])
@@ -367,6 +381,17 @@ def test_numpy_draws_just_below_the_outright_win_threshold(confs):
     assert confs * beta < 2**56
     res = attack_success_montecarlo(AttackParams(confs, beta, 8), 100, seed=1)
     assert res.probability == 1.0
+
+
+def test_monte_carlo_sizes_no_array_by_depth_or_giveup():
+    # Both counts are valid up to 2**53: an array sized by either would not fit.
+    start = time.perf_counter()
+    res = attack_success_montecarlo(AttackParams(2**40, 2.0, 2**53), 1000, seed=1)
+    assert res.probability == 1.0
+    assert time.perf_counter() - start < 1.0
+    params = AttackParams(1, 4.0, 2**53)
+    mc = attack_success_montecarlo(params, 100_000, seed=2)
+    assert abs(mc.probability - attack_success(params).probability) <= 3 * mc.std_error
 
 
 def test_monte_carlo_agrees_with_direct_sum():

@@ -672,19 +672,25 @@ def test_a_chain_without_a_pending_root_is_skipped(tmp_path, engine, side, chain
 
 
 def edge_rate_sweeps():
-    """Three sweeps that once stopped with a traceback, each with the
-    statuses of its rows: a simulation whose variance passes the float64
-    range, Monte Carlo attacks numpy cannot draw, and a chain whose block
-    wait has no divisor.  CI runs the same three documents without scipy."""
+    """Sweeps at the edges of the valid ranges, each with the statuses of its
+    rows: three that once stopped with a traceback (a simulation whose
+    variance passes the float64 range, Monte Carlo attacks numpy cannot draw,
+    and a chain whose block wait has no divisor) and Monte Carlo attacks at
+    the largest give-up threshold, where an array sized by it could not be
+    allocated.  CI runs the same documents without scipy."""
     slow = sim_doc(base=chain_doc(arrival_rate=0.5e-200, mining_rate=2.5e-200, service_rate=1e-200),
                    sweep=[{"path": "arrival_rate", "values": [0.5e-200]}],
                    replication={"seed": 1, "target_served": 2000})
     strong = attack_doc(relative_power=1e19, method="monte-carlo",
                         sweep=[{"path": "confirmations", "values": [1, 2]}])
     strong["replication"] = {"seed": 1, "trials": 1000}
+    patient = attack_doc(relative_power=2.0, giveup=2**53, method="monte-carlo",
+                         sweep=[{"path": "confirmations", "values": [1, 2**40]}])
+    patient["replication"] = {"seed": 1, "trials": 1000}
     subnormal = markov_doc(engine="closed-form", base=chain_doc(arrival_rate=5e-324),
                            sweep=[{"path": "mining_rate", "values": [1e-323, 1.0]}])
-    return [(slow, ["ok"]), (strong, ["ok", "ok"]), (subnormal, ["skipped-unstable", "ok"])]
+    return [(slow, ["ok"]), (strong, ["ok", "ok"]), (subnormal, ["skipped-unstable", "ok"]),
+            (patient, ["ok", "ok"])]
 
 
 @pytest.mark.parametrize("doc, statuses", edge_rate_sweeps())
