@@ -30,6 +30,12 @@ space.  Every term is nonnegative and none is subtracted from one, so the
 sum keeps its relative precision down to the smallest probabilities.  The
 paper's one-line closed form (valid for ``N_g > N``) subtracts from one;
 it is kept only as a reference.
+
+The Monte Carlo oracle draws each trial's pre-mining count, then walks how
+many trials stand at each deficit, splitting each deficit's count
+binomially between the two moves at every step.  It costs O(trials) draws
+plus O(steps x occupied deficits), and no array is sized by ``N`` or
+``N_g``.
 """
 
 from __future__ import annotations
@@ -165,10 +171,13 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
     Trials run in partitions of ``2**18``, each on an independent stream
     derived from ``(seed, partition_index)``, so the merged estimate is
     identical however the partitions are assigned to workers.  The walk
-    runs in the narrowest signed integers that hold ``-1 .. N_g``, and
-    ``0 <= d < N_g`` is one compare of ``d`` read as unsigned, where
-    ``-1`` is the largest value.  From ``N beta = 2**56`` up every trial
-    wins, and none is drawn.
+    steps how many trials stand at each occupied deficit, not each trial:
+    of the ``c`` trials at a deficit, ``Bin(c, beta / (1 + beta))`` move one
+    block closer and the rest fall one behind.  The trials are independent,
+    so the win count has the law of a walk of each trial.  Where trials are
+    few and spread over many deficits, a step costs more than a uniform
+    draw per trial would.  From ``N beta = 2**56`` up every trial wins, and
+    none is drawn.
     """
     require_count("trials", trials)
     n_conf, beta, n_g = params.confirmations, params.relative_power, params.giveup_threshold
@@ -180,26 +189,48 @@ def attack_success_montecarlo(params: AttackParams, trials: int, seed: int) -> A
         return AttackResult(probability=1.0, method="monte-carlo", std_error=0.0, trials=trials)
     p_honest = 1.0 / (1.0 + beta)
     attacker_step = beta / (1.0 + beta)
-    walk_type = np.min_scalar_type(-n_g - 1)
-    unsigned = np.dtype(f"u{walk_type.itemsize}")
     wins = 0
     for part, start in enumerate(range(0, trials, _DEFAULT_CHUNK)):
         size = min(_DEFAULT_CHUNK, trials - start)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(part,)))
         )
-        deficit = rng.negative_binomial(n_conf, p_honest, size=size).astype(np.int64, copy=False)
+        deficit = rng.negative_binomial(n_conf, p_honest, size=size)
         np.subtract(n_conf, deficit, out=deficit)
         wins += int(np.count_nonzero(deficit < 0))
-        active = deficit[deficit.view(np.uint64) < n_g].astype(walk_type)
+        # Deficits 0 .. N_g - 1 walk; the rest won or lost outright.  The
+        # mask is narrowed in place, so at most two boolean arrays are live.
+        walks = deficit < n_g
+        walks &= deficit >= 0
+        deficit = deficit[walks]
+        if not deficit.size:
+            continue
+        # counts[i] trials stand at deficit low + cells[i], and cells[0] is 0.
+        low = int(deficit.min())
+        deficit -= low
+        window = np.bincount(deficit)
         del deficit
-        while active.size:
-            steps = rng.random(active.size) < attacker_step
-            active += 1
-            active -= steps
-            active -= steps
-            wins += int(np.count_nonzero(active < 0))
-            active = active[active.view(unsigned) < n_g]
+        cells = np.flatnonzero(window)
+        counts = window[cells]
+        while True:
+            attackers = rng.binomial(counts, attacker_step)
+            # window[i] trials stand at deficit low - 1 + i: the attackers at
+            # each deficit move one lower, the rest one higher.
+            window = np.zeros(int(cells[-1]) + 3, dtype=np.int64)
+            window[cells] = attackers
+            window[cells + 2] += counts - attackers
+            low -= 1
+            if low < 0:  # overtaken at deficit -1
+                wins += int(window[0])
+                window[0] = 0
+            if low + window.size > n_g:  # abandoned at deficit N_g
+                window[-1] = 0
+            cells = np.flatnonzero(window)
+            if not cells.size:
+                break
+            counts = window[cells]
+            low += int(cells[0])
+            cells -= cells[0]
     p_hat = wins / trials
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return AttackResult(
