@@ -19,8 +19,12 @@ through a block in numpy passes, not one event at a time:
   request after its own ``Gamma(N - 1, R_m)`` delay, the sum of ``N - 1``
   block intervals; ``event-driven`` mode quantifies that approximation gap.
 * Released requests take links first come, first served: a Lindley pass of
-  running maxima at one link, a Kiefer-Wolfowitz (1955) pass over a heap
-  of link free times at several.
+  running maxima at one link, the Kiefer-Wolfowitz (1955) recursion over a
+  heap of link free times at several.  There, while no request waits, the
+  free times are the largest of the heap and the ends so far, so a
+  vectorised check finds where the first request waits, and all before it
+  start at their release; a loop over the heap takes each waiting run, one
+  request at a time.
 
 Between blocks a chain carries only its state: its pending requests, the
 mined ones not yet released and its links.  Each purpose (arrivals, ring
@@ -66,6 +70,7 @@ from .config import ChainConfig, HierarchicalConfig, require_count, validate
 CONFIRMATION_MODES = ("additive", "event-driven")
 MAX_PENDING = 10**6  # requests a pending pool may hold before a run is called unstable
 _BLOCK = 2**11  # arrivals a chain takes in one pass; no output depends on it
+_CHECK = 128  # requests a free-link check first looks at, and the shortest heap-loop run
 # numpy's Poisson sampler refuses means past about 9.2e18, and a pass sums
 # its ring counts in int64.  The first rings of a gap holding 2**40 of them
 # fall within about 1e-12 of its length from its start, so a larger mean is
@@ -234,7 +239,9 @@ class _Chain:
     with their release time in additive mode and their block number
     otherwise.  An origin is NaN except on a request handed over from the
     secondary.  ``work`` and ``lead`` carry the one-link Lindley pass and
-    ``links`` the several-link heap of free times.  ``entry`` marks the
+    ``links`` the several-link heap of free times; ``window``, ``run`` and
+    ``owed`` pace the several-link pass between its vectorised checks for a
+    free link and its heap loop (see :func:`_access`).  ``entry`` marks the
     chain end-user requests arrive at, whose every rejection counts; the
     primary keeps the arrivals it has not yet passed, its own in ``ahead``
     and the secondary's hand-overs in ``inbox``.  ``trace`` collects what
@@ -246,7 +253,7 @@ class _Chain:
         "delays", "arrival_rate", "mining_rate", "ring_rate", "reject_share", "service_rate",
         "capacity", "reject_batch", "extra_confs", "additive", "drawn", "exhausted", "clock",
         "arrived", "pool", "bound", "blocks", "waiting", "held", "work", "lead", "links",
-        "overflow", "arrived_at", "rejected_at", "trace", "ahead", "inbox",
+        "window", "run", "owed", "overflow", "arrived_at", "rejected_at", "trace", "ahead", "inbox",
     )
 
     def __init__(self, label: str, config: ChainConfig, mode: str, seed: np.random.SeedSequence,
@@ -271,6 +278,7 @@ class _Chain:
         self.held = np.empty((5, 0))
         self.work, self.lead = 0.0, -math.inf
         self.links = [0.0] * config.servers
+        self.window, self.run, self.owed = _CHECK, _CHECK, 0
         self.overflow: float | None = None  # first arrival to find the pool past MAX_PENDING
         self.arrived_at, self.rejected_at = _Tally(), _Tally()
         self.ahead = np.empty(0)  # own arrivals drawn and not yet passed
@@ -296,7 +304,18 @@ def _arrivals(chain: _Chain) -> np.ndarray:
 
 
 def _access(chain: _Chain, release: np.ndarray) -> np.ndarray:
-    """Service start times of requests released at ``release``, in queue order."""
+    """Service start times of requests released at ``release``, in queue order.
+
+    At several links, requests that find a link free start at their release,
+    found by a vectorised check (:func:`_free_prefix`) on a window of the
+    pass, and the heap loop takes over at the first that waits, for
+    ``chain.run`` requests.  A check costs about as much as looping
+    ``_CHECK`` requests.  So the window starts at ``_CHECK`` after each loop
+    run and doubles while no request in it waits, and a waiter found before
+    the window has doubled twice makes the next run 16 times longer; any
+    other waiter sets it back to ``_CHECK``.  The window, the run and what is
+    left of it carry over between passes.
+    """
     service = chain.service.standard_exponential(release.size) / chain.service_rate
     if len(chain.links) == 1:
         # start_j = max(r_j, start_{j-1} + x_{j-1}).  With c_j the service
@@ -306,7 +325,38 @@ def _access(chain: _Chain, release: np.ndarray) -> np.ndarray:
         lead = np.maximum.accumulate(np.concatenate(([chain.lead], release - work[:-1])))
         chain.work, chain.lead = work[-1], lead[-1]
         return np.maximum(release, work[:-1] + lead[1:])
-    heap, heapreplace = chain.links, heapq.heapreplace
+    n, links = release.size, len(chain.links)
+    # The loop takes the requests it is owed, and any it is left with too few
+    # to check, or a pass with a service that rounds off: the check needs
+    # every end after its release.
+    if chain.owed > n - links or ((ends := release + service) == release).any():
+        chain.owed = max(chain.owed - n, 0)
+        return _heap_loop(chain.links, release, service)
+    starts = release.copy()
+    pos = 0
+    while pos < n:
+        if not chain.owed and pos <= n - links:
+            stop = min(n, pos + max(chain.window, links))
+            calm, chain.links = _free_prefix(chain.links, release[pos:stop], ends[pos:stop])
+            pos += calm
+            if pos == stop:  # no one in the window waited
+                if calm >= chain.window:
+                    chain.window = 2 * calm
+                continue
+            # Request pos waits.
+            chain.run = _CHECK if chain.window >= 4 * _CHECK else 16 * chain.run
+            chain.window, chain.owed = _CHECK, chain.run
+        stop = n if pos + chain.owed > n - links else pos + chain.owed
+        starts[pos:stop] = _heap_loop(chain.links, release[pos:stop], service[pos:stop])
+        chain.owed = max(chain.owed - (stop - pos), 0)
+        pos = stop
+    return starts
+
+
+def _heap_loop(heap: list, release: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Start each request in turn on the link free first, waiting for it if
+    need be, and move that link's free time in ``heap`` to its end."""
+    heapreplace = heapq.heapreplace
     starts = array("d")
     append = starts.append
     for at, busy in zip(memoryview(release), memoryview(service)):
@@ -316,6 +366,39 @@ def _access(chain: _Chain, release: np.ndarray) -> np.ndarray:
         heapreplace(heap, at + busy)
         append(at)
     return np.frombuffer(starts)
+
+
+def _free_prefix(heap: list, release: np.ndarray, ends: np.ndarray) -> tuple[int, list]:
+    """How many leading requests released at ``release`` find a link in
+    ``heap`` free, each ending at ``ends`` if it starts at once, and the link
+    free times after them.
+
+    While no request has waited, each replaced the earliest free time by its
+    end, a later one, so the free times are the ``len(heap)`` largest of the
+    heap and the ends so far.  Request ``j`` waits when all of them exceed
+    ``release[j]``.  Every end from request ``j`` on exceeds it, as ``ends >
+    release``, so that is when at most ``j`` values of the heap and all
+    ``ends`` are at or below ``release[j]``: when request ``j`` sorts at
+    ``2 j`` or before among those values and the releases, a free time going
+    before a release at the same time.
+    """
+    m = release.size
+    # Non-negative doubles order as their bit patterns do.  Shifted up one
+    # bit, with the low bit set on releases, the patterns also order a free
+    # time before an equal release, and one integer sort merges them all.
+    keys = np.concatenate((heap, ends, release)).view(np.uint64) << 1
+    keys[-m:] |= 1
+    keys.sort()
+    waits = (keys & 1).astype(bool).nonzero()[0] <= np.arange(0, 2 * m, 2)
+    calm = int(waits.argmax())
+    if not waits[calm]:
+        calm = m
+    if not calm:
+        return 0, heap
+    kept = np.concatenate((heap, ends[:calm]))
+    heap = np.partition(kept, calm)[calm:].tolist()
+    heapq.heapify(heap)
+    return calm, heap
 
 
 def _rings(chain: _Chain, times: np.ndarray) -> tuple[np.ndarray, ...]:

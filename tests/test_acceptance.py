@@ -9,11 +9,9 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import replace
-from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import stdtrit
 
 from branlab.attack import (
     AttackParams,
@@ -34,6 +32,7 @@ from branlab.queueing import closed_form_latency, erlang_c
 from branlab.scenarios import evaluate, parse_scenario, preset_specs, run_scenario
 
 import des_reference
+import gates
 
 
 def report(criterion: str, detail: str) -> None:
@@ -65,22 +64,23 @@ def test_criterion_02_attack_direct_sum_vs_monte_carlo():
     # family-wise alpha of 0.01, two-sided normal, about 3.56 standard errors.
     # Asking each of 27 honest estimates to sit within 3 would pass a fresh
     # stream with probability 0.93.
-    z = NormalDist().inv_cdf(1.0 - (1.0 - 0.99 ** (1 / 27)) / 2)
+    z = gates.z_bound(27)
     assert z == pytest.approx(3.56, abs=0.005)
     start = time.perf_counter()
     master = 401
     grid = [(n, b, g) for n in (1, 3, 6) for b in (0.1, 0.5, 1.0) for g in (2, 6, 12)]
     assert len(grid) == 27
     assert any(g <= n for n, _, g in grid)  # give-up at or below the depth included
-    worst_sigma = 0.0
+    gaps = {}
     for index, (confs, beta, giveup) in enumerate(grid):
         params = AttackParams(confs, beta, giveup)
         exact = attack_success(params).probability
         mc = attack_success_montecarlo(params, 1_000_000, seed=master * 1000 + index)
-        bound = z * mc.std_error if mc.std_error > 0 else 3e-6
-        assert abs(mc.probability - exact) <= bound, (confs, beta, giveup)
         if mc.std_error > 0:
-            worst_sigma = max(worst_sigma, abs(mc.probability - exact) / mc.std_error)
+            gaps[confs, beta, giveup] = abs(mc.probability - exact) / mc.std_error
+        else:  # no trial won, or every one did
+            assert abs(mc.probability - exact) <= 3e-6, (confs, beta, giveup)
+    worst_sigma = gates.assert_family(gaps, z, "standard errors")
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report("2", f"27 points at 1e6 trials, worst {worst_sigma:.2f} of {z:.2f} sigma, "
@@ -201,19 +201,17 @@ def test_criterion_06_simulator_agrees_with_solver():
     # alpha of 0.01, read off the 31-df t law of the 32 batch means and
     # expressed in 95% half-widths, about 1.81.  Asking each of twelve honest
     # 95% intervals to cover would pass a fresh stream with probability 0.54.
-    alpha = 1.0 - 0.99 ** (1 / 12)
-    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    bound = gates.half_width_bound(12)
     assert bound == pytest.approx(1.81, abs=0.005)
     start = time.perf_counter()
     master = 20240811
-    worst = 0.0
+    gaps = {}
     for index, cfg in enumerate(_agreement_grid()):
         reference = latency(cfg)
         sim = simulate_chain(cfg, 100_000, seed=master + index)
         lo, hi = sim.confidence_interval_95
-        gap = abs(sim.mean - reference) / ((hi - lo) / 2)
-        assert gap <= bound, (index, cfg, reference, sim.mean, (lo, hi))
-        worst = max(worst, gap)
+        gaps[index] = abs(sim.mean - reference) / ((hi - lo) / 2)
+    worst = gates.assert_family(gaps, bound, "half-widths")
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     report("6", f"12 configs at 1e5 served requests, worst {worst:.2f} of {bound:.2f} "
@@ -234,8 +232,7 @@ def test_simulator_agrees_with_solver_under_rejection():
     # confirmations over rejection, sits below the solver on most seeds
     # (ROADMAP item 3), so it is gated against the reference event loop at
     # the same seed, and its solver gap is printed.
-    alpha = 1.0 - 0.99 ** (1 / 4)
-    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    bound = gates.half_width_bound(4)
     assert bound == pytest.approx(1.61, abs=0.005)
     configs = [
         ChainConfig(0.5, 2.5, 0.25, 1.0, servers=1, block_capacity=3),
@@ -244,20 +241,21 @@ def test_simulator_agrees_with_solver_under_rejection():
         ChainConfig(0.5, 2.5, 0.25, 1.0, servers=1, block_capacity=3, confirmations=4),
     ]
     master = 20261018
-    worst = 0.0
+    gaps = {}
     for index, cfg in enumerate(configs):
         reference = latency(cfg)
         sim = simulate_chain(cfg, 100_000, seed=master + index)
         lo, hi = sim.confidence_interval_95
         solver_gap = (sim.mean - reference) / ((hi - lo) / 2)
         if cfg.confirmations > 1:
-            gap = _two_sample_gap(sim, des_reference.simulate_chain(cfg, 100_000, seed=master + index))
+            gaps[index] = _two_sample_gap(
+                sim, des_reference.simulate_chain(cfg, 100_000, seed=master + index)
+            )
             print(f"rejection agreement: additive N = 4 sits {solver_gap:+.2f} half-widths "
                   f"from the solver")
         else:
-            gap = abs(solver_gap)
-        assert gap <= bound, (index, cfg, reference, sim.mean, (lo, hi))
-        worst = max(worst, gap)
+            gaps[index] = abs(solver_gap)
+    worst = gates.assert_family(gaps, bound, "half-widths")
     print(f"rejection agreement: 4 configs at 1e5 served, worst {worst:.2f} of {bound:.2f} half-widths")
 
 

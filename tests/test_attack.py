@@ -2,7 +2,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from branlab.attack import (
     catch_up_probability,
     negbin_pmf,
 )
+
+import gates
 
 
 def walk_oracle(deficit: int, beta: float, giveup: int, trials: int, seed: int) -> float:
@@ -338,7 +339,7 @@ def int64_walk(params: AttackParams, trials: int, seed: int) -> float:
 # estimates start from the same pre-mining counts, which correlates them
 # positively, so the hypot of the two standard errors overstates the spread
 # of their difference and the gate errs on the lenient side of its alpha.
-_REFERENCE_Z = NormalDist().inv_cdf(1.0 - (1.0 - 0.99 ** (1 / 8)) / 2)
+_REFERENCE_Z = gates.z_bound(8)
 
 
 @pytest.mark.parametrize(
@@ -361,7 +362,8 @@ def test_monte_carlo_matches_the_int64_walk(confs, beta, giveup, trials):
     assert 0.0 < expected < 1.0
     expected_se = math.sqrt(expected * (1.0 - expected) / trials)
     mc = attack_success_montecarlo(params, trials, seed=giveup)
-    assert abs(mc.probability - expected) <= _REFERENCE_Z * math.hypot(mc.std_error, expected_se)
+    gap = abs(mc.probability - expected) / math.hypot(mc.std_error, expected_se)
+    gates.assert_family({(confs, beta, giveup): gap}, _REFERENCE_Z, "standard errors")
 
 
 @pytest.mark.parametrize("confs, beta", [(1, 1e19), (1, 8.5e17), (2, 6e17), (3, 2**56 / 3)])

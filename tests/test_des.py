@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import math
 from collections import Counter
 from dataclasses import astuple, replace
@@ -27,6 +28,7 @@ from branlab.des import (
 from branlab.markov import latency
 
 import des_reference
+import gates
 
 
 BASE = ChainConfig(0.8, 2.5, 0.0, 1.0, servers=1, block_capacity=3)
@@ -137,6 +139,19 @@ def test_trace_dump_without_records_is_refused(tmp_path):
         write_trace_csv(res.records, path)
     assert not path.exists()
 
+
+# The single-queue oracle, the empty-system delay and the solver match below
+# are one family of three exact-value checks: each gets a Sidak share of a
+# family-wise alpha of 0.01 in batch-means 95% half-widths, about 1.56.
+_EXACT_VALUE_BOUND = gates.half_width_bound(3)
+
+
+def _assert_near_exact(res, exact, point):
+    lo, hi = res.confidence_interval_95
+    gap = abs(res.mean - exact) / ((hi - lo) / 2)
+    gates.assert_family({point: gap}, _EXACT_VALUE_BOUND, "half-widths")
+
+
 def test_single_queue_waiting_time_oracle():
     # transparent mining turns the system into one memoryless single-server
     # queue; the recorded latency is its waiting time lam / (mu (mu - lam)).
@@ -146,16 +161,14 @@ def test_single_queue_waiting_time_oracle():
     cfg = ChainConfig(0.5, 200.0, 0.0, 1.0, servers=1)
     res = simulate_chain(cfg, 1_000_000, seed=42)
     expected = 0.5 / (1.0 * (1.0 - 0.5)) + 1.0 / 200.0
-    lo, hi = res.confidence_interval_95
-    assert lo <= expected <= hi
+    _assert_near_exact(res, expected, "single queue")
 
 
 def test_empty_system_confirmation_delay():
     cfg = ChainConfig(0.001, 1.0, 0.0, 1.0, servers=5, confirmations=4)
     res = simulate_chain(cfg, 4000, seed=9)
-    lo, hi = res.confidence_interval_95
     # almost no queueing: latency is one inclusion wait plus three more blocks
-    assert lo <= 4.0 <= hi
+    _assert_near_exact(res, 4.0, "empty system")
 
 
 def test_additive_equals_event_driven_for_single_confirmation():
@@ -209,8 +222,7 @@ def test_event_driven_mode_differs_with_more_confirmations():
 def test_simulated_mean_matches_solver():
     cfg = with_intensity(ChainConfig(0.1, 2.5, 0.0, 1.0, servers=1, block_capacity=3), 0.5)
     res = simulate_chain(cfg, 30_000, seed=4)
-    lo, hi = res.confidence_interval_95
-    assert lo <= latency(cfg) <= hi
+    _assert_near_exact(res, latency(cfg), "solver")
 
 
 def test_pending_pool_follows_its_exact_law():
@@ -221,8 +233,7 @@ def test_pending_pool_follows_its_exact_law():
     # the requests that left the pool against 1 - served_rate / R_a.  Eight
     # comparisons share one Sidak gate at a family-wise alpha of 0.01, in
     # batch-means 95% half-widths.
-    alpha = 1.0 - 0.99 ** (1 / 8)
-    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    bound = gates.half_width_bound(8)
     configs = [
         ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=3),
         ChainConfig(0.8, 1.0, 0.5, 1.0, block_capacity=3, rejection_batch=1),
@@ -230,6 +241,7 @@ def test_pending_pool_follows_its_exact_law():
         ChainConfig(4.0, 2.0, 1.0, 1.0, servers=5, block_capacity=3, rejection_batch=2),
     ]
     master = 1954
+    gaps = {}
     for index, cfg in enumerate(configs):
         records = simulate_chain(cfg, 50_000, seed=master + index, collect_records=True).records
         kept = records[len(records) // 10:]
@@ -244,8 +256,8 @@ def test_pending_pool_follows_its_exact_law():
         for name, (samples, reference) in exact.items():
             stats = _stats(samples)
             lo, hi = stats.confidence_interval_95
-            gap = abs(stats.mean - reference) / ((hi - lo) / 2)
-            assert gap <= bound, (index, name, reference, stats.mean, (lo, hi))
+            gaps[index, name] = abs(stats.mean - reference) / ((hi - lo) / 2)
+    gates.assert_family(gaps, bound, "half-widths")
 
 
 @pytest.mark.parametrize("n", [2, 30, 63, 64, 5000])
@@ -497,6 +509,87 @@ def test_no_output_depends_on_the_block_size(monkeypatch):
         assert (wide.generated_count, wide.rejected_count) == (narrow.generated_count, narrow.rejected_count)
 
 
+def _plain_heap_loop(heap, release, service):
+    """Kiefer-Wolfowitz as plainly as it reads: each request in turn takes the
+    link free first, waiting for it if need be."""
+    heap = sorted(heap)
+    starts = []
+    for at, busy in zip(release.tolist(), service.tolist()):
+        start = max(heapq.heappop(heap), at)
+        heapq.heappush(heap, start + busy)
+        starts.append(start)
+    return np.array(starts), sorted(heap)
+
+
+def _peek_services(chain, n):
+    """The services ``des._access`` will draw for ``n`` releases."""
+    peek = np.random.Generator(np.random.PCG64())
+    peek.bit_generator.state = chain.service.bit_generator.state
+    return peek.standard_exponential(n) / chain.service_rate
+
+
+def _pass_through_links(links, seed, passes):
+    """Run ``passes``, pairs of a load and a clock to start no earlier than,
+    through one chain's links and through the plain loop, and require the
+    same bits of both."""
+    rng = np.random.default_rng(seed)
+    config = ChainConfig(1.0, 1.0, 0.0, 1.0, servers=links)
+    chain = des._Chain("links", config, "event-driven", np.random.SeedSequence(seed), True, False)
+    heap = list(chain.links)
+    clock = 0.0
+    for load, far in passes:
+        n = int(rng.integers(1, 3001))
+        service = _peek_services(chain, n)
+        gaps = rng.exponential(0.5 / (load * links), n)
+        gaps[rng.random(n) < 0.5] = 0.0
+        gaps[0] = 0.0
+        clock = max(clock, far)
+        later = [free for free in heap if free >= clock]
+        release = min(later, default=clock) + np.cumsum(gaps)  # the first on a free time
+        for i in rng.integers(0, n, 8):
+            end = release[i] + service[i]
+            at = int(np.searchsorted(release, end))
+            if at < n:
+                release[at] = end
+        starts = des._access(chain, release)
+        expected, heap = _plain_heap_loop(heap, release, service)
+        assert np.array_equal(starts, expected), (links, load, far)
+        assert sorted(chain.links) == heap, (links, load, far)
+        clock = release[-1]
+
+
+@pytest.mark.parametrize("links", [*range(2, 20), 600, 4096])
+def test_several_link_pass_equals_the_plain_heap_loop(links, monkeypatch):
+    # Passes at loads from 0.05 to 1.3 of the links, up to 3000 releases,
+    # carry their links from pass to pass, as a chain does between blocks.
+    # Half the releases share their time with the one before, as a mined
+    # block's do; the first of a pass equals a free time, and some equal an
+    # earlier request's end.  A fresh chain then runs two passes at clocks
+    # where some or all services round off.  At 4096 links every pass is
+    # shorter than the links.  Start times and the final free times must be
+    # bit-equal.  About 1 s for all 20 cases.
+    calls = Counter()
+    checked, looped = des._free_prefix, des._heap_loop
+
+    def count_checks(heap, release, ends):
+        calm, heap = checked(heap, release, ends)
+        calls["calm"] += calm
+        calls["waits"] += calm < release.size
+        return calm, heap
+
+    def count_loops(heap, release, service):
+        calls["looped"] += release.size
+        return looped(heap, release, service)
+
+    monkeypatch.setattr(des, "_free_prefix", count_checks)
+    monkeypatch.setattr(des, "_heap_loop", count_loops)
+    loads = (0.05, 0.3, 0.8, 1.0, 1.3, 1.3, 0.5, 0.05, 0.05, 1.0, 0.05)
+    _pass_through_links(links, links, [(load, 0.0) for load in loads])
+    if links < 20:  # both ways through a pass were taken
+        assert calls["calm"] and calls["waits"] and calls["looped"], calls
+    _pass_through_links(links, links + 1000, [(0.8, 2.0**53), (0.8, 2.0**60)])
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         simulate_chain(BASE, 0, seed=1)
@@ -614,10 +707,9 @@ def test_engine_agrees_with_the_reference_event_loop():
     # share of a family-wise alpha of 0.01 (about 1.94).  Grid, seeds and
     # rule were fixed before the engine's first run.  About 3 s.
     grid = _reference_grid()
-    alpha = 1.0 - 0.99 ** (1 / len(grid))
-    bound = stdtrit(31, 1.0 - alpha / 2) / stdtrit(31, 0.975)
+    bound = gates.half_width_bound(len(grid))
     master = 20261021
-    worst = 0.0
+    gaps = {}
     for index, (config, mode) in enumerate(grid):
         hierarchical = isinstance(config, HierarchicalConfig)
         engine = simulate_hierarchical if hierarchical else simulate_chain
@@ -625,7 +717,6 @@ def test_engine_agrees_with_the_reference_event_loop():
         new = engine(config, 20_000, master + index, mode)
         old = reference(config, 20_000, master + index, mode)
         half = [(hi - lo) / 2 for lo, hi in (new.confidence_interval_95, old.confidence_interval_95)]
-        gap = abs(new.mean - old.mean) / math.hypot(*half)
-        assert gap <= bound, (index, config, mode, new.mean, old.mean, half)
-        worst = max(worst, gap)
+        gaps[index] = abs(new.mean - old.mean) / math.hypot(*half)
+    worst = gates.assert_family(gaps, bound, "half-widths")
     print(f"reference agreement: {len(grid)} points at 2e4 served, worst {worst:.2f} of {bound:.2f}")
