@@ -311,10 +311,15 @@ def _access(chain: _Chain, release: np.ndarray) -> np.ndarray:
     pass, and the heap loop takes over at the first that waits, for
     ``chain.run`` requests.  A check costs about as much as looping
     ``_CHECK`` requests.  So the window starts at ``_CHECK`` after each loop
-    run and doubles while no request in it waits, and a waiter found before
-    the window has doubled twice makes the next run 16 times longer; any
-    other waiter sets it back to ``_CHECK``.  The window, the run and what is
-    left of it carry over between passes.
+    run; a check looks at the window or as many requests as links, whichever
+    is more, and a calm check makes the window twice what it looked at.  A
+    waiter found while the window is under ``4 * _CHECK`` makes the next run
+    16 times longer; any other waiter sets it back to ``_CHECK``.  At 256
+    links or more one calm check takes the window past that, so such chains
+    always go back to ``_CHECK``: each check covers at least ``links``
+    requests, whose loop costs more per request than at a few links, so
+    checks stay cheap beside it.  The window, the run and what is left of it
+    carry over between passes.
     """
     service = chain.service.standard_exponential(release.size) / chain.service_rate
     if len(chain.links) == 1:

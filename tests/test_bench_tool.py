@@ -23,15 +23,20 @@ def bench():
 def _canned(workload: str, trace: int, wall: float, failed: int = 0) -> str:
     """What ``run.py`` prints: a summary, the metadata line and the record line."""
     if trace:
+        # presets-jobs2 runs a pool, whose workers' spans the traced run does
+        # not see; only stochastic simulates a single chain.
+        pooled, chained = workload == "presets-jobs2", workload == "stochastic"
         metrics = {
-            "markov.states_solved": {"value": 28851, "unit": "count"},
-            "markov.boxes_solved": {"value": 33, "unit": "count"},
-            "markov.max_box_states": {"value": 4096, "unit": "count"},
+            "markov.states_solved": {"value": 0 if pooled else 28851, "unit": "count"},
+            "markov.boxes_solved": {"value": 0 if pooled else 33, "unit": "count"},
+            "markov.max_box_states": {"value": 0 if pooled else 4096, "unit": "count"},
             "markov.solve_s.large": {"value": 0.05, "unit": "s"},
-            "des.generated_per_served": {"value": 1.25, "unit": "ratio"},
+            "des.chain_s": {"value": 0.5 if chained else 0.0, "unit": "s"},
+            "des.generated_per_served": {"value": 1.25 if chained else 0.0, "unit": "ratio"},
             "des.hier_s": {"value": 0.6, "unit": "s"},
-            "attack.analytic_calls": {"value": 12, "unit": "count"},
+            "attack.analytic_calls": {"value": 0 if pooled else 12, "unit": "count"},
             "scenarios.points": {"value": 249, "unit": "count"},
+            "scenarios.pools_started": {"value": int(pooled), "unit": "count"},
         }
     else:
         metrics = {
@@ -66,7 +71,7 @@ def test_bench_file_is_built_from_canned_runs(bench, tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "_revision", lambda root: {"revision": "abc123", "dirty": False})
     monkeypatch.chdir(ROOT)
     out = tmp_path / "BENCH_T.json"
-    assert bench.main(["--out", str(out), "--runs", "5"]) == 0
+    assert bench.main(["--out", str(out)]) == 0
 
     # Five untraced runs of each workload, taken in turn, then one traced run each.
     assert calls[:4] == [(name, 0) for name in bench.WORKLOADS]
@@ -86,11 +91,17 @@ def test_bench_file_is_built_from_canned_runs(bench, tmp_path, monkeypatch):
     assert wall["unit"] == "s"
     assert set(presets["metrics"]) == {"setup_s", "wall_s", "cpu_s", "peak_rss_mb"}
     assert (presets["runs"], presets["attempted"], presets["failed"], presets["correct"]) == (5, 35, 0, True)
-    # Only counts that repeat exactly; no per-layer time.
+    # Only counts that repeat exactly; no per-layer time.  A count the traced
+    # run cannot see is None, not the 0 it reads.
     assert presets["counts"] == {
         "markov.states_solved": 28851, "markov.boxes_solved": 33, "markov.max_box_states": 4096,
-        "des.generated_per_served": 1.25, "attack.analytic_calls": 12, "scenarios.points": 249,
+        "des.generated_per_served": None, "attack.analytic_calls": 12, "scenarios.points": 249,
     }
+    assert data["workloads"]["presets-jobs2"]["counts"] == {
+        "markov.states_solved": None, "markov.boxes_solved": None, "markov.max_box_states": None,
+        "des.generated_per_served": None, "attack.analytic_calls": None, "scenarios.points": 249,
+    }
+    assert data["workloads"]["stochastic"]["counts"]["des.generated_per_served"] == 1.25
     assert presets["meta"]["workload"] == "presets" and presets["meta"]["trace"] == 0
     stochastic = data["workloads"]["stochastic"]
     assert (stochastic["failed"], stochastic["correct"]) == (1, False)

@@ -6,7 +6,7 @@ Run from the root of a checkout:
 
 It drives ``perfbench/run.py`` unchanged, as a user would:
 
-* Each workload gets ``--runs`` runs at ``--trace 0 --seconds 0``, taken in
+* Each workload gets ``RUNS`` runs at ``--trace 0 --seconds 0``, taken in
   turn across the workloads so that a slow spell of the machine spreads
   over all of them.  Each run is one set-up-only pass and the workload's
   fewest timed passes.  The file keeps, across runs, the median and
@@ -14,12 +14,18 @@ It drives ``perfbench/run.py`` unchanged, as a user would:
   run's value, and the failed and attempted operations.
 * One ``--trace 1`` run per workload gives the counts that repeat exactly
   (``COUNTS``).  A single traced pass cannot resolve per-layer times, so
-  they are left out.
+  they are left out.  A count the traced run cannot see is ``null``, not
+  0: pool workers keep their own spans, so a pooled run sees none of the
+  markov, des and attack layers' counts, and ``des.generated_per_served``
+  needs a single-chain simulation.
 * The Tier-1 suite is timed once.  The git revision, whether tracked files
   differ from it, ``src_lines``, ``public_names`` and each workload's run
   metadata go in beside the numbers.
 
-Wall-time budget: 2.5 minutes on a 2-core machine at the default 5 runs.
+Every file is made at the same ``RUNS`` and ``SEED``, so that any two can
+be compared; they are recorded under ``settings``.
+
+Wall-time budget: 2.5 minutes on a 2-core machine.
 One such run took 103 s: about 10 s a round of the four workloads, 10 s
 of traced runs and 40 s of Tier-1.  The file records what its run took.
 """
@@ -36,6 +42,8 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("presets", "presets-jobs2", "solver-heavy", "stochastic")
+RUNS = 5  # untraced runs per workload
+SEED = 1  # the workloads' seed
 TIMINGS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
 COUNTS = (
     "markov.states_solved",
@@ -45,6 +53,7 @@ COUNTS = (
     "attack.analytic_calls",
     "scenarios.points",
 )
+WORKER_LAYERS = ("markov.", "des.", "attack.")  # counted inside pool workers, when there are any
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -75,14 +84,23 @@ def summarise(records: list[dict]) -> dict:
     }
 
 
+def counts(metrics: dict) -> dict:
+    """``COUNTS`` of one traced run, ``None`` where the run cannot see one."""
+    pooled = metrics["scenarios.pools_started"]["value"] > 0
+    chained = metrics["des.chain_s"]["value"] > 0
+    unseen = {c for c in COUNTS if pooled and c.startswith(WORKER_LAYERS)}
+    if not chained:
+        unseen.add("des.generated_per_served")
+    return {c: None if c in unseen else metrics[c]["value"] for c in COUNTS}
+
+
 def build(timed: dict[str, list[str]], traced: dict[str, str], tier1: dict, revision: dict) -> dict:
     """The file's content from ``run.py``'s standard output of each run."""
     workloads = {}
     for name, outputs in timed.items():
         records = [parse_run(out) for out in outputs]
         entry = summarise(records)
-        counted = parse_run(traced[name])["metrics"]
-        entry["counts"] = {c: counted[c]["value"] for c in COUNTS}
+        entry["counts"] = counts(parse_run(traced[name])["metrics"])
         entry["meta"] = records[0]["meta"]
         workloads[name] = entry
     env = next(iter(workloads.values()))["meta"]
@@ -128,22 +146,20 @@ def _revision(root: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="file to write, BENCH_<n>.json by convention")
-    parser.add_argument("--runs", type=int, default=5, help="untraced runs per workload (default 5)")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args = parser.parse_args(argv)
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         print("no perfbench/run.py here: run from the root of a checkout", file=sys.stderr)
         return 2
     started = time.monotonic()
-    bench = [sys.executable, "perfbench/run.py", "--seed", str(args.seed), "--seconds", "0"]
+    bench = [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", "0"]
     timed = {name: [] for name in WORKLOADS}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name in WORKLOADS:
             timed[name].append(_run(root, bench + ["--workload", name, "--trace", "0"]))
     traced = {name: _run(root, bench + ["--workload", name, "--trace", "1"]) for name in WORKLOADS}
     result = build(timed, traced, _tier1(root), _revision(root))
-    result["settings"] = {"runs": args.runs, "seed": args.seed, "seconds": 0}
+    result["settings"] = {"runs": RUNS, "seed": SEED, "seconds": 0}
     result["elapsed_s"] = time.monotonic() - started
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out} in {result['elapsed_s']:.0f} s")
